@@ -103,9 +103,11 @@ def from_edges(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
 
 
 def _normalized(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Internal constructor that silently drops loops and duplicates.
+    """Internal constructor that orients and sorts an edge list.
 
-    Used by minor contraction, where merges legitimately create both.
+    For edges the caller derived from a valid graph (relabeling, block
+    extraction, polygon chords); it drops loops and duplicates rather than
+    rejecting them, so it is no substitute for :func:`from_edges` on input.
     """
     seen = {(u, v) if u < v else (v, u) for u, v in pairs if u != v}
     return Graph(n=n, edges=tuple(sorted(seen)))

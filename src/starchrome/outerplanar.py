@@ -1,13 +1,14 @@
 """Outerplanar recognition and maximal-outerplanar (MOP) enumeration.
 
-Recognition runs the forbidden-minor characterization directly: a graph is
-outerplanar iff it has neither a K4 nor a K2,3 minor.  Both minors are
-2-connected, so the graph is first split into biconnected blocks; within a
-block the search branches over contractions with a subgraph test at every
-node (edge deletion is subsumed by the subgraph test), memoized on
-canonical keys, and is offered up to a configured order (default 16).
-MOPs additionally admit a scalable structural test (triangulated polygon),
-used where graphs outgrow the minor search.
+Recognition is ear removal per biconnected block (S. L. Mitchell,
+"Linear algorithms to recognize outerplanar and maximal outerplanar
+graphs", IPL 9(5), 1979): a 2-connected outerplanar graph always has a
+degree-2 vertex, and suppressing it keeps the graph 2-connected and
+outerplanar.  Replaying the suppressions in reverse rebuilds the block's
+Hamiltonian cycle, and the block is accepted only if no two of its edges
+cross on that cycle, so every "yes" carries a certificate.  MOPs
+additionally admit a direct structural test (triangulated polygon), which
+the classifier tries first.
 """
 
 from __future__ import annotations
@@ -25,121 +26,114 @@ from .graph import (
     is_two_connected,
 )
 
-RECOGNITION_LIMIT = 16
 ENUMERATION_LIMIT = 12
 
-_K4 = "k4"
-_K23 = "k23"
 
-_minor_memo: dict[tuple[str, bytes], bool] = {}
+def _chords_cross(spans: list[tuple[int, int]]) -> bool:
+    """True iff two position intervals (a, b), a < b, properly interleave.
 
-
-def _contains_k4(g: Graph) -> bool:
-    masks = g.adjacency_masks()
-    for u, v in g.edges:
-        common = masks[u] & masks[v]
-        while common:
-            w = (common & -common).bit_length() - 1
-            common &= common - 1
-            rest = masks[u] & masks[v] & masks[w]
-            rest &= ~((1 << (w + 1)) - 1)  # enumerate fourth vertex above w once
-            if rest:
-                return True
-    return False
-
-
-def _contains_k23(g: Graph) -> bool:
-    masks = g.adjacency_masks()
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            common = masks[u] & masks[v]
-            if bin(common).count("1") >= 3:
-                return True
-    return False
-
-
-def _contract(g: Graph, u: int, v: int) -> Graph:
-    """Contract edge (u,v): v merges into u, then compact the ids."""
-    keep = [x for x in range(g.n) if x != v]
-    remap = {x: i for i, x in enumerate(keep)}
-    pairs = []
-    for a, b in g.edges:
-        if a == v:
-            a = u
-        if b == v:
-            b = u
-        if a != b:
-            pairs.append((remap[a], remap[b]))
-    return _normalized(g.n - 1, pairs)
-
-
-def _has_minor(g: Graph, target: str) -> bool:
-    """Branching model search: H is a minor iff it is a subgraph of some
-    contraction (edge deletions are absorbed by the subgraph test)."""
-    need_n = 4 if target == _K4 else 5
-    need_m = 6
-    contains = _contains_k4 if target == _K4 else _contains_k23
-
-    def rec(h: Graph) -> bool:
-        if h.n < need_n or h.m < need_m:
-            return False
-        if contains(h):
+    Sorted by left end, longest first, non-crossing intervals nest, so each
+    one must close no later than the innermost interval still open.
+    """
+    open_ends: list[int] = []
+    for a, b in sorted(spans, key=lambda s: (s[0], -s[1])):
+        while open_ends and open_ends[-1] <= a:
+            open_ends.pop()
+        if open_ends and open_ends[-1] < b:
             return True
-        key = (target, canonical_key(h, limit=RECOGNITION_LIMIT))
-        cached = _minor_memo.get(key)
-        if cached is not None:
-            return cached
-        result = False
-        seen_children: set[bytes] = set()
-        for u, v in h.edges:
-            child = _contract(h, u, v)
-            child_key = canonical_key(child, limit=RECOGNITION_LIMIT)
-            if child_key in seen_children:
-                continue
-            seen_children.add(child_key)
-            if rec(child):
-                result = True
-                break
-        _minor_memo[key] = result
-        return result
+        open_ends.append(b)
+    return False
 
-    return rec(g)
+
+def _outer_cycle(block: Graph) -> list[int] | None:
+    """The outer cycle of a 2-connected block with n >= 4, or None if the
+    block is not outerplanar.
+
+    Suppresses degree-2 vertices down to a triangle, then reinserts each one
+    between its two neighbours, which must be consecutive on the cycle.  The
+    cycle is returned only as a certificate: an order of all the vertices in
+    which no two block edges cross, so the block draws as a polygon with
+    non-crossing chords.
+    """
+    nbrs = [set(s) for s in block.neighbors()]
+    ready = [v for v in range(block.n) if len(nbrs[v]) == 2]
+    removed: list[tuple[int, int, int]] = []
+    for _ in range(block.n - 3):
+        while ready and len(nbrs[ready[-1]]) != 2:
+            ready.pop()  # already suppressed
+        if not ready:
+            return None  # minimum degree 3: not outerplanar
+        v = ready.pop()
+        u, w = nbrs[v]
+        nbrs[v].clear()
+        nbrs[u].discard(v)
+        nbrs[w].discard(v)
+        if w in nbrs[u]:
+            ready.extend(x for x in (u, w) if len(nbrs[x]) == 2)
+        else:
+            nbrs[u].add(w)
+            nbrs[w].add(u)
+        removed.append((v, u, w))
+    a, b, c = (x for x in range(block.n) if nbrs[x])
+    succ = [-1] * block.n
+    succ[a], succ[b], succ[c] = b, c, a
+    for v, u, w in reversed(removed):
+        if succ[w] == u:
+            u, w = w, u
+        elif succ[u] != w:
+            return None
+        succ[u], succ[v] = v, w
+    cycle = [a]
+    while len(cycle) < block.n:
+        cycle.append(succ[cycle[-1]])
+
+    pos = [0] * block.n
+    for i, v in enumerate(cycle):
+        pos[v] = i
+    spans = [(min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in block.edges]
+    return None if _chords_cross(spans) else cycle
 
 
 def _biconnected_blocks(g: Graph) -> list[Graph]:
-    """Edge-partition into biconnected blocks, each with compacted ids."""
-    nbrs = g.neighbors()
-    visited = [False] * g.n
-    depth = [0] * g.n
-    low = [0] * g.n
-    stack: list[tuple[int, int]] = []
-    blocks: list[list[tuple[int, int]]] = []
+    """Edge-partition into biconnected blocks, each with compacted ids.
 
-    def dfs(v: int, parent: int, d: int) -> None:
-        visited[v] = True
-        depth[v] = low[v] = d
-        for w in nbrs[v]:
-            if w == parent:
-                continue
-            if not visited[w]:
-                stack.append((v, w))
-                dfs(w, v, d + 1)
-                low[v] = min(low[v], low[w])
-                if low[w] >= depth[v]:
+    Hopcroft-Tarjan with an explicit stack, so long paths and cycles do not
+    hit the interpreter's recursion limit.
+    """
+    nbrs = g.neighbors()
+    depth = [-1] * g.n
+    low = [0] * g.n
+    edge_stack: list[tuple[int, int]] = []
+    blocks: list[list[tuple[int, int]]] = []
+    for root in range(g.n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        path = [(root, -1, iter(nbrs[root]))]
+        while path:
+            v, parent, todo = path[-1]
+            for w in todo:
+                if depth[w] < 0:
+                    edge_stack.append((v, w))
+                    depth[w] = low[w] = depth[v] + 1
+                    path.append((w, v, iter(nbrs[w])))
+                    break
+                if w != parent and depth[w] < depth[v]:
+                    edge_stack.append((v, w))
+                    low[v] = min(low[v], depth[w])
+            else:
+                path.pop()
+                if parent < 0:
+                    continue
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= depth[parent]:
                     block = []
                     while True:
-                        e = stack.pop()
+                        e = edge_stack.pop()
                         block.append(e)
-                        if e == (v, w):
+                        if e == (parent, v):
                             break
                     blocks.append(block)
-            elif depth[w] < depth[v]:
-                stack.append((v, w))
-                low[v] = min(low[v], depth[w])
-
-    for root in range(g.n):
-        if not visited[root]:
-            dfs(root, -1, 0)
     out = []
     for block in blocks:
         ids = sorted({x for e in block for x in e})
@@ -148,25 +142,23 @@ def _biconnected_blocks(g: Graph) -> list[Graph]:
     return out
 
 
-def is_outerplanar(g: Graph, limit: int = RECOGNITION_LIMIT) -> bool:
-    """True iff g has neither a K4 minor nor a K2,3 minor.
+def is_outerplanar(g: Graph) -> bool:
+    """True iff g has a drawing with every vertex on the outer face.
 
-    Both forbidden minors are 2-connected, so the search runs per
-    biconnected block.
+    Outerplanarity holds iff it holds in every biconnected block, so each
+    block with four or more vertices gets its own ear-removal certificate.
     """
-    if g.n > limit:
-        raise TooLarge(f"is_outerplanar supports n <= {limit}, got {g.n}")
     if g.n >= 2 and g.m > 2 * g.n - 3:
-        return False  # over the outerplanar edge bound; some minor must exist
+        return False  # over the outerplanar edge bound
     for block in _biconnected_blocks(g):
         if block.m > 2 * block.n - 3:
             return False
-        if _has_minor(block, _K4) or _has_minor(block, _K23):
+        if block.n > 3 and _outer_cycle(block) is None:
             return False
     return True
 
 
-def is_maximal_outerplanar(g: Graph, limit: int = RECOGNITION_LIMIT) -> bool:
+def is_maximal_outerplanar(g: Graph) -> bool:
     """Outerplanar with a full complement of edges.
 
     Equivalent to the definitional reading (adding any edge between
@@ -175,7 +167,7 @@ def is_maximal_outerplanar(g: Graph, limit: int = RECOGNITION_LIMIT) -> bool:
     """
     if g.n < 3:
         return False
-    return g.m == 2 * g.n - 3 and is_outerplanar(g, limit=limit)
+    return g.m == 2 * g.n - 3 and is_outerplanar(g)
 
 
 @dataclass(frozen=True)
@@ -230,14 +222,13 @@ def polygon_structure(g: Graph) -> PolygonStructure | None:
         if b - a in (1, n - 1):
             return None  # chord duplicating a boundary edge
         spans.append((a, b))
-    for (a1, b1), (a2, b2) in itertools.combinations(spans, 2):
-        if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
-            return None  # crossing chords cannot be drawn inside the polygon
+    if _chords_cross(spans):
+        return None  # crossing chords cannot be drawn inside the polygon
     return PolygonStructure(boundary=tuple(cycle), chords=tuple(chords))
 
 
 def is_polygon_triangulation(g: Graph) -> bool:
-    """Structural MOP test with no order limit (see is_maximal_outerplanar)."""
+    """Structural MOP test; agrees with is_maximal_outerplanar."""
     return polygon_structure(g) is not None
 
 
@@ -361,23 +352,12 @@ class Classification:
     subcubic: bool
 
 
-def classify(
-    g: Graph,
-    limit: int = RECOGNITION_LIMIT,
-    outerplanar_hint: bool | None = None,
-) -> Classification:
-    """Bundle of the predicates behind the graph classes the sweep tracks.
-
-    outerplanar_hint lets callers pass a fact they already hold (for
-    example, chord-deleted subgraphs of a MOP are outerplanar because
-    outerplanarity is hereditary); it is trusted, not re-derived.
-    """
+def classify(g: Graph) -> Classification:
+    """Bundle of the predicates behind the graph classes the sweep tracks."""
     if is_polygon_triangulation(g):
         outer, maximal = True, True
-    elif outerplanar_hint is not None:
-        outer, maximal = outerplanar_hint, False
     else:
-        outer = is_outerplanar(g, limit=limit)
+        outer = is_outerplanar(g)
         maximal = outer and g.m == 2 * g.n - 3
     return Classification(
         diameter=diameter(g),

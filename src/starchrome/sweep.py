@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import BudgetExhausted
-from .graph import Graph, canonical_form
+from .graph import canonical_form
 from .graph6 import graph6_decode, graph6_encode
 from .outerplanar import classify, enumerate_mops, two_connected_spanning_subgraphs
 from .solver import Budget, exact_chi_star
@@ -124,10 +124,10 @@ def _margin(bound: int | None, chi: int | None) -> int | None:
     return bound - chi
 
 
-def solve_record(key: str, budget: Budget, outerplanar_hint: bool | None = None) -> SweepRecord:
+def solve_record(key: str, budget: Budget) -> SweepRecord:
     """Classify and exactly solve one canonical graph6 key."""
     g = graph6_decode(key)
-    cls = classify(g, outerplanar_hint=outerplanar_hint)
+    cls = classify(g)
     diam = None if cls.diameter == float("inf") else int(cls.diameter)
     delta = g.max_degree()
     try:
@@ -207,11 +207,6 @@ class SweepSummary:
     findings: list[tuple[str, str]]
 
 
-def _solve_one(args: tuple[str, Budget, bool | None]) -> SweepRecord:
-    key, budget, hint = args
-    return solve_record(key, budget, outerplanar_hint=hint)
-
-
 def run_sweep(
     n_max: int,
     cache: ResultCache,
@@ -227,39 +222,35 @@ def run_sweep(
     emitted to the cache ordered by canonical key within each order.
     """
     budget = budget or Budget()
-    targets: list[tuple[str, bool | None]] = []
+    targets: list[str] = []
     seen: set[str] = set()
     for n in range(4, n_max + 1):
         catalog = enumerate_mops(n)
-        level: list[tuple[str, bool | None]] = []
+        level: list[str] = []
         for mop in catalog.members.values():
-            graphs: list[tuple[Graph, bool | None]] = [(mop, None)]
+            graphs = [mop]
             if expand_subgraphs:
-                # chord-deleted subgraphs inherit outerplanarity
-                for sub in two_connected_spanning_subgraphs(mop, dedupe=True):
-                    graphs.append((sub, True))
-            for g, hint in graphs:
+                graphs += two_connected_spanning_subgraphs(mop, dedupe=True)
+            for g in graphs:
                 key = graph6_encode(canonical_form(g))
                 if key not in seen:
                     seen.add(key)
-                    level.append((key, hint))
-        level.sort(key=lambda item: item[0])
+                    level.append(key)
+        level.sort()
         targets.extend(level[:per_n_cap])
 
     records: list[SweepRecord] = []
     from_cache = solved = exhausted = 0
-    todo = [(key, hint) for key, hint in targets if key not in cache]
+    todo = [key for key in targets if key not in cache]
     computed: dict[str, SweepRecord] = {}
     if workers > 1 and todo:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rec in pool.map(
-                _solve_one, [(key, budget, hint) for key, hint in todo]
-            ):
+            for rec in pool.map(solve_record, todo, [budget] * len(todo)):
                 computed[rec.graph6] = rec
     else:
-        for key, hint in todo:
-            computed[key] = solve_record(key, budget, outerplanar_hint=hint)
-    for key, _hint in targets:
+        for key in todo:
+            computed[key] = solve_record(key, budget)
+    for key in targets:
         cached = cache.get(key)
         if cached is not None:
             records.append(cached)

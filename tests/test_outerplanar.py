@@ -6,7 +6,7 @@ import random
 import networkx as nx
 import pytest
 
-from starchrome.errors import NotMop, TooLarge
+from starchrome.errors import BadParams, NotMop, TooLarge
 from starchrome.graph import canonical_key, diameter, from_edges
 from starchrome.outerplanar import (
     classify,
@@ -41,16 +41,52 @@ def test_forbidden_minors():
     assert is_outerplanar(g62())
 
 
-def test_recognition_limit():
-    with pytest.raises(TooLarge):
-        is_outerplanar(from_edges(17, []))
+def _dissection(rng: random.Random, n: int):
+    """An n-gon with random non-crossing chords, then a few chords that may
+    cross, a few boundary edges deleted, and the vertices relabeled."""
+    boundary = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    pairs = [(x, y) for x in range(n) for y in range(x + 2, n) if (x, y) != (0, n - 1)]
+    rng.shuffle(pairs)
+    chords: list[tuple[int, int]] = []
+    for x, y in pairs:
+        if rng.random() < 0.6 and not any(a < x < b < y or x < a < y < b for a, b in chords):
+            chords.append((x, y))
+    edges = set(boundary) | set(chords)
+    edges |= set(rng.sample(pairs, min(len(pairs), rng.choice([0, 0, 1, 2]))))
+    edges -= set(rng.sample(boundary, rng.choice([0, 0, 0, 1, 2])))
+    perm = rng.sample(range(n), n)
+    return from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_recognition_above_sixteen_vertices():
+    from starchrome.outerplanar import _outer_cycle
+
+    n = 40
+    cycle = [(i, (i + 1) % n) for i in range(n)]
+    chords = [(0, 20), (0, 10), (20, 30), (3, 7), (22, 27), (31, 39)]
+    outer = from_edges(n, cycle + chords)
+    crossed = from_edges(n, cycle + chords + [(5, 25)])
+    assert is_outerplanar(outer) and _nx_outerplanar(outer)
+    ring = _outer_cycle(outer)  # recovers the unique Hamiltonian cycle
+    assert {frozenset(e) for e in zip(ring, ring[1:] + ring[:1])} == {frozenset(e) for e in cycle}
+    assert not is_outerplanar(crossed) and not _nx_outerplanar(crossed)
+    assert classify(outer).outerplanar and not classify(crossed).outerplanar
+    assert classify(fan_graph(n)).maximal
+    assert is_outerplanar(cycle_graph(3000))  # deeper than the recursion limit
 
 
 def test_outerplanar_matches_planarity_oracle():
     rng = random.Random(31)
-    for _ in range(120):
-        g = random_connected_graph(rng, max_edges=12, max_n=8)
-        assert is_outerplanar(g) == _nx_outerplanar(g)
+    outer = 0
+    for i in range(1200):
+        if i % 3:
+            g = _dissection(rng, rng.randint(3, 20))
+        else:
+            g = random_connected_graph(rng, max_edges=40, max_n=20)
+        want = _nx_outerplanar(g)
+        assert is_outerplanar(g) == want, g.edges
+        outer += want
+    assert 300 < outer < 900  # both answers are well represented
 
 
 def test_outerplanarity_is_hereditary():
@@ -167,6 +203,23 @@ def test_classify_examples():
     c = classify(path_graph(4))
     assert not c.two_connected
     assert c.subcubic
+
+
+def test_classify_matches_oracle_on_family_instances():
+    from starchrome.families import build_family
+
+    instances = [build_family(fid) for fid in ("g61", "g61_prime", "g62")]
+    instances += [build_family(fid, n=n) for fid in ("path", "cycle", "fan") for n in range(3, 10)]
+    instances += [build_family("delta5_strip", blocks=b) for b in (10, 16)]
+    for fid in ("g_delta", "h_prime", "h_case1", "h2"):
+        for delta in range(4, 9):
+            try:
+                instances.append(build_family(fid, delta=delta))
+            except BadParams:
+                continue  # below the family's least delta
+    for inst in instances:
+        assert inst.graph.max_degree() <= 8
+        assert classify(inst.graph).outerplanar == _nx_outerplanar(inst.graph), inst.family_id
 
 
 def test_classify_disconnected():
