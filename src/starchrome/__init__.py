@@ -32,11 +32,9 @@ from .families import (
 )
 from .graph import (
     INFINITE,
-    DegreeProfile,
     Graph,
     canonical_form,
     canonical_key,
-    degree_profile,
     diameter,
     from_edges,
     is_connected,

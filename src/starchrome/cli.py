@@ -15,7 +15,7 @@ from .families import FAMILY_IDS, build_family
 from .graph6 import graph6_decode, graph6_encode
 from .graph import from_edges
 from .harness import family_check, verify_figures
-from .solver import Budget, exact_chi_star
+from .solver import DEFAULT_EDGE_LIMIT, Budget, exact_chi_star
 from .sweep import ResultCache, default_cache_path, run_sweep
 
 
@@ -112,6 +112,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return 1
+    if cache.torn_lines:
+        print(f"cache: dropped {cache.torn_lines} torn last line", file=sys.stderr)
     summary = run_sweep(
         args.n_max,
         cache,
@@ -168,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--delta", type=int)
     p.add_argument("--blocks", type=int)
-    p.add_argument("--edge-limit", type=int, default=40,
+    p.add_argument("--edge-limit", type=int, default=DEFAULT_EDGE_LIMIT,
                    help="solver edge ceiling; raise at your own risk")
     _add_budget_flags(p)
     p.set_defaults(func=cmd_solve)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DuplicateEdge, OutOfRange, SelfLoop, TooLarge
 
@@ -71,17 +71,6 @@ class Graph:
             cached = frozenset(self.edges)
             self.__dict__["_edge_set"] = cached
         return cached
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    degrees: tuple[int, ...]
-    max_degree: int
-
-
-def degree_profile(g: Graph) -> DegreeProfile:
-    degs = g.degrees()
-    return DegreeProfile(degrees=degs, max_degree=max(degs, default=0))
 
 
 def from_edges(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
@@ -162,28 +151,58 @@ def is_connected(g: Graph) -> bool:
     return count == g.n
 
 
-def is_two_connected(g: Graph) -> bool:
-    """True iff n >= 3, connected, and removing any single vertex keeps it connected."""
-    if g.n < 3 or not is_connected(g):
-        return False
+def _block_edges(g: Graph) -> Iterator[list[tuple[int, int]]]:
+    """Biconnected blocks as edge lists, in the order a depth-first search closes them.
+
+    Hopcroft-Tarjan with an explicit stack, so long paths and cycles do not
+    hit the interpreter's recursion limit.
+    """
     nbrs = g.neighbors()
-    for cut in range(g.n):
-        start = 0 if cut != 0 else 1
-        seen = [False] * g.n
-        seen[cut] = True
-        seen[start] = True
-        queue = deque([start])
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for w in nbrs[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    queue.append(w)
-        if count != g.n - 1:
-            return False
-    return True
+    depth = [-1] * g.n
+    low = [0] * g.n
+    edge_stack: list[tuple[int, int]] = []
+    for root in range(g.n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        path = [(root, -1, iter(nbrs[root]))]
+        while path:
+            v, parent, todo = path[-1]
+            for w in todo:
+                if depth[w] < 0:
+                    edge_stack.append((v, w))
+                    depth[w] = low[w] = depth[v] + 1
+                    path.append((w, v, iter(nbrs[w])))
+                    break
+                if w != parent and depth[w] < depth[v]:
+                    edge_stack.append((v, w))
+                    if depth[w] < low[v]:
+                        low[v] = depth[w]
+            else:
+                path.pop()
+                if parent < 0:
+                    continue
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if low[v] >= depth[parent]:
+                    block = []
+                    while True:
+                        e = edge_stack.pop()
+                        block.append(e)
+                        if e == (parent, v):
+                            break
+                    yield block
+
+
+def is_two_connected(g: Graph) -> bool:
+    """True iff n >= 3, connected, and removing any single vertex keeps it connected.
+
+    Equivalently, no vertex is isolated and the first biconnected block
+    holds every edge, so one low-point search decides it.
+    """
+    if g.n < 3 or 0 in g.degrees():
+        return False
+    return len(next(_block_edges(g))) == g.m
 
 
 def _refined_classes(g: Graph) -> list[int]:

@@ -76,14 +76,6 @@ class FamilyCheckRow:
         return json.dumps(asdict(self))
 
 
-#: deltas backed by a cataloged drawing instead of the closed form
-_FIGURE_BACKED = {
-    "h_prime": {5: "fig8a", 6: "fig8b", 7: "fig8c", 8: "fig8d", 9: "fig8e"},
-    "h_case1": {4: "fig10a", 5: "fig10b", 6: "fig10c", 7: "fig10d"},
-    "h2": {4: "fig11a", 5: "fig11b", 6: "fig11c", 7: "fig11d", 8: "fig11e",
-           9: "fig11f", 10: "fig11g"},
-}
-
 _FORMULA_FROM = {"h_prime": 9, "h_case1": 7, "h2": 10}
 
 
@@ -102,14 +94,15 @@ def family_check(
     """
     if family not in _FORMULA_FROM:
         raise OutOfRange(f"family-check supports {sorted(_FORMULA_FROM)}, not {family!r}")
+    figures = {p["delta"]: f for f, (fam, p, _) in FIGURES.items() if fam == family}
     rows = []
     for delta in deltas:
         if delta >= _FORMULA_FROM[family]:
             source = "formula"
             coloring = formula_coloring(family, delta)
             claim = claimed_palette(family, delta)
-        elif delta in _FIGURE_BACKED[family]:
-            source = _FIGURE_BACKED[family][delta]
+        elif delta in figures:
+            source = figures[delta]
             _, coloring = figure_coloring(source)
             claim = FIGURES[source][2]
         else:

@@ -9,16 +9,22 @@ Hamiltonian cycle, and the block is accepted only if no two of its edges
 cross on that cycle, so every "yes" carries a certificate.  MOPs
 additionally admit a direct structural test (triangulated polygon), which
 the classifier tries first.
+
+Enumeration tells MOPs apart by their degrees around the outer cycle up to
+rotation and reflection, which fix a triangulated polygon (Conway and
+Coxeter, Math. Gazette 1973); only the final members get a canonical key.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import NotMop, TooLarge
 from .graph import (
     Graph,
+    _block_edges,
     _normalized,
     canonical_key,
     diameter,
@@ -95,47 +101,9 @@ def _outer_cycle(block: Graph) -> list[int] | None:
 
 
 def _biconnected_blocks(g: Graph) -> list[Graph]:
-    """Edge-partition into biconnected blocks, each with compacted ids.
-
-    Hopcroft-Tarjan with an explicit stack, so long paths and cycles do not
-    hit the interpreter's recursion limit.
-    """
-    nbrs = g.neighbors()
-    depth = [-1] * g.n
-    low = [0] * g.n
-    edge_stack: list[tuple[int, int]] = []
-    blocks: list[list[tuple[int, int]]] = []
-    for root in range(g.n):
-        if depth[root] >= 0:
-            continue
-        depth[root] = 0
-        path = [(root, -1, iter(nbrs[root]))]
-        while path:
-            v, parent, todo = path[-1]
-            for w in todo:
-                if depth[w] < 0:
-                    edge_stack.append((v, w))
-                    depth[w] = low[w] = depth[v] + 1
-                    path.append((w, v, iter(nbrs[w])))
-                    break
-                if w != parent and depth[w] < depth[v]:
-                    edge_stack.append((v, w))
-                    low[v] = min(low[v], depth[w])
-            else:
-                path.pop()
-                if parent < 0:
-                    continue
-                low[parent] = min(low[parent], low[v])
-                if low[v] >= depth[parent]:
-                    block = []
-                    while True:
-                        e = edge_stack.pop()
-                        block.append(e)
-                        if e == (parent, v):
-                            break
-                    blocks.append(block)
+    """Edge-partition into biconnected blocks, each with compacted ids."""
     out = []
-    for block in blocks:
+    for block in _block_edges(g):
         ids = sorted({x for e in block for x in e})
         remap = {x: i for i, x in enumerate(ids)}
         out.append(_normalized(len(ids), [(remap[a], remap[b]) for a, b in block]))
@@ -247,7 +215,8 @@ def fixed_polygon_triangulations(n: int):
 
     The polygon has vertices 0..n-1 in cyclic order; each triangulation is
     produced exactly once (the apex of the triangle on a base edge is
-    unique), so the number of results is the (n-2)nd Catalan number.
+    unique), so the number of results is the (n-2)nd Catalan number.  Kept
+    as the oracle the enumeration tests compare against.
     """
 
     def tri(lo: int, hi: int):
@@ -272,44 +241,40 @@ def polygon_triangulation_graph(n: int, chords: frozenset[tuple[int, int]]) -> G
     return _normalized(n, cycle + list(chords))
 
 
+def _dihedral_key(seq: bytearray) -> bytes:
+    """Least rotation or reflection of a cyclic sequence; it starts at a least entry."""
+    n, low = len(seq), min(seq)
+    return bytes(min((s + s)[i : i + n] for s in (seq, seq[::-1]) for i in range(n) if s[i] == low))
+
+
 def enumerate_mops(n: int, limit: int = ENUMERATION_LIMIT) -> MopCatalog:
     """All MOPs of order n up to isomorphism, by vertex addition.
 
-    Starts from the triangle and repeatedly attaches a new vertex to both
-    endpoints of an exterior-face edge, deduplicating each level by
-    canonical key.  Each member keeps its outer cycle, which the
-    construction maintains for free.
+    Attaching a new vertex to both ends of an outer-cycle edge raises their
+    degrees by one and inserts a 2 between them; each level is deduplicated
+    by the dihedral key of that degree sequence, with no graph search.
     """
     if not 3 <= n <= limit:
         raise TooLarge(f"enumerate_mops supports 3 <= n <= {limit}, got {n}")
-    k3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
-    frontier: dict[bytes, tuple[Graph, tuple[int, ...]]] = {
-        canonical_key(k3): (k3, (0, 1, 2))
-    }
-    size = 3
-    while size < n:
-        nxt: dict[bytes, tuple[Graph, tuple[int, ...]]] = {}
-        for g, boundary in frontier.values():
-            new_vertex = g.n
-            for i in range(len(boundary)):
-                u, v = boundary[i], boundary[(i + 1) % len(boundary)]
-                grown = Graph(
-                    g.n + 1, tuple(sorted(g.edges + ((u, new_vertex), (v, new_vertex))))
-                )
-                key = canonical_key(grown)
+    # dihedral key -> (edges, outer cycle, degrees along the cycle)
+    frontier = {b"\2\2\2": (((0, 1), (0, 2), (1, 2)), (0, 1, 2), b"\2\2\2")}
+    for size in range(3, n):
+        nxt = {}
+        for edges, boundary, degrees in frontier.values():
+            for i in range(size):
+                grown = bytearray(degrees)
+                grown[i] += 1
+                grown[(i + 1) % size] += 1
+                grown.insert(i + 1, 2)
+                key = _dihedral_key(grown)
                 if key not in nxt:
-                    new_boundary = (
-                        boundary[: i + 1] + (new_vertex,) + boundary[i + 1 :]
-                    )
-                    nxt[key] = (grown, new_boundary)
+                    u, v = boundary[i], boundary[(i + 1) % size]
+                    ring = boundary[: i + 1] + (size,) + boundary[i + 1 :]
+                    nxt[key] = (tuple(sorted(edges + ((u, size), (v, size)))), ring, grown)
         frontier = nxt
-        size += 1
-    rooted = sum(1 for _ in fixed_polygon_triangulations(n)) if n >= 3 else 0
-    return MopCatalog(
-        n=n,
-        members={key: g for key, (g, _) in frontier.items()},
-        rooted_count=rooted,
-    )
+    members = (Graph(n, edges) for edges, _, _ in frontier.values())
+    rooted = math.comb(2 * n - 4, n - 2) // (n - 1)  # Catalan(n-2)
+    return MopCatalog(n, {canonical_key(g): g for g in members}, rooted)
 
 
 def two_connected_spanning_subgraphs(

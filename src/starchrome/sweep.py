@@ -28,13 +28,6 @@ CACHE_ENV_VAR = "STARCHROME_CACHE"
 DEFAULT_CACHE_NAME = "starchrome-cache.jsonl"
 SCHEMA_VERSION = 1
 
-RECORD_FIELDS = (
-    "graph6", "n", "m", "max_degree", "diameter", "two_connected", "maximal",
-    "subcubic", "outerplanar", "chi_star", "chi_lower", "chi_upper", "bound_margin_conj16",
-    "bound_margin_thm110", "bound_margin_conj_d6", "bound_margin_conj_d4",
-    "solver_nodes", "elapsed", "status",
-)
-
 
 @dataclass
 class SweepRecord:
@@ -59,13 +52,12 @@ class SweepRecord:
     status: str  # "ok" | "budget_exhausted"
 
     def to_json(self) -> str:
-        data = asdict(self)
-        return json.dumps({k: data[k] for k in RECORD_FIELDS}, sort_keys=False)
+        return json.dumps(asdict(self))
 
     @staticmethod
-    def from_json(line: str) -> "SweepRecord":
-        data = json.loads(line)
-        return SweepRecord(**{k: data[k] for k in RECORD_FIELDS})
+    def from_json(line: str | dict) -> "SweepRecord":
+        """Parse a record line or its decoded object; the keys must be the fields."""
+        return SweepRecord(**(json.loads(line) if isinstance(line, str) else line))
 
 
 def default_cache_path() -> Path:
@@ -76,26 +68,44 @@ def default_cache_path() -> Path:
 
 
 class ResultCache:
-    """Append-only JSONL log, one record per canonical graph6 key."""
+    """Append-only JSONL log, one record per canonical graph6 key.
+
+    A last line that does not parse (a torn write) is dropped, counted in
+    ``torn_lines`` and cut off by the next append; other bad lines raise.
+    """
 
     def __init__(self, path: Path):
         self.path = Path(path)
         self.records: dict[str, SweepRecord] = {}
-        if self.path.exists():
-            with open(self.path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
+        self.torn_lines = 0
+        self._cut: int | None = None  # where the next append cuts the log
+        if not self.path.exists():
+            return
+        pos = end = 0  # bytes read; end of the last good line's text
+        line, torn = "\n", None
+        # ASCII with one character per byte, so lengths are byte offsets
+        with open(self.path, encoding="ascii", errors="replace", newline="\n") as fh:
+            for line in fh:
+                pos += len(line)
+                if not line.strip():
+                    continue
+                if torn is not None:
+                    raise torn  # the bad line was not the last one
+                try:
                     data = json.loads(line)
-                    if "schema" in data:
-                        if data["schema"] != SCHEMA_VERSION:
-                            raise ValueError(
-                                f"cache schema {data['schema']} unsupported"
-                            )
-                        continue
-                    rec = SweepRecord(**{k: data[k] for k in RECORD_FIELDS})
-                    self.records[rec.graph6] = rec
+                except ValueError as exc:
+                    torn = exc
+                    continue
+                end = pos - line.endswith("\n")
+                if "schema" in data:
+                    if data["schema"] != SCHEMA_VERSION:
+                        raise ValueError(f"cache schema {data['schema']} unsupported")
+                    continue
+                rec = SweepRecord.from_json(data)
+                self.records[rec.graph6] = rec
+        self.torn_lines = int(torn is not None)
+        if torn is not None or not line.endswith("\n"):
+            self._cut = end
 
     def __contains__(self, key: str) -> bool:
         return key in self.records
@@ -106,10 +116,14 @@ class ResultCache:
     def append(self, rec: SweepRecord) -> None:
         if rec.graph6 in self.records:
             return  # re-solving a cached graph is a no-op
-        new_file = not self.path.exists()
+        if self._cut is not None:
+            os.truncate(self.path, self._cut)
         with open(self.path, "a") as fh:
-            if new_file:
+            if fh.tell() == 0:
                 fh.write(json.dumps({"schema": SCHEMA_VERSION}) + "\n")
+            elif self._cut is not None:
+                fh.write("\n")  # the kept log ends mid-line
+            self._cut = None
             fh.write(rec.to_json() + "\n")
         self.records[rec.graph6] = rec
 
@@ -212,7 +226,6 @@ def run_sweep(
     cache: ResultCache,
     budget: Budget | None = None,
     expand_subgraphs: bool = False,
-    per_n_cap: int = 2000,
     workers: int = 1,
 ) -> SweepSummary:
     """Enumerate MOPs of orders 4..n_max (optionally their chord-deletion
@@ -237,7 +250,7 @@ def run_sweep(
                     seen.add(key)
                     level.append(key)
         level.sort()
-        targets.extend(level[:per_n_cap])
+        targets.extend(level)
 
     records: list[SweepRecord] = []
     from_cache = solved = exhausted = 0

@@ -11,7 +11,6 @@ from starchrome.errors import DuplicateEdge, OutOfRange, SelfLoop, TooLarge
 from starchrome.graph import (
     canonical_form,
     canonical_key,
-    degree_profile,
     diameter,
     from_edges,
     is_two_connected,
@@ -66,11 +65,50 @@ def test_two_connected_examples():
     assert not is_two_connected(from_edges(2, [(0, 1)]))
 
 
-def test_degree_profile_sums_to_twice_edges():
-    g = g61()
-    prof = degree_profile(g)
-    assert sum(prof.degrees) == 2 * g.m
-    assert prof.max_degree == 4
+def _two_connected_by_definition(g) -> bool:
+    """n >= 3, and deleting any one vertex (or none) leaves a connected graph."""
+    if g.n < 3:
+        return False
+    for cut in [None, *range(g.n)]:
+        keep = [v for v in range(g.n) if v != cut]
+        seen = {keep[0]}
+        todo = [keep[0]]
+        while todo:
+            v = todo.pop()
+            for w in g.neighbors()[v]:
+                if w != cut and w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        if len(seen) != len(keep):
+            return False
+    return True
+
+
+def test_two_connected_matches_vertex_removal_definition():
+    rng = random.Random(7)
+    graphs = [from_edges(n, []) for n in range(4)] + [path_graph(2), path_graph(3)]
+    for _ in range(1500):
+        n = rng.randint(1, 11)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        p = rng.random()
+        graphs.append(from_edges(n, [e for e in pairs if rng.random() < p]))
+    for _ in range(500):
+        g = random_connected_graph(rng, max_edges=16, max_n=11)
+        graphs.append(g)
+        # two copies side by side: never 2-connected
+        graphs.append(from_edges(2 * g.n, g.edges + tuple((u + g.n, v + g.n) for u, v in g.edges)))
+    answers = [is_two_connected(g) for g in graphs]
+    assert answers == [_two_connected_by_definition(g) for g in graphs]
+    assert 100 < sum(answers) < len(answers) - 100
+
+
+def test_two_connected_on_long_cycle_and_path():
+    assert is_two_connected(cycle_graph(3000))
+    assert not is_two_connected(path_graph(3000))
+    chorded = from_edges(3000, cycle_graph(3000).edges + ((0, 1500),))
+    assert is_two_connected(chorded)
+    # a pendant vertex on the long cycle is a cut
+    assert not is_two_connected(from_edges(3001, cycle_graph(3000).edges + ((0, 3000),)))
 
 
 def test_canonical_key_c4_relabelings():

@@ -64,6 +64,95 @@ def test_sweep_record_json_roundtrip(tmp_path):
     assert SweepRecord.from_json(rec.to_json()) == rec
 
 
+# Written by the sweep before its record parser was folded into SweepRecord.
+PARENT_CACHE = (
+    '{"schema": 1}\n'
+    '{"graph6": "C^", "n": 4, "m": 5, "max_degree": 3, "diameter": 2, "two_connected": true, '
+    '"maximal": true, "subcubic": true, "outerplanar": true, "chi_star": 4, "chi_lower": 4, '
+    '"chi_upper": 4, "bound_margin_conj16": 1, "bound_margin_thm110": 5, '
+    '"bound_margin_conj_d6": null, "bound_margin_conj_d4": null, "solver_nodes": 11, '
+    '"elapsed": 0.00013534600020648213, "status": "ok"}\n'
+)
+
+
+def test_cache_reads_and_rewrites_parent_records_byte_for_byte(tmp_path):
+    old = tmp_path / "old.jsonl"
+    old.write_text(PARENT_CACHE)
+    rec = ResultCache(old).get("C^")
+    assert rec.chi_star == 4 and rec.solver_nodes == 11 and rec.bound_margin_conj_d6 is None
+    fresh = ResultCache(tmp_path / "new.jsonl")
+    fresh.append(rec)
+    assert fresh.path.read_text() == PARENT_CACHE
+
+
+def test_cache_survives_torn_last_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    full = run_sweep(6, ResultCache(path))
+    text = path.read_text()
+    last = text.rstrip("\n").rfind("\n") + 1
+    path.write_text(text[: last + 40])  # crash in the middle of the last record
+    torn = ResultCache(path)
+    assert torn.torn_lines == 1
+    assert len(torn.records) == len(full.records) - 1
+    again = run_sweep(6, torn)
+    assert again.solved == 1 and again.from_cache == len(full.records) - 1
+    reloaded = ResultCache(path)
+    assert reloaded.torn_lines == 0
+    assert set(reloaded.records) == {r.graph6 for r in full.records}
+    lines = path.read_text().splitlines()
+    assert lines[:-1] == text.splitlines()[:-1]  # only the torn line was replaced
+    assert json.loads(lines[-1])["graph6"] == json.loads(text.splitlines()[-1])["graph6"]
+
+
+def test_cache_torn_header_and_unterminated_record(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text('{"sche')
+    cache = ResultCache(path)
+    assert cache.torn_lines == 1 and not cache.records
+    rec = SweepRecord.from_json(PARENT_CACHE.splitlines()[1])
+    cache.append(rec)
+    assert path.read_text() == PARENT_CACHE
+    path.write_text(PARENT_CACHE.rstrip("\n"))  # the last record lost its newline
+    cache = ResultCache(path)
+    assert cache.torn_lines == 0 and "C^" in cache
+    other = SweepRecord(**{**json.loads(rec.to_json()), "graph6": "C~"})
+    cache.append(other)
+    assert path.read_text() == PARENT_CACHE + other.to_json() + "\n"
+    assert set(ResultCache(path).records) == {"C^", "C~"}
+
+
+def test_cache_bad_line_before_the_last_raises(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    lines = PARENT_CACHE.splitlines()
+    path.write_text("\n".join([lines[0], lines[1][:30], lines[1]]) + "\n")
+    with pytest.raises(json.JSONDecodeError):
+        ResultCache(path)
+
+
+def test_cli_sweep_reports_torn_line(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(PARENT_CACHE + '{"graph6": "DL')
+    assert main(["sweep", "--n-max", "5", "--cache", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "dropped 1 torn last line" in captured.err
+    assert "records=2 solved=1 cached=1" in captured.out
+    assert ResultCache(path).torn_lines == 0
+
+
+def test_sweep_keys_are_canonical_graph6_of_members(tmp_path):
+    from starchrome.graph import canonical_form
+    from starchrome.graph6 import graph6_encode
+    from starchrome.outerplanar import enumerate_mops
+
+    summary = run_sweep(9, ResultCache(tmp_path / "c.jsonl"))
+    want = sorted(
+        (n, graph6_encode(canonical_form(g)))
+        for n in range(4, 10)
+        for g in enumerate_mops(n).members.values()
+    )
+    assert [(r.n, r.graph6) for r in summary.records] == want
+
+
 def test_sweep_expand_subgraphs(tmp_path):
     summary = run_sweep(5, ResultCache(tmp_path / "c.jsonl"), expand_subgraphs=True)
     # chord-deleted subgraphs join the MOPs (C4, C5 at least)

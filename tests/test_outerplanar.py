@@ -150,9 +150,48 @@ def test_enumerated_mops_are_mops_with_right_edge_count():
 
 
 def test_member_counts():
-    assert [enumerate_mops(n).member_count() for n in range(3, 11)] == [
-        1, 1, 1, 3, 4, 12, 27, 82,
-    ]
+    # OEIS A000207 per order; the rooted counts are Catalan(n-2)
+    counts = [1, 1, 1, 3, 4, 12, 27, 82, 228, 733]
+    for n, count in zip(range(3, 13), counts):
+        catalog = enumerate_mops(n)
+        assert catalog.member_count() == count
+        assert catalog.rooted_count == math.comb(2 * n - 4, n - 2) // (n - 1)
+
+
+def _mops_by_canonical_key(n: int) -> set[bytes]:
+    """Reference enumeration: attach ears, dedupe each level by canonical key."""
+    level = [(from_edges(3, [(0, 1), (0, 2), (1, 2)]), (0, 1, 2))]
+    for size in range(3, n):
+        nxt = {}
+        for g, boundary in level:
+            for i in range(size):
+                u, v = boundary[i], boundary[(i + 1) % size]
+                grown = from_edges(size + 1, g.edges + ((u, size), (v, size)))
+                ring = boundary[: i + 1] + (size,) + boundary[i + 1 :]
+                nxt.setdefault(canonical_key(grown), (grown, ring))
+        level = list(nxt.values())
+    return {canonical_key(g) for g, _ in level}
+
+
+def test_members_match_canonical_key_reference():
+    for n in range(3, 11):
+        assert set(enumerate_mops(n).members) == _mops_by_canonical_key(n)
+
+
+def test_one_canonical_search_per_member(monkeypatch):
+    import starchrome.outerplanar as op
+
+    calls = []
+    monkeypatch.setattr(op, "canonical_key", lambda g: calls.append(g) or canonical_key(g))
+    catalog = op.enumerate_mops(12)
+    assert len(calls) == catalog.member_count() == 733
+
+
+def test_members_keep_construction_labels():
+    # labelled by vertex addition: each vertex after the triangle joins two earlier ones
+    for g in enumerate_mops(9).members.values():
+        earlier = [sum(1 for w in g.neighbors()[v] if w < v) for v in range(g.n)]
+        assert earlier == [0, 1, 2] + [2] * (g.n - 3)
 
 
 def test_enumeration_limit():
