@@ -51,14 +51,16 @@ class BudgetExhausted(StarchromeError):
     """The exact solver ran out of nodes or time.
 
     Carries the best known bounds on the star chromatic index at the
-    moment the budget ran out.
+    moment the budget ran out, and the palette rounds run (the last one
+    ran out).
     """
 
-    def __init__(self, lower_bound: int, upper_bound: int, nodes: int, elapsed: float):
+    def __init__(self, lower_bound: int, upper_bound: int, nodes: int, elapsed: float, rounds=()):
         self.lower_bound = lower_bound
         self.upper_bound = upper_bound
         self.nodes = nodes
         self.elapsed = elapsed
+        self.rounds = rounds
         super().__init__(
             f"budget exhausted after {nodes} nodes / {elapsed:.1f}s; "
             f"chi_star in [{lower_bound}, {upper_bound}]"

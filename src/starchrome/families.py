@@ -334,8 +334,6 @@ FAMILY_IDS = (
 # --- closed-form coloring functions -------------------------------------
 
 def _h_prime_coloring(delta: int) -> dict[tuple[str, str], int]:
-    if delta < 9:
-        raise OutOfRange("the h_prime coloring function is stated for delta >= 9")
     d = delta
     c: dict[tuple[str, str], int] = {}
     c[("v0", "v1")] = 1
@@ -371,8 +369,6 @@ def _h_prime_coloring(delta: int) -> dict[tuple[str, str], int]:
 
 
 def _h_case1_coloring(delta: int) -> dict[tuple[str, str], int]:
-    if delta < 7:
-        raise OutOfRange("the h_case1 coloring function is stated for delta >= 7")
     d = delta
     c: dict[tuple[str, str], int] = {
         ("v0", "v1"): d - 3,
@@ -403,8 +399,6 @@ def _h_case1_coloring(delta: int) -> dict[tuple[str, str], int]:
 
 
 def _h2_coloring(delta: int) -> dict[tuple[str, str], int]:
-    if delta < 10:
-        raise OutOfRange("the h2 coloring function is stated for delta >= 10")
     d = delta
     c: dict[tuple[str, str], int] = {
         ("v0", "v1"): d + 2,
@@ -435,6 +429,9 @@ def _h2_coloring(delta: int) -> dict[tuple[str, str], int]:
     return c
 
 
+#: least delta each closed-form coloring is stated for
+FORMULA_MIN_DELTA = {"h_prime": 9, "h_case1": 7, "h2": 10}
+
 _FORMULA_COLORINGS = {
     "h_prime": (_h_prime_coloring, lambda d: d + 3),
     "h_case1": (_h_case1_coloring, lambda d: d + 4),
@@ -445,11 +442,14 @@ _FORMULA_COLORINGS = {
 def formula_coloring(family_id: str, delta: int) -> EdgeColoring:
     """The family's closed-form coloring, index ranges taken literally.
 
-    Claimed palettes: h_prime delta+3 (delta >= 9), h_case1 delta+4
-    (delta >= 7), h2 delta+2 (delta >= 10).  Validity is not asserted here.
+    Claimed palettes: h_prime delta+3, h_case1 delta+4, h2 delta+2, each
+    from FORMULA_MIN_DELTA on.  Validity is not asserted here.
     """
     if family_id not in _FORMULA_COLORINGS:
         raise OutOfRange(f"no closed-form coloring for family {family_id!r}")
+    lo = FORMULA_MIN_DELTA[family_id]
+    if delta < lo:
+        raise OutOfRange(f"the {family_id} coloring function is stated for delta >= {lo}")
     rule, _ = _FORMULA_COLORINGS[family_id]
     table = rule(delta)
     inst = build_family(family_id, delta=delta)

@@ -108,29 +108,32 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
 
 
 def diameter(g: Graph) -> int | float:
-    """Max over vertex pairs of BFS distance; INFINITE if disconnected."""
+    """Max over vertex pairs of their distance; INFINITE if disconnected.
+
+    ``reach[v]`` masks the vertices within distance d of v; a round ORs in
+    the neighbors' masks and raises d.  A vertex drops out once it reaches
+    all, and a mask that stops growing short of that is a component.
+    """
     if g.n < 1:
         raise OutOfRange("diameter needs at least one vertex")
-    if g.n == 1:
-        return 0
     nbrs = g.neighbors()
-    best = 0
-    for s in range(g.n):
-        dist = [-1] * g.n
-        dist[s] = 0
-        queue = deque([s])
-        reached = 1
-        while queue:
-            v = queue.popleft()
+    full = (1 << g.n) - 1
+    reach = [1 << v for v in range(g.n)]
+    pending = [v for v in range(g.n) if reach[v] != full]
+    d = 0
+    while pending:
+        grown = list(reach)
+        for v in pending:
+            r = reach[v]
             for w in nbrs[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    best = max(best, dist[w])
-                    reached += 1
-                    queue.append(w)
-        if reached < g.n:
-            return INFINITE
-    return best
+                r |= reach[w]
+            if r == reach[v]:
+                return INFINITE
+            grown[v] = r
+        reach = grown
+        d += 1
+        pending = [v for v in pending if reach[v] != full]
+    return d
 
 
 def is_connected(g: Graph) -> bool:

@@ -9,6 +9,7 @@ from .coloring import Violation, star_violations
 from .errors import BudgetExhausted, OutOfRange, TooLarge
 from .families import (
     FIGURES,
+    FORMULA_MIN_DELTA,
     claimed_palette,
     figure_coloring,
     formula_coloring,
@@ -76,9 +77,6 @@ class FamilyCheckRow:
         return json.dumps(asdict(self))
 
 
-_FORMULA_FROM = {"h_prime": 9, "h_case1": 7, "h2": 10}
-
-
 def family_check(
     family: str,
     deltas: list[int],
@@ -92,12 +90,12 @@ def family_check(
     runs (when the instance fits its edge limit) so the row shows the true
     value next to the claimed bound.
     """
-    if family not in _FORMULA_FROM:
-        raise OutOfRange(f"family-check supports {sorted(_FORMULA_FROM)}, not {family!r}")
+    if family not in FORMULA_MIN_DELTA:
+        raise OutOfRange(f"family-check supports {sorted(FORMULA_MIN_DELTA)}, not {family!r}")
     figures = {p["delta"]: f for f, (fam, p, _) in FIGURES.items() if fam == family}
     rows = []
     for delta in deltas:
-        if delta >= _FORMULA_FROM[family]:
+        if delta >= FORMULA_MIN_DELTA[family]:
             source = "formula"
             coloring = formula_coloring(family, delta)
             claim = claimed_palette(family, delta)

@@ -2,12 +2,21 @@
 
 Palette size k ascends from the maximum degree, so the first feasible k is
 exact by construction.  Within a palette, edges are assigned depth-first in
-a BFS order rooted at a maximum-degree vertex, a fresh color id may only be
-introduced as max-used+1, and every assignment is vetted incrementally: a
-proper-conflict bitmask test, then a scan of the alternating walks of at
-most four edges through the new edge.  Partial colorings stay proper, so a
-vertex carries at most one edge of each color and walk extensions are O(1)
-table lookups.
+a static BFS order rooted at a maximum-degree vertex, and a fresh color id
+may only be introduced as max-used+1.  Partial colorings stay proper.
+
+The order is fixed, so at depth i exactly the slots before i are colored.
+Slot tables, built once per graph, list for each slot the earlier slots at
+either endpoint.  Colors are bits: each vertex keeps the mask of colors at
+it and the list of its colored edges.  On entering slot p-q the search
+takes the colors free at both ends as one mask, then one bad-color mask:
+the colors a that would close an alternating a,b,a,b walk of four edges
+through p-q.  For each earlier edge q-w of color b (and the same with p and
+q swapped), every color at w is bad if p has a b-edge, and otherwise a is
+bad when w's a-neighbor has a b-edge.  The free colors are tried lowest
+first; each one counts as a node, and the bad ones are pruned without
+descending.  The greedy upper bound colors first-fit with the same mask,
+over an order from the same BFS routine with shuffled roots and neighbors.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .coloring import EdgeColoring, star_violations
 from .errors import BudgetExhausted, TooLarge
@@ -30,219 +40,217 @@ class Budget:
 
 
 @dataclass(frozen=True)
+class Round:
+    k: int
+    nodes: int
+    seconds: float
+    outcome: str  # "refuted", "feasible" or "budget"
+
+
+@dataclass(frozen=True)
 class SolveResult:
     chi: int
     witness: EdgeColoring
     nodes_expanded: int
     elapsed: float
+    rounds: tuple[Round, ...] = ()
 
 
 class _BudgetHit(Exception):
     pass
 
 
-def solver_edge_order(g: Graph) -> list[int]:
+def bfs_edge_order(g: Graph, starts: Iterable[int], nbrs: Sequence[Sequence[int]]) -> list[int]:
     """Edge ids ordered so every prefix is connected where possible.
 
-    BFS from a maximum-degree vertex (smallest id on ties); an edge ranks by
-    the BFS positions of its endpoints, later endpoint first.
+    BFS roots are taken from ``starts`` in turn, skipping vertices already
+    reached, and ``nbrs[v]`` is scanned in the order given.  An edge ranks
+    by the BFS positions of its endpoints, later endpoint first.
     """
-    n = g.n
-    nbrs = g.neighbors()
-    degs = g.degrees()
-    pos = [-1] * n
+    pos = [-1] * g.n
     counter = 0
-    while True:
-        remaining = [v for v in range(n) if pos[v] < 0]
-        if not remaining:
-            break
-        start = max(remaining, key=lambda v: (degs[v], -v))
-        queue = [start]
+    for start in starts:
+        if pos[start] >= 0:
+            continue
         pos[start] = counter
         counter += 1
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
+        queue = [start]
+        for v in queue:
             for w in nbrs[v]:
                 if pos[w] < 0:
                     pos[w] = counter
                     counter += 1
                     queue.append(w)
-    ranked = sorted(
-        range(g.m),
-        key=lambda i: (
-            max(pos[g.edges[i][0]], pos[g.edges[i][1]]),
-            min(pos[g.edges[i][0]], pos[g.edges[i][1]]),
-        ),
-    )
-    return ranked
+    ends = [(pos[u], pos[v]) for u, v in g.edges]
+    return sorted(range(g.m), key=lambda i: (max(ends[i]), min(ends[i])))
+
+
+class _Slots:
+    """Edges in a fixed order, with the walks each slot can extend.
+
+    ``earlier[i]`` lists a triple (p, w, j) for every slot j < i that meets
+    slot i: j joins w to the endpoint q of slot i, and p is i's other
+    endpoint, so p-q-w is a path.
+    """
+
+    def __init__(self, g: Graph, order: list[int]):
+        self.g = g
+        self.edges = [g.edges[i] for i in order]
+        seen: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+        self.earlier = []
+        for slot, (u, v) in enumerate(self.edges):
+            self.earlier.append(
+                tuple((v, w, j) for w, j in seen[u]) + tuple((u, w, j) for w, j in seen[v])
+            )
+            seen[u].append((v, slot))
+            seen[v].append((u, slot))
+
+    def coloring(self, slot_colors: list[int]) -> EdgeColoring:
+        mapping = {self.edges[i]: c for i, c in enumerate(slot_colors)}
+        return EdgeColoring.from_mapping(self.g, mapping)
+
+
+def _bad_colors(earlier, bits, vmask, colored) -> int:
+    """Bitmask of the colors that would make a slot close a bichromatic
+    path or cycle of four edges.
+
+    Exact only on colors free at both ends of the slot; others may be
+    marked too.  ``earlier`` is the slot's entry in :class:`_Slots`, and
+    every slot in it must be colored: ``bits[j]`` is slot j's color as a
+    bit.  ``vmask[x]`` has bit c set when x has a c-edge, and
+    ``colored[x]`` lists x's colored edges as (color bit, other end).
+    """
+    bad = 0
+    for p, w, slot in earlier:
+        b = bits[slot]
+        if vmask[p] & b:
+            # p's b-edge cannot end at w, which has one to q already, so
+            # it starts a walk b,a,b,a through p-q-w and any a-edge at w
+            bad |= vmask[w]
+        else:
+            # p-q-w-x-y is a,b,a,b when w's a-neighbor x has a b-edge
+            for a, x in colored[w]:
+                if vmask[x] & b:
+                    bad |= a
+    return bad
 
 
 class _Search:
-    """One palette-feasibility search over a fixed edge order."""
+    """Palette-feasibility rounds over one fixed edge order."""
 
     def __init__(self, g: Graph, budget: Budget):
         self.g = g
         self.budget = budget
         self.nodes = 0
+        self.rounds: list[Round] = []
         self.started = time.monotonic()
-        order = solver_edge_order(g)
-        self.order = order
-        self.edges = [g.edges[i] for i in order]
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        for slot, (u, v) in enumerate(self.edges):
-            adj[u].append((v, slot))
-            adj[v].append((u, slot))
-        self.adj = [tuple(entries) for entries in adj]
+        degs = g.degrees()
+        starts = sorted(range(g.n), key=lambda v: (-degs[v], v))
+        self.slots = _Slots(g, bfs_edge_order(g, starts, g.neighbors()))
 
     def elapsed(self) -> float:
         return time.monotonic() - self.started
 
+    def run_round(self, k: int) -> list[int] | None:
+        """Run :meth:`feasible` and record its nodes, seconds and outcome."""
+        nodes, started, outcome = self.nodes, time.monotonic(), "budget"
+        try:
+            slots = self.feasible(k)
+            outcome = "refuted" if slots is None else "feasible"
+        finally:
+            seconds = time.monotonic() - started
+            self.rounds.append(Round(k, self.nodes - nodes, seconds, outcome))
+        return slots
+
+    def exhausted(self, lower: int) -> BudgetExhausted:
+        """The error for a budget hit, with the greedy palette as upper bound."""
+        upper = greedy_star_upper(self.g).palette_size()
+        return BudgetExhausted(lower, upper, self.nodes, self.elapsed(), tuple(self.rounds))
+
     def feasible(self, k: int) -> list[int] | None:
         """A coloring (by edge slot) using at most k colors, or None."""
-        g = self.g
-        m = g.m
+        edges = self.slots.edges
+        earlier = self.slots.earlier
+        m = len(edges)
         if m == 0:
             return []
-        edges = self.edges
-        adj = self.adj
-        colors = [0] * m
-        vmask = [0] * g.n
-        # cnbr[v][a]: neighbor joined to v by color a, or -1
-        cnbr = [[-1] * (k + 1) for _ in range(g.n)]
+        bits = [0] * m
+        vmask = [0] * self.g.n
+        colored: list[list[tuple[int, int]]] = [[] for _ in range(self.g.n)]
+        palette = (2 << k) - 2
         budget_nodes = self.budget.max_nodes
         budget_secs = self.budget.max_seconds
+        nodes = self.nodes
+        # the next node count at which to test the budget: every 4096 nodes
+        # for time, and at the node budget itself
+        check_at = min(budget_nodes, nodes - nodes % 4096 + 4096)
 
-        def star_ok(u: int, v: int, a: int) -> bool:
-            # Alternating walks a,b,a,b through the new edge.  With e at the
-            # end: p-q-w-x-y; with e second: t-p-q-w-x.  Both need the a-edge
-            # at w, so they share the x lookup; the orientation swap covers
-            # the mirrored positions.
-            for p, q in ((u, v), (v, u)):
-                cn_p = cnbr[p]
-                for w, slot in adj[q]:
-                    b = colors[slot]
-                    if b == 0 or b == a or w == p:
-                        continue
-                    x = cnbr[w][a]
-                    if x >= 0 and x != q and x != p:
-                        if cnbr[x][b] >= 0:
-                            return False
-                        t = cn_p[b]
-                        if t >= 0 and t != q and t != w:
-                            return False
-            return True
-
-        def dfs(i: int, maxused: int) -> bool:
+        def dfs(i: int, opened: int) -> bool:
+            # opened: the colors used so far plus the next fresh one
+            nonlocal nodes, check_at
             if i == m:
                 return True
             u, v = edges[i]
-            forbid = vmask[u] | vmask[v]
-            cap = maxused + 1 if maxused < k else k
-            for a in range(1, cap + 1):
-                bit = 1 << a
-                if forbid & bit:
+            free = opened & ~(vmask[u] | vmask[v])
+            if not free:
+                return False
+            bad = _bad_colors(earlier[i], bits, vmask, colored)
+            col_u = colored[u]
+            col_v = colored[v]
+            while free:
+                bit = free & -free
+                free ^= bit
+                nodes += 1
+                if nodes >= check_at:
+                    if nodes >= budget_nodes or self.elapsed() > budget_secs:
+                        raise _BudgetHit
+                    check_at = min(budget_nodes, nodes + 4096)
+                if bad & bit:
                     continue
-                self.nodes += 1
-                if self.nodes >= budget_nodes:
-                    raise _BudgetHit
-                if not self.nodes % 4096 and self.elapsed() > budget_secs:
-                    raise _BudgetHit
-                if star_ok(u, v, a):
-                    colors[i] = a
-                    vmask[u] |= bit
-                    vmask[v] |= bit
-                    cnbr[u][a] = v
-                    cnbr[v][a] = u
-                    if dfs(i + 1, a if a > maxused else maxused):
-                        return True
-                    colors[i] = 0
-                    vmask[u] ^= bit
-                    vmask[v] ^= bit
-                    cnbr[u][a] = -1
-                    cnbr[v][a] = -1
+                bits[i] = bit
+                vmask[u] |= bit
+                vmask[v] |= bit
+                col_u.append((bit, v))
+                col_v.append((bit, u))
+                if dfs(i + 1, (opened | bit << 1) & palette):
+                    return True
+                vmask[u] ^= bit
+                vmask[v] ^= bit
+                col_u.pop()
+                col_v.pop()
             return False
 
-        if dfs(0, 0):
-            return list(colors)
-        return None
-
-    def coloring_from_slots(self, slot_colors: list[int]) -> EdgeColoring:
-        mapping = {self.edges[i]: c for i, c in enumerate(slot_colors)}
-        return EdgeColoring.from_mapping(self.g, mapping)
+        try:
+            found = dfs(0, 2 & palette)
+        finally:
+            self.nodes = nodes
+        return [bit.bit_length() - 1 for bit in bits] if found else None
 
 
 def greedy_star_upper(g: Graph, order_seed: int = 0) -> EdgeColoring:
-    """Greedy coloring along a randomized BFS edge order; always validates.
+    """First-fit coloring along a randomized BFS edge order; always validates.
 
     The palette it ends up using is an upper bound for the exact solver and
     the fallback bound reported when a budget runs out.
     """
     rng = random.Random(order_seed)
-    n = g.n
     nbrs = [list(ns) for ns in g.neighbors()]
     for ns in nbrs:
         rng.shuffle(ns)
-    pos = [-1] * n
-    counter = 0
-    vertices = list(range(n))
-    rng.shuffle(vertices)
-    for start in vertices:
-        if pos[start] >= 0:
-            continue
-        queue = [start]
-        pos[start] = counter
-        counter += 1
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for w in nbrs[v]:
-                if pos[w] < 0:
-                    pos[w] = counter
-                    counter += 1
-                    queue.append(w)
-    order = sorted(
-        range(g.m),
-        key=lambda i: (
-            max(pos[g.edges[i][0]], pos[g.edges[i][1]]),
-            min(pos[g.edges[i][0]], pos[g.edges[i][1]]),
-        ),
-    )
-    edges = [g.edges[i] for i in order]
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for slot, (u, v) in enumerate(edges):
-        adj[u].append((v, slot))
-        adj[v].append((u, slot))
-    colors = [0] * g.m
-    cnbr: list[dict[int, int]] = [dict() for _ in range(n)]
-
-    def ok(u: int, v: int, a: int) -> bool:
-        if a in cnbr[u] or a in cnbr[v]:
-            return False
-        for p, q in ((u, v), (v, u)):
-            for w, slot in adj[q]:
-                b = colors[slot]
-                if b == 0 or b == a or w == p:
-                    continue
-                x = cnbr[w].get(a, -1)
-                if x >= 0 and x != q and x != p:
-                    if cnbr[x].get(b, -1) >= 0:
-                        return False
-                    t = cnbr[p].get(b, -1)
-                    if t >= 0 and t != q and t != w:
-                        return False
-        return True
-
-    for slot, (u, v) in enumerate(edges):
-        a = 1
-        while not ok(u, v, a):
-            a += 1
-        colors[slot] = a
-        cnbr[u][a] = v
-        cnbr[v][a] = u
-    return EdgeColoring.from_mapping(g, {edges[i]: c for i, c in enumerate(colors)})
+    starts = list(range(g.n))
+    rng.shuffle(starts)
+    slots = _Slots(g, bfs_edge_order(g, starts, nbrs))
+    bits = [0] * g.m
+    vmask = [0] * g.n
+    colored: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(slots.edges):
+        free = ~(vmask[u] | vmask[v] | _bad_colors(slots.earlier[i], bits, vmask, colored) | 1)
+        bit = bits[i] = free & -free
+        vmask[u] |= bit
+        vmask[v] |= bit
+        colored[u].append((bit, v))
+        colored[v].append((bit, u))
+    return slots.coloring([bit.bit_length() - 1 for bit in bits])
 
 
 def star_palette_feasible(
@@ -254,51 +262,38 @@ def star_palette_feasible(
     """
     if g.m > edge_limit:
         raise TooLarge(f"solver supports |E| <= {edge_limit}, got {g.m}")
-    budget = budget or Budget()
-    search = _Search(g, budget)
+    search = _Search(g, budget or Budget())
     try:
-        slots = search.feasible(k)
+        slots = search.run_round(k)
     except _BudgetHit:
-        upper = greedy_star_upper(g).palette_size()
-        lower = max(g.max_degree(), 1)
-        raise BudgetExhausted(lower, upper, search.nodes, search.elapsed()) from None
+        raise search.exhausted(max(g.max_degree(), 1)) from None
     if slots is None:
         return None
-    return search.coloring_from_slots(slots)
+    return search.slots.coloring(slots)
 
 
 def exact_chi_star(
     g: Graph, budget: Budget | None = None, edge_limit: int = DEFAULT_EDGE_LIMIT
 ) -> SolveResult:
-    """Least k admitting a star edge coloring, with a validating witness."""
+    """Least k admitting a star edge coloring, with a validating witness.
+
+    ``rounds`` holds one entry per palette tried; their nodes sum to
+    ``nodes_expanded``.
+    """
     if g.m > edge_limit:
         raise TooLarge(f"solver supports |E| <= {edge_limit}, got {g.m}")
-    budget = budget or Budget()
-    started = time.monotonic()
+    search = _Search(g, budget or Budget())
     if g.m == 0:
-        return SolveResult(0, EdgeColoring(g, ()), 0, time.monotonic() - started)
-    total_nodes = 0
-    upper: int | None = None  # computed lazily on budget exhaustion
+        return SolveResult(0, EdgeColoring(g, ()), 0, search.elapsed())
     k = max(g.max_degree(), 1)
     while k <= g.m:
-        remaining = Budget(
-            max_nodes=budget.max_nodes - total_nodes,
-            max_seconds=budget.max_seconds - (time.monotonic() - started),
-        )
-        search = _Search(g, remaining)
         try:
-            slots = search.feasible(k)
+            slots = search.run_round(k)
         except _BudgetHit:
-            total_nodes += search.nodes
-            if upper is None:
-                upper = greedy_star_upper(g).palette_size()
-            raise BudgetExhausted(
-                k, upper, total_nodes, time.monotonic() - started
-            ) from None
-        total_nodes += search.nodes
+            raise search.exhausted(k) from None
         if slots is not None:
-            witness = search.coloring_from_slots(slots)
-            return SolveResult(k, witness, total_nodes, time.monotonic() - started)
+            witness = search.slots.coloring(slots)
+            return SolveResult(k, witness, search.nodes, search.elapsed(), tuple(search.rounds))
         k += 1
     raise AssertionError("all-distinct coloring is always feasible")  # pragma: no cover
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,50 @@ def test_diameter_examples():
     assert diameter(path_graph(4)) == 3
     assert diameter(fan_graph(6)) == 2
     assert diameter(from_edges(2, [])) == math.inf
+
+
+def _bfs_diameter(g):
+    """Reference: a breadth-first search from every vertex."""
+    nbrs = g.neighbors()
+    best = 0
+    for s in range(g.n):
+        dist = [-1] * g.n
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for w in nbrs[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        if min(dist) < 0:
+            return math.inf
+        best = max(best, max(dist))
+    return best
+
+
+def test_diameter_matches_bfs_reference():
+    rng = random.Random(11)
+    graphs = [from_edges(1, []), from_edges(3, [(0, 1)]), path_graph(20), cycle_graph(20)]
+    for _ in range(300):
+        n = rng.randint(1, 20)
+        density = rng.choice([0.05, 0.1, 0.2, 0.4])
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        graphs.append(from_edges(n, pairs))
+    for _ in range(300):
+        graphs.append(random_connected_graph(rng, max_edges=30, max_n=20))
+    kinds = {"one vertex": 0, "disconnected": 0, "connected": 0}
+    for g in graphs:
+        expected = _bfs_diameter(g)
+        assert diameter(g) == expected, g
+        kind = "one vertex" if g.n == 1 else "disconnected" if expected == math.inf else "connected"
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 5, kinds
+
+
+def test_diameter_on_long_cycle_with_fan_chords():
+    g = from_edges(200, [(i, (i + 1) % 200) for i in range(200)] + [(0, j) for j in range(2, 100)])
+    assert diameter(g) == _bfs_diameter(g) == 52
 
 
 def test_two_connected_examples():

@@ -5,10 +5,12 @@ import random
 
 import pytest
 
+from starchrome import solver
 from starchrome.coloring import EdgeColoring, star_violations
 from starchrome.errors import BudgetExhausted, TooLarge
-from starchrome.graph import from_edges, relabel
-from starchrome.outerplanar import two_connected_spanning_subgraphs
+from starchrome.families import build_family
+from starchrome.graph import canonical_form, from_edges, relabel
+from starchrome.outerplanar import enumerate_mops, two_connected_spanning_subgraphs
 from starchrome.solver import (
     Budget,
     brute_force_chi_star,
@@ -178,3 +180,85 @@ def test_extremal_family_exact_values():
         result = exact_chi_star(g)
         assert result.chi == chi, (family, delta, result.chi)
         assert star_violations(result.witness) == []
+
+
+# The five hard instances of the solver benchmark: (family, delta).
+HARD = {
+    "h_prime-d7": ("h_prime", 7),
+    "h_case1-d7": ("h_case1", 7),
+    "h2-d8": ("h2", 8),
+    "h_prime-d8": ("h_prime", 8),
+    "h2-d9": ("h2", 9),
+}
+
+
+def _hard(name):
+    family, delta = HARD[name]
+    return build_family(family, delta=delta).graph
+
+
+def test_search_tree_is_pinned_on_mops():
+    # Summed over every MOP of each order, as the sweep solves them.  The
+    # totals pin the edge order and the node accounting: a kernel that
+    # prunes differently, or counts a node elsewhere, moves them.
+    expected = {4: 11, 5: 46, 6: 165, 7: 314, 8: 1168, 9: 6689, 10: 44643}
+    for n, total in expected.items():
+        nodes = 0
+        for mop in enumerate_mops(n).members.values():
+            result = exact_chi_star(canonical_form(mop))
+            assert star_violations(result.witness) == []
+            assert result.witness.palette_size() == result.chi
+            nodes += result.nodes_expanded
+        assert nodes == total, n
+
+
+def test_greedy_palettes_are_pinned():
+    expected = {
+        "h_prime-d7": [12, 11, 13, 11, 12],
+        "h_case1-d7": [11, 10, 13, 11, 11],
+        "h2-d8": [10, 10, 11, 12, 10],
+        "h_prime-d8": [13, 13, 13, 13, 12],
+        "h2-d9": [12, 10, 12, 12, 10],
+    }
+    for name, palettes in expected.items():
+        g = _hard(name)
+        colorings = [greedy_star_upper(g, order_seed=seed) for seed in range(5)]
+        assert [c.palette_size() for c in colorings] == palettes, name
+        assert all(star_violations(c) == [] for c in colorings)
+
+
+def test_greedy_does_not_run_palette_rounds(monkeypatch):
+    def refuse(self, k):
+        raise AssertionError("greedy ran a palette round")
+
+    monkeypatch.setattr(solver._Search, "feasible", refuse)
+    assert star_violations(greedy_star_upper(g61(), order_seed=3)) == []
+
+
+def test_budget_hit_stops_at_the_node_budget():
+    with pytest.raises(BudgetExhausted) as exc_info:
+        exact_chi_star(_hard("h2-d8"), Budget(50_000, 1e9))
+    exc = exc_info.value
+    assert exc.nodes == 50_000
+    assert exc.lower_bound <= 9 <= exc.upper_bound
+    assert [(r.k, r.outcome) for r in exc.rounds] == [(8, "refuted"), (9, "budget")]
+    assert sum(r.nodes for r in exc.rounds) == exc.nodes
+    assert exc.rounds[-1].k == exc.lower_bound
+
+
+def test_rounds_account_for_every_node():
+    for g in (fan_graph(7), g61(), cycle_graph(5), path_graph(6)):
+        result = exact_chi_star(g)
+        ks = [r.k for r in result.rounds]
+        assert ks == list(range(max(g.max_degree(), 1), result.chi + 1))
+        assert [r.outcome for r in result.rounds] == ["refuted"] * (len(ks) - 1) + ["feasible"]
+        assert sum(r.nodes for r in result.rounds) == result.nodes_expanded
+        assert all(r.seconds >= 0 for r in result.rounds)
+    assert exact_chi_star(from_edges(1, [])).rounds == ()
+
+
+def test_palette_feasible_reports_its_round_on_budget():
+    with pytest.raises(BudgetExhausted) as exc_info:
+        star_palette_feasible(fan_graph(9), 8, Budget(max_nodes=5))
+    (only,) = exc_info.value.rounds
+    assert (only.k, only.nodes, only.outcome) == (8, 5, "budget")
