@@ -34,14 +34,13 @@ from .graph import (
     INFINITE,
     Graph,
     canonical_form,
-    canonical_key,
     diameter,
     from_edges,
     is_connected,
     is_two_connected,
     relabel,
 )
-from .graph6 import graph6_decode, graph6_encode
+from .graph6 import canonical_key, graph6_decode, graph6_encode
 from .harness import family_check, verify_figures
 from .outerplanar import (
     Classification,

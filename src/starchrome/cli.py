@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import BudgetExhausted, StarchromeError
+from .errors import BudgetExhausted, MalformedText, StarchromeError
 from .families import FAMILY_IDS, build_family
 from .graph6 import graph6_decode, graph6_encode
 from .graph import from_edges
@@ -77,10 +77,13 @@ def cmd_verify_figures(args: argparse.Namespace) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(text)]
+    except ValueError:
+        raise MalformedText(f"bad delta range {text!r}; expected 9 or 9..14") from None
 
 
 def cmd_family_check(args: argparse.Namespace) -> int:
@@ -109,7 +112,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cache_path = args.cache or default_cache_path()
     try:
         cache = ResultCache(cache_path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return 1
     if cache.torn_lines:
@@ -142,8 +145,11 @@ def _parse_edges(text: str) -> list[tuple[int, int]]:
         return []
     out = []
     for part in text.split(","):
-        u, v = part.strip().split("-")
-        out.append((int(u), int(v)))
+        try:
+            u, v = part.strip().split("-")
+            out.append((int(u), int(v)))
+        except ValueError:
+            raise MalformedText(f"bad edge {part.strip()!r}; expected u-v") from None
     return out
 
 
@@ -213,9 +219,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except StarchromeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -65,3 +65,8 @@ class BudgetExhausted(StarchromeError):
             f"budget exhausted after {nodes} nodes / {elapsed:.1f}s; "
             f"chi_star in [{lower_bound}, {upper_bound}]"
         )
+
+    def __reduce__(self):
+        # Exception pickles only the message; rebuild from the fields instead.
+        args = (self.lower_bound, self.upper_bound, self.nodes, self.elapsed, self.rounds)
+        return type(self), args

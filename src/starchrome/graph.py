@@ -3,6 +3,9 @@
 Vertices are dense integer ids ``0..n-1``; an edge is an unordered pair stored
 canonically as ``(u, v)`` with ``u < v``.  Graph values are frozen after
 construction, so they can be shared freely between concurrent workers.
+:func:`canonical_form` relabels a graph to its isomorphism-class
+representative; its graph6 string is the one isomorphism key
+(``graph6.canonical_key``).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DuplicateEdge, OutOfRange, SelfLoop, TooLarge
 
-#: Default ceiling for the permutation-based canonical form.
+#: Order ceiling of the permutation-based canonical form.
 CANONICAL_LIMIT = 16
 
 #: Returned by :func:`diameter` for disconnected graphs.
@@ -224,8 +227,8 @@ def _refined_classes(g: Graph) -> list[int]:
     return colors
 
 
-def _canonical_search(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[int]]:
-    """Minimize the placement word sequence over vertex orderings.
+def _canonical_search(g: Graph) -> list[int]:
+    """The vertex placement that minimizes the placement word sequence.
 
     Placing a vertex at position k emits the word (class id, adjacency bits
     to the k already-placed vertices, earlier placements in higher bits).
@@ -236,7 +239,7 @@ def _canonical_search(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[int]]
     masks = g.adjacency_masks()
     classes = _refined_classes(g)
     best: list[tuple[int, int]] | None = None
-    best_perm: list[int] | None = None
+    best_perm: list[int] = []
 
     def rec(placed: list[int], placed_mask: int, words: list[tuple[int, int]]) -> None:
         nonlocal best, best_perm
@@ -267,31 +270,16 @@ def _canonical_search(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[int]]
                 placed.pop()
         words.pop()
 
-    if n == 0:
-        return (), []
-    rec([], 0, [])
-    assert best is not None and best_perm is not None
-    return tuple(best), best_perm
+    if n:
+        rec([], 0, [])
+    return best_perm
 
 
-def canonical_key(g: Graph, limit: int = CANONICAL_LIMIT) -> bytes:
-    """Byte string equal for two graphs iff they are isomorphic."""
-    if g.n > limit:
-        raise TooLarge(f"canonical_key supports n <= {limit}, got {g.n}")
-    words, _ = _canonical_search(g)
-    out = bytearray([g.n])
-    for cls, bits in words:
-        out.append(cls)
-        out.extend(bits.to_bytes(2, "big"))
-    return bytes(out)
-
-
-def canonical_form(g: Graph, limit: int = CANONICAL_LIMIT) -> Graph:
-    """The canonical representative (relabeling of g realizing its key)."""
-    if g.n > limit:
-        raise TooLarge(f"canonical_form supports n <= {limit}, got {g.n}")
-    _, placement = _canonical_search(g)
+def canonical_form(g: Graph) -> Graph:
+    """The canonical relabeling of g: equal for two graphs iff they are isomorphic."""
+    if g.n > CANONICAL_LIMIT:
+        raise TooLarge(f"canonical_form supports n <= {CANONICAL_LIMIT}, got {g.n}")
     perm = [0] * g.n
-    for pos, v in enumerate(placement):
+    for pos, v in enumerate(_canonical_search(g)):
         perm[v] = pos
     return relabel(g, perm)

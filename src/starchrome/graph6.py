@@ -2,12 +2,14 @@
 
 Single-byte size header only (n <= 62), then the upper triangle of the
 adjacency matrix in column order, packed six bits per printable byte.
+The graph6 string of the canonical form is the toolkit's one isomorphism
+key: enumeration members and sweep cache records are keyed by it.
 """
 
 from __future__ import annotations
 
 from .errors import MalformedText, TooLarge
-from .graph import Graph, from_edges
+from .graph import Graph, canonical_form, from_edges
 
 
 def graph6_encode(g: Graph) -> str:
@@ -56,3 +58,8 @@ def graph6_decode(text: str) -> Graph:
                 edges.append((i, j))
             idx += 1
     return from_edges(n, edges)
+
+
+def canonical_key(g: Graph) -> str:
+    """graph6 of the canonical form: equal for two graphs iff they are isomorphic."""
+    return graph6_encode(canonical_form(g))

@@ -12,7 +12,9 @@ the classifier tries first.
 
 Enumeration tells MOPs apart by their degrees around the outer cycle up to
 rotation and reflection, which fix a triangulated polygon (Conway and
-Coxeter, Math. Gazette 1973); only the final members get a canonical key.
+Coxeter, Math. Gazette 1973).  Only the final members are searched: each
+gets one ``canonical_key``, the graph6 of its canonical form, which is also
+its sweep cache key.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from .graph import (
     Graph,
     _block_edges,
     _normalized,
-    canonical_key,
     diameter,
     is_connected,
     is_two_connected,
 )
+from .graph6 import canonical_key
 
 ENUMERATION_LIMIT = 12
 
@@ -203,7 +205,7 @@ def is_polygon_triangulation(g: Graph) -> bool:
 @dataclass(frozen=True)
 class MopCatalog:
     n: int
-    members: dict[bytes, Graph]
+    members: dict[str, Graph]  # canonical_key -> construction-labelled graph
     rooted_count: int
 
     def member_count(self) -> int:
@@ -247,15 +249,15 @@ def _dihedral_key(seq: bytearray) -> bytes:
     return bytes(min((s + s)[i : i + n] for s in (seq, seq[::-1]) for i in range(n) if s[i] == low))
 
 
-def enumerate_mops(n: int, limit: int = ENUMERATION_LIMIT) -> MopCatalog:
+def enumerate_mops(n: int) -> MopCatalog:
     """All MOPs of order n up to isomorphism, by vertex addition.
 
     Attaching a new vertex to both ends of an outer-cycle edge raises their
     degrees by one and inserts a 2 between them; each level is deduplicated
     by the dihedral key of that degree sequence, with no graph search.
     """
-    if not 3 <= n <= limit:
-        raise TooLarge(f"enumerate_mops supports 3 <= n <= {limit}, got {n}")
+    if not 3 <= n <= ENUMERATION_LIMIT:
+        raise TooLarge(f"enumerate_mops supports 3 <= n <= {ENUMERATION_LIMIT}, got {n}")
     # dihedral key -> (edges, outer cycle, degrees along the cycle)
     frontier = {b"\2\2\2": (((0, 1), (0, 2), (1, 2)), (0, 1, 2), b"\2\2\2")}
     for size in range(3, n):
@@ -277,34 +279,26 @@ def enumerate_mops(n: int, limit: int = ENUMERATION_LIMIT) -> MopCatalog:
     return MopCatalog(n, {canonical_key(g): g for g in members}, rooted)
 
 
-def two_connected_spanning_subgraphs(
-    h: Graph, dedupe: bool = False, limit: int = ENUMERATION_LIMIT
-) -> list[Graph]:
+def two_connected_spanning_subgraphs(h: Graph) -> list[Graph]:
     """Chord-deletion closure of a MOP, filtered to 2-connected results.
 
-    Includes h itself (the empty deletion).  The boundary cycle survives
-    every deletion, so the filter is a safety net rather than a sieve.
+    Includes h itself (the empty deletion), one graph per chord subset, so
+    isomorphic results repeat.  The boundary cycle survives every deletion,
+    so the filter is a safety net rather than a sieve.
     """
-    if h.n > limit:
-        raise TooLarge(f"two_connected_spanning_subgraphs supports n <= {limit}")
+    if h.n > ENUMERATION_LIMIT:
+        raise TooLarge(f"two_connected_spanning_subgraphs supports n <= {ENUMERATION_LIMIT}")
     structure = polygon_structure(h)
     if structure is None:
         raise NotMop("chord-deletion closure needs a maximal outerplanar graph")
     out: list[Graph] = []
-    seen: set[bytes] = set()
     chords = structure.chords
     for r in range(len(chords) + 1):
         for removed in itertools.combinations(chords, r):
             removed_set = set(removed)
             sub = Graph(h.n, tuple(e for e in h.edges if e not in removed_set))
-            if not is_two_connected(sub):
-                continue
-            if dedupe:
-                key = canonical_key(sub)
-                if key in seen:
-                    continue
-                seen.add(key)
-            out.append(sub)
+            if is_two_connected(sub):
+                out.append(sub)
     return out
 
 

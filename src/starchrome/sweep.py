@@ -19,8 +19,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import BudgetExhausted
-from .graph import canonical_form
-from .graph6 import graph6_decode, graph6_encode
+from .graph6 import canonical_key, graph6_decode
 from .outerplanar import classify, enumerate_mops, two_connected_spanning_subgraphs
 from .solver import Budget, exact_chi_star
 
@@ -231,56 +230,38 @@ def run_sweep(
     """Enumerate MOPs of orders 4..n_max (optionally their chord-deletion
     closures), solve everything exactly, and collect the bound checks.
 
-    Budget exhaustion marks a record and the sweep continues.  Records are
-    emitted to the cache ordered by canonical key within each order.
+    Targets run by order, then by canonical key.  Each solved record is
+    appended to the cache as soon as it arrives, so an interrupted sweep
+    keeps what it finished.  Budget exhaustion marks a record and the sweep
+    continues.
     """
     budget = budget or Budget()
     targets: list[str] = []
-    seen: set[str] = set()
     for n in range(4, n_max + 1):
-        catalog = enumerate_mops(n)
-        level: list[str] = []
-        for mop in catalog.members.values():
-            graphs = [mop]
+        level: set[str] = set()
+        for key, mop in enumerate_mops(n).members.items():
+            level.add(key)
             if expand_subgraphs:
-                graphs += two_connected_spanning_subgraphs(mop, dedupe=True)
-            for g in graphs:
-                key = graph6_encode(canonical_form(g))
-                if key not in seen:
-                    seen.add(key)
-                    level.append(key)
-        level.sort()
-        targets.extend(level)
+                # the closure starts with the MOP itself, already keyed
+                level.update(map(canonical_key, two_connected_spanning_subgraphs(mop)[1:]))
+        targets += sorted(level)
 
-    records: list[SweepRecord] = []
-    from_cache = solved = exhausted = 0
     todo = [key for key in targets if key not in cache]
-    computed: dict[str, SweepRecord] = {}
     if workers > 1 and todo:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for rec in pool.map(solve_record, todo, [budget] * len(todo)):
-                computed[rec.graph6] = rec
+                cache.append(rec)
     else:
         for key in todo:
-            computed[key] = solve_record(key, budget)
-    for key in targets:
-        cached = cache.get(key)
-        if cached is not None:
-            records.append(cached)
-            from_cache += 1
-            continue
-        rec = computed[key]
-        cache.append(rec)
-        records.append(rec)
-        solved += 1
-        if rec.status == "budget_exhausted":
-            exhausted += 1
+            cache.append(solve_record(key, budget))
+    records = [cache.records[key] for key in targets]
+    exhausted = sum(cache.records[key].status == "budget_exhausted" for key in todo)
     hard = [(r.graph6, msg) for r in records for msg in proven_bound_violations(r)]
     findings = [(r.graph6, msg) for r in records for msg in conjecture_violations(r)]
     return SweepSummary(
         records=records,
-        solved=solved,
-        from_cache=from_cache,
+        solved=len(todo),
+        from_cache=len(targets) - len(todo),
         budget_exhausted=exhausted,
         hard_failures=hard,
         findings=findings,

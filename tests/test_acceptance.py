@@ -15,8 +15,8 @@ import pytest
 
 from starchrome.coloring import star_violations
 from starchrome.families import build_family, claimed_palette, delta5_strip_coloring, formula_coloring
-from starchrome.graph import Graph, canonical_key, from_edges
-from starchrome.graph6 import graph6_decode
+from starchrome.graph import Graph, from_edges
+from starchrome.graph6 import canonical_key, graph6_decode
 from starchrome.harness import verify_figures
 from starchrome.outerplanar import (
     enumerate_mops,
@@ -163,10 +163,10 @@ def _all_connected_graphs_up_to(max_edges: int) -> list[Graph]:
     by hanging a new pendant vertex.
     """
     k2 = from_edges(2, [(0, 1)])
-    levels: list[dict[bytes, Graph]] = [{canonical_key(k2): k2}]
+    levels: list[dict[str, Graph]] = [{canonical_key(k2): k2}]
     out = [k2]
     for _ in range(max_edges - 1):
-        nxt: dict[bytes, Graph] = {}
+        nxt: dict[str, Graph] = {}
         for g in levels[-1].values():
             candidates = []
             for u in range(g.n):

@@ -256,7 +256,7 @@ def test_postcondition_check_fires_on_wrong_declaration():
 def test_extremal_mop_families_appear_in_the_catalog():
     # h_case1 and h2 carry exactly 2n-3 edges and are genuine members of
     # the enumerated maximal outerplanar graphs of their order
-    from starchrome.graph import canonical_key
+    from starchrome.graph6 import canonical_key
     from starchrome.outerplanar import enumerate_mops
 
     for fid, delta, order in [("h_case1", 4, 7), ("h2", 4, 7), ("h2", 5, 9)]:
@@ -270,7 +270,8 @@ def test_deleting_any_two_core_chords_gives_the_same_graph():
     # diameter-3 graphs with star chromatic index 4
     import itertools
 
-    from starchrome.graph import Graph, canonical_key, diameter
+    from starchrome.graph import Graph, diameter
+    from starchrome.graph6 import canonical_key
     from starchrome.solver import exact_chi_star
 
     inst = build_family("g61")

@@ -6,8 +6,8 @@ import networkx as nx
 import pytest
 
 from starchrome.errors import MalformedText
-from starchrome.graph import canonical_key, from_edges
-from starchrome.graph6 import graph6_decode, graph6_encode
+from starchrome.graph import canonical_form, from_edges
+from starchrome.graph6 import canonical_key, graph6_decode, graph6_encode
 
 from conftest import k4, path_graph, random_connected_graph
 
@@ -56,3 +56,13 @@ def test_roundtrip_is_identity_on_canonical_graphs():
         key = canonical_key(g)
         text = graph6_encode(g)
         assert canonical_key(graph6_decode(text)) == key
+
+
+def test_canonical_key_is_graph6_of_canonical_form():
+    rng = random.Random(7)
+    for _ in range(30):
+        g = random_connected_graph(rng, max_edges=10, max_n=8)
+        key = canonical_key(g)
+        assert isinstance(key, str)
+        assert key == graph6_encode(canonical_form(g))
+        assert graph6_decode(key) == canonical_form(g)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -153,13 +154,90 @@ def test_sweep_keys_are_canonical_graph6_of_members(tmp_path):
     assert [(r.n, r.graph6) for r in summary.records] == want
 
 
+def _dissections_up_to_symmetry(n: int) -> int:
+    """Non-crossing chord sets of the n-gon, counted up to rotation and reflection.
+
+    A 2-connected outerplanar graph is its unique Hamiltonian cycle plus such
+    a chord set, so this counts them up to isomorphism.
+    """
+    diagonals = [(a, b) for a in range(n) for b in range(a + 2, n) if (a, b) != (0, n - 1)]
+
+    def crossing(c, d):
+        return c[0] < d[0] < c[1] < d[1] or d[0] < c[0] < d[1] < c[1]
+
+    def chord_sets(i, chosen):
+        if i == len(diagonals):
+            yield chosen
+            return
+        yield from chord_sets(i + 1, chosen)
+        if not any(crossing(diagonals[i], c) for c in chosen):
+            yield from chord_sets(i + 1, chosen + [diagonals[i]])
+
+    symmetries = [lambda v, r=r: (v + r) % n for r in range(n)]
+    symmetries += [lambda v, r=r: (r - v) % n for r in range(n)]
+    classes = {
+        min(tuple(sorted(tuple(sorted((f(a), f(b)))) for a, b in chords)) for f in symmetries)
+        for chords in chord_sets(0, [])
+    }
+    return len(classes)
+
+
 def test_sweep_expand_subgraphs(tmp_path):
-    summary = run_sweep(5, ResultCache(tmp_path / "c.jsonl"), expand_subgraphs=True)
+    summary = run_sweep(8, ResultCache(tmp_path / "c.jsonl"), expand_subgraphs=True)
     # chord-deleted subgraphs join the MOPs (C4, C5 at least)
     assert len(summary.records) > 2
     assert any(not r.maximal for r in summary.records)
     for rec in summary.records:
         assert rec.outerplanar
+    # every 2-connected outerplanar graph of each order, once
+    per_n = Counter(r.n for r in summary.records)
+    assert [per_n[n] for n in range(4, 9)] == [2, 3, 9, 20, 75]
+    assert [per_n[n] for n in range(4, 9)] == [_dissections_up_to_symmetry(n) for n in range(4, 9)]
+
+
+def test_one_canonical_search_per_sweep_record(tmp_path, monkeypatch):
+    from starchrome import graph
+
+    calls = []
+    search = graph._canonical_search
+    monkeypatch.setattr(graph, "_canonical_search", lambda g: calls.append(g) or search(g))
+    path = tmp_path / "c.jsonl"
+    cold = run_sweep(9, ResultCache(path))
+    assert len(calls) == len(cold.records) == cold.solved == 48
+    calls.clear()
+    warm = run_sweep(9, ResultCache(path))
+    assert len(calls) == len(warm.records) == warm.from_cache == 48
+
+
+def test_sweep_appends_each_record_as_it_is_solved(tmp_path, monkeypatch):
+    from starchrome import sweep
+
+    full_path = tmp_path / "full.jsonl"
+    full = run_sweep(7, ResultCache(full_path), workers=2)
+    solve, solved = sweep.solve_record, []
+
+    def interrupted(key, budget):
+        if len(solved) == 4:
+            raise KeyboardInterrupt
+        solved.append(key)
+        return solve(key, budget)
+
+    path = tmp_path / "c.jsonl"
+    monkeypatch.setattr(sweep, "solve_record", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(7, ResultCache(path))
+    kept = ResultCache(path)
+    assert list(kept.records) == solved == [r.graph6 for r in full.records[:4]]
+
+    monkeypatch.setattr(sweep, "solve_record", lambda k, b: solved.append(k) or solve(k, b))
+    again = run_sweep(7, kept)
+    assert again.from_cache == 4 and again.solved == len(full.records) - 4 == 5
+    assert solved[4:] == [r.graph6 for r in full.records[4:]]
+
+    def without_elapsed(p):
+        return [{**json.loads(line), "elapsed": 0} for line in p.read_text().splitlines()]
+
+    assert without_elapsed(path) == without_elapsed(full_path)
 
 
 def test_sweep_margins_reported(tmp_path):
@@ -229,6 +307,25 @@ def test_cli_family_check(capsys):
 
 def test_cli_family_check_out_of_range():
     assert main(["family-check", "h2", "3"]) == 1
+
+
+def test_cli_malformed_arguments_exit_1(capsys):
+    assert main(["encode", "--n", "3", "--edges", "0-x"]) == 1
+    assert "bad edge '0-x'" in capsys.readouterr().err
+    assert main(["family-check", "h2", "a..b"]) == 1
+    assert "bad delta range 'a..b'" in capsys.readouterr().err
+
+
+def test_cli_sweep_reports_unreadable_cache(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    path.write_text('{"schema": 99}\n')
+    assert main(["sweep", "--n-max", "4", "--cache", str(path)]) == 1
+    assert "cache error: cache schema 99 unsupported" in capsys.readouterr().err
+    lines = PARENT_CACHE.splitlines()
+    path.write_text("\n".join([lines[0], lines[1][:30], lines[1]]) + "\n")
+    assert main(["sweep", "--n-max", "4", "--cache", str(path)]) == 1
+    assert "cache error:" in capsys.readouterr().err
+    assert path.read_text().count("\n") == 3  # left as it was
 
 
 def test_cli_family_check_figure_backed_delta(capsys):

@@ -7,7 +7,8 @@ import networkx as nx
 import pytest
 
 from starchrome.errors import BadParams, NotMop, TooLarge
-from starchrome.graph import canonical_key, diameter, from_edges
+from starchrome.graph import diameter, from_edges
+from starchrome.graph6 import canonical_key
 from starchrome.outerplanar import (
     classify,
     enumerate_mops,
@@ -158,7 +159,7 @@ def test_member_counts():
         assert catalog.rooted_count == math.comb(2 * n - 4, n - 2) // (n - 1)
 
 
-def _mops_by_canonical_key(n: int) -> set[bytes]:
+def _mops_by_canonical_key(n: int) -> set[str]:
     """Reference enumeration: attach ears, dedupe each level by canonical key."""
     level = [(from_edges(3, [(0, 1), (0, 2), (1, 2)]), (0, 1, 2))]
     for size in range(3, n):

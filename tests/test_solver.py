@@ -262,3 +262,16 @@ def test_palette_feasible_reports_its_round_on_budget():
         star_palette_feasible(fan_graph(9), 8, Budget(max_nodes=5))
     (only,) = exc_info.value.rounds
     assert (only.k, only.nodes, only.outcome) == (8, 5, "budget")
+
+
+def test_budget_exhausted_survives_pickling():
+    import pickle
+
+    with pytest.raises(BudgetExhausted) as exc_info:
+        exact_chi_star(fan_graph(9), Budget(max_nodes=5))
+    exc = exc_info.value
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is BudgetExhausted and str(back) == str(exc)
+    fields = ("lower_bound", "upper_bound", "nodes", "elapsed", "rounds")
+    assert [getattr(back, f) for f in fields] == [getattr(exc, f) for f in fields]
+    assert back.rounds and back.rounds[-1].outcome == "budget"
