@@ -36,7 +36,6 @@ from .graph import (
     canonical_form,
     diameter,
     from_edges,
-    is_connected,
     is_two_connected,
     relabel,
 )
@@ -50,8 +49,6 @@ from .outerplanar import (
     fixed_polygon_triangulations,
     is_maximal_outerplanar,
     is_outerplanar,
-    is_polygon_triangulation,
-    polygon_structure,
     two_connected_spanning_subgraphs,
 )
 from .solver import (

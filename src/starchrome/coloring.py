@@ -47,11 +47,6 @@ class EdgeColoring:
             raise PartialColoring(f"{len(missing)} uncolored edges, first {missing[0]}")
         return EdgeColoring(graph, tuple(normalized[e] for e in graph.edges))
 
-    def color_of(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        return self.colors[self.graph.edges.index((u, v))]
-
     def as_mapping(self) -> dict[tuple[int, int], int]:
         return dict(zip(self.graph.edges, self.colors))
 

@@ -17,7 +17,7 @@ from importlib import resources
 from .coloring import EdgeColoring
 from .errors import BadParams, MalformedText, OutOfRange, PostconditionFailed, UnknownFigure
 from .graph import Graph, diameter, from_edges, is_two_connected
-from .outerplanar import is_polygon_triangulation
+from .outerplanar import is_maximal_outerplanar
 
 
 @dataclass(frozen=True)
@@ -282,8 +282,8 @@ def _build_delta5_strip(blocks: int) -> FamilyInstance:
         raise PostconditionFailed("strip size does not match 4b+2 vertices / 8b+1 edges")
     if g.max_degree() != 5:
         raise PostconditionFailed("strip max degree must be exactly 5")
-    if not is_polygon_triangulation(g):
-        raise PostconditionFailed("strip must be a triangulated polygon")
+    if not is_maximal_outerplanar(g):
+        raise PostconditionFailed("strip must be maximal outerplanar")
     return inst
 
 
@@ -295,40 +295,33 @@ def delta5_strip_coloring(blocks: int) -> EdgeColoring:
 
 # --- registry ----------------------------------------------------------
 
+#: family id -> (builder, the parameters it takes in order)
+_BUILDERS = {
+    "path": (_build_path, ("n",)),
+    "cycle": (_build_cycle, ("n",)),
+    "fan": (_build_fan, ("n",)),
+    "g61": (_build_g61, ()),
+    "g61_prime": (_build_g61_prime, ()),
+    "g62": (_build_g62, ()),
+    "g_delta": (_build_g_delta, ("delta",)),
+    "h_prime": (_build_h_prime, ("delta",)),
+    "h_case1": (_build_h_case1, ("delta",)),
+    "h2": (_build_h2, ("delta",)),
+    "delta5_strip": (_build_delta5_strip, ("blocks",)),
+}
+
+FAMILY_IDS = tuple(_BUILDERS)
+
+
 def build_family(family_id: str, **params: int) -> FamilyInstance:
     """Construct a named family instance; see module docstring for ids."""
+    if family_id not in _BUILDERS:
+        raise BadParams(f"unknown family id {family_id!r}")
+    build, names = _BUILDERS[family_id]
     try:
-        if family_id == "path":
-            return _build_path(params.pop("n"))
-        if family_id == "cycle":
-            return _build_cycle(params.pop("n"))
-        if family_id == "fan":
-            return _build_fan(params.pop("n"))
-        if family_id == "g61":
-            return _build_g61()
-        if family_id == "g61_prime":
-            return _build_g61_prime()
-        if family_id == "g62":
-            return _build_g62()
-        if family_id == "g_delta":
-            return _build_g_delta(params.pop("delta"))
-        if family_id == "h_prime":
-            return _build_h_prime(params.pop("delta"))
-        if family_id == "h_case1":
-            return _build_h_case1(params.pop("delta"))
-        if family_id == "h2":
-            return _build_h2(params.pop("delta"))
-        if family_id == "delta5_strip":
-            return _build_delta5_strip(params.pop("blocks"))
+        return build(*[params[name] for name in names])
     except KeyError as exc:
         raise BadParams(f"{family_id} is missing parameter {exc}") from None
-    raise BadParams(f"unknown family id {family_id!r}")
-
-
-FAMILY_IDS = (
-    "path", "cycle", "fan", "g61", "g61_prime", "g62",
-    "g_delta", "h_prime", "h_case1", "h2", "delta5_strip",
-)
 
 
 # --- closed-form coloring functions -------------------------------------

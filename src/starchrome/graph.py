@@ -11,7 +11,6 @@ representative; its graph6 string is the one isomorphism key
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -137,24 +136,6 @@ def diameter(g: Graph) -> int | float:
         d += 1
         pending = [v for v in pending if reach[v] != full]
     return d
-
-
-def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    nbrs = g.neighbors()
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for w in nbrs[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == g.n
 
 
 def _block_edges(g: Graph) -> Iterator[list[tuple[int, int]]]:

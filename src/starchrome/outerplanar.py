@@ -6,9 +6,8 @@ graphs", IPL 9(5), 1979): a 2-connected outerplanar graph always has a
 degree-2 vertex, and suppressing it keeps the graph 2-connected and
 outerplanar.  Replaying the suppressions in reverse rebuilds the block's
 Hamiltonian cycle, and the block is accepted only if no two of its edges
-cross on that cycle, so every "yes" carries a certificate.  MOPs
-additionally admit a direct structural test (triangulated polygon), which
-the classifier tries first.
+cross on that cycle, so every "yes" carries a certificate.  The same
+cycle gives a maximal outerplanar graph's chords: its edges off the cycle.
 
 Enumeration tells MOPs apart by their degrees around the outer cycle up to
 rotation and reflection, which fix a triangulated polygon (Conway and
@@ -24,17 +23,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import NotMop, TooLarge
-from .graph import (
-    Graph,
-    _block_edges,
-    _normalized,
-    diameter,
-    is_connected,
-    is_two_connected,
-)
+from .graph import CANONICAL_LIMIT, Graph, _block_edges, _normalized, diameter, is_two_connected
 from .graph6 import canonical_key
-
-ENUMERATION_LIMIT = 12
 
 
 def _chords_cross(spans: list[tuple[int, int]]) -> bool:
@@ -54,7 +44,7 @@ def _chords_cross(spans: list[tuple[int, int]]) -> bool:
 
 
 def _outer_cycle(block: Graph) -> list[int] | None:
-    """The outer cycle of a 2-connected block with n >= 4, or None if the
+    """The outer cycle of a 2-connected block with n >= 3, or None if the
     block is not outerplanar.
 
     Suppresses degree-2 vertices down to a triangle, then reinserts each one
@@ -74,13 +64,17 @@ def _outer_cycle(block: Graph) -> list[int] | None:
         v = ready.pop()
         u, w = nbrs[v]
         nbrs[v].clear()
-        nbrs[u].discard(v)
-        nbrs[w].discard(v)
-        if w in nbrs[u]:
-            ready.extend(x for x in (u, w) if len(nbrs[x]) == 2)
+        nu, nw = nbrs[u], nbrs[w]
+        nu.discard(v)
+        nw.discard(v)
+        if w in nu:
+            if len(nu) == 2:
+                ready.append(u)
+            if len(nw) == 2:
+                ready.append(w)
         else:
-            nbrs[u].add(w)
-            nbrs[w].add(u)
+            nu.add(w)
+            nw.add(u)
         removed.append((v, u, w))
     a, b, c = (x for x in range(block.n) if nbrs[x])
     succ = [-1] * block.n
@@ -98,14 +92,17 @@ def _outer_cycle(block: Graph) -> list[int] | None:
     pos = [0] * block.n
     for i, v in enumerate(cycle):
         pos[v] = i
-    spans = [(min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in block.edges]
+    spans = [(a, b) if a < b else (b, a) for a, b in ((pos[u], pos[v]) for u, v in block.edges)]
     return None if _chords_cross(spans) else cycle
 
 
 def _biconnected_blocks(g: Graph) -> list[Graph]:
     """Edge-partition into biconnected blocks, each with compacted ids."""
+    blocks = list(_block_edges(g))
+    if len(blocks) == 1 and 0 not in g.degrees():
+        return [g]  # g is its own block, ids already compact
     out = []
-    for block in _block_edges(g):
+    for block in blocks:
         ids = sorted({x for e in block for x in e})
         remap = {x: i for i, x in enumerate(ids)}
         out.append(_normalized(len(ids), [(remap[a], remap[b]) for a, b in block]))
@@ -128,6 +125,10 @@ def is_outerplanar(g: Graph) -> bool:
     return True
 
 
+def _maximal_edge_count(g: Graph) -> bool:
+    return g.n >= 3 and g.m == 2 * g.n - 3
+
+
 def is_maximal_outerplanar(g: Graph) -> bool:
     """Outerplanar with a full complement of edges.
 
@@ -135,71 +136,7 @@ def is_maximal_outerplanar(g: Graph) -> bool:
     non-adjacent vertices destroys outerplanarity): an outerplanar graph
     has at most 2n-3 edges, with equality exactly at maximality.
     """
-    if g.n < 3:
-        return False
-    return g.m == 2 * g.n - 3 and is_outerplanar(g)
-
-
-@dataclass(frozen=True)
-class PolygonStructure:
-    boundary: tuple[int, ...]  # Hamiltonian cycle in order
-    chords: tuple[tuple[int, int], ...]
-
-
-def polygon_structure(g: Graph) -> PolygonStructure | None:
-    """Decompose a triangulated polygon into boundary cycle plus chords.
-
-    Returns None when g is not a triangulated polygon.  Works at any order:
-    in an outerplanar graph every triangle bounds a face, so boundary edges
-    lie on exactly one triangle and chords on exactly two, the boundary
-    must close into a Hamiltonian cycle, and chords must not interleave.
-    """
-    n = g.n
-    if n < 3 or g.m != 2 * n - 3 or not is_connected(g):
-        return None
-    masks = g.adjacency_masks()
-    boundary_edges = []
-    chords = []
-    for u, v in g.edges:
-        tri = bin(masks[u] & masks[v]).count("1")
-        if tri == 1:
-            boundary_edges.append((u, v))
-        elif tri == 2:
-            chords.append((u, v))
-        else:
-            return None
-    if len(boundary_edges) != n:
-        return None
-    ring: list[list[int]] = [[] for _ in range(n)]
-    for u, v in boundary_edges:
-        ring[u].append(v)
-        ring[v].append(u)
-    if any(len(r) != 2 for r in ring):
-        return None
-    cycle = [0, ring[0][0]]
-    while len(cycle) < n:
-        prev, cur = cycle[-2], cycle[-1]
-        nxt = ring[cur][0] if ring[cur][0] != prev else ring[cur][1]
-        if nxt == 0:
-            break
-        cycle.append(nxt)
-    if len(cycle) != n or cycle[0] not in ring[cycle[-1]]:
-        return None
-    pos = {v: i for i, v in enumerate(cycle)}
-    spans = []
-    for u, v in chords:
-        a, b = sorted((pos[u], pos[v]))
-        if b - a in (1, n - 1):
-            return None  # chord duplicating a boundary edge
-        spans.append((a, b))
-    if _chords_cross(spans):
-        return None  # crossing chords cannot be drawn inside the polygon
-    return PolygonStructure(boundary=tuple(cycle), chords=tuple(chords))
-
-
-def is_polygon_triangulation(g: Graph) -> bool:
-    """Structural MOP test; agrees with is_maximal_outerplanar."""
-    return polygon_structure(g) is not None
+    return _maximal_edge_count(g) and is_outerplanar(g)
 
 
 @dataclass(frozen=True)
@@ -256,8 +193,8 @@ def enumerate_mops(n: int) -> MopCatalog:
     degrees by one and inserts a 2 between them; each level is deduplicated
     by the dihedral key of that degree sequence, with no graph search.
     """
-    if not 3 <= n <= ENUMERATION_LIMIT:
-        raise TooLarge(f"enumerate_mops supports 3 <= n <= {ENUMERATION_LIMIT}, got {n}")
+    if not 3 <= n <= CANONICAL_LIMIT:
+        raise TooLarge(f"enumerate_mops supports 3 <= n <= {CANONICAL_LIMIT}, got {n}")
     # dihedral key -> (edges, outer cycle, degrees along the cycle)
     frontier = {b"\2\2\2": (((0, 1), (0, 2), (1, 2)), (0, 1, 2), b"\2\2\2")}
     for size in range(3, n):
@@ -280,25 +217,25 @@ def enumerate_mops(n: int) -> MopCatalog:
 
 
 def two_connected_spanning_subgraphs(h: Graph) -> list[Graph]:
-    """Chord-deletion closure of a MOP, filtered to 2-connected results.
+    """Chord-deletion closure of a MOP: one graph per subset of its chords.
 
-    Includes h itself (the empty deletion), one graph per chord subset, so
-    isomorphic results repeat.  The boundary cycle survives every deletion,
-    so the filter is a safety net rather than a sieve.
+    Includes h itself (the empty deletion), so isomorphic results repeat.
+    The chords are the edges off the outer cycle, in edge order; the cycle
+    survives every deletion, so each result is 2-connected.
     """
-    if h.n > ENUMERATION_LIMIT:
-        raise TooLarge(f"two_connected_spanning_subgraphs supports n <= {ENUMERATION_LIMIT}")
-    structure = polygon_structure(h)
-    if structure is None:
+    if h.n > CANONICAL_LIMIT:
+        raise TooLarge(f"two_connected_spanning_subgraphs supports n <= {CANONICAL_LIMIT}")
+    if not is_maximal_outerplanar(h):
         raise NotMop("chord-deletion closure needs a maximal outerplanar graph")
+    pos = [0] * h.n
+    for i, v in enumerate(_outer_cycle(h)):
+        pos[v] = i
+    chords = [(u, v) for u, v in h.edges if (pos[u] - pos[v]) % h.n not in (1, h.n - 1)]
     out: list[Graph] = []
-    chords = structure.chords
     for r in range(len(chords) + 1):
         for removed in itertools.combinations(chords, r):
             removed_set = set(removed)
-            sub = Graph(h.n, tuple(e for e in h.edges if e not in removed_set))
-            if is_two_connected(sub):
-                out.append(sub)
+            out.append(Graph(h.n, tuple(e for e in h.edges if e not in removed_set)))
     return out
 
 
@@ -313,15 +250,11 @@ class Classification:
 
 def classify(g: Graph) -> Classification:
     """Bundle of the predicates behind the graph classes the sweep tracks."""
-    if is_polygon_triangulation(g):
-        outer, maximal = True, True
-    else:
-        outer = is_outerplanar(g)
-        maximal = outer and g.m == 2 * g.n - 3
+    outer = is_outerplanar(g)
     return Classification(
         diameter=diameter(g),
         two_connected=is_two_connected(g),
         outerplanar=outer,
-        maximal=maximal,
+        maximal=outer and _maximal_edge_count(g),
         subcubic=g.max_degree() <= 3,
     )

@@ -8,6 +8,9 @@ violations of a conjecture are findings and never fail a run.
 The 6 <= chi' <= n-1 window for maximal outerplanar graphs is enforced
 where it is coherent: the upper half from n >= 8 (order-7 fans need 7
 colors) and the lower half from n >= 5 (the order-4 diamond needs only 4).
+The source paper's two theorems are proven checks as well: chi' <= D+6 on
+2-connected outerplanar graphs of diameter 2 or 3, and chi' <= 9 on
+2-connected outerplanar graphs with D = 5.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import BudgetExhausted
@@ -55,8 +58,17 @@ class SweepRecord:
 
     @staticmethod
     def from_json(line: str | dict) -> "SweepRecord":
-        """Parse a record line or its decoded object; the keys must be the fields."""
-        return SweepRecord(**(json.loads(line) if isinstance(line, str) else line))
+        """Parse a record line or its decoded object; the keys must be the fields.
+
+        Raises ValueError for anything else, such as a JSON array or number.
+        """
+        data = json.loads(line) if isinstance(line, str) else line
+        if not isinstance(data, dict) or data.keys() != _FIELDS:
+            raise ValueError(f"not a sweep record: {json.dumps(data)[:60]}")
+        return SweepRecord(**data)
+
+
+_FIELDS = {f.name for f in fields(SweepRecord)}
 
 
 def default_cache_path() -> Path:
@@ -96,6 +108,8 @@ class ResultCache:
                     torn = exc
                     continue
                 end = pos - line.endswith("\n")
+                if not isinstance(data, dict):
+                    raise ValueError(f"not a sweep record: {line.strip()[:60]}")
                 if "schema" in data:
                     if data["schema"] != SCHEMA_VERSION:
                         raise ValueError(f"cache schema {data['schema']} unsupported")
@@ -131,6 +145,11 @@ def _floor_3halves(delta: int) -> int:
     return (3 * delta) // 2
 
 
+def _thm110_bound(delta: int) -> int:
+    """floor(3D/2)+5, the proven bound for every outerplanar graph."""
+    return _floor_3halves(delta) + 5
+
+
 def _margin(bound: int | None, chi: int | None) -> int | None:
     if bound is None or chi is None:
         return None
@@ -153,7 +172,7 @@ def solve_record(key: str, budget: Budget) -> SweepRecord:
         chi_lower, chi_upper = exc.lower_bound, exc.upper_bound
         nodes, elapsed, status = exc.nodes, exc.elapsed, "budget_exhausted"
     conj16 = _floor_3halves(delta) + 1 if cls.outerplanar and delta >= 3 else None
-    thm110 = _floor_3halves(delta) + 5 if cls.outerplanar else None
+    thm110 = _thm110_bound(delta) if cls.outerplanar else None
     conj_d6 = delta + 6 if cls.outerplanar and cls.two_connected and delta >= 6 else None
     conj_d4 = delta + 4 if cls.maximal and cls.two_connected and delta >= 6 else None
     return SweepRecord(
@@ -186,8 +205,15 @@ def proven_bound_violations(rec: SweepRecord) -> list[str]:
     if chi is None:
         return out
     d = rec.max_degree
-    if rec.outerplanar and chi > _floor_3halves(d) + 5:
+    if rec.outerplanar and chi > _thm110_bound(d):
         out.append(f"chi'={chi} exceeds floor(1.5*{d})+5 on an outerplanar graph")
+    two_connected_outer = rec.outerplanar and rec.two_connected
+    if two_connected_outer and rec.diameter in (2, 3) and chi > d + 6:
+        out.append(
+            f"chi'={chi} exceeds {d}+6 on a 2-connected outerplanar graph of diameter {rec.diameter}"
+        )
+    if two_connected_outer and d == 5 and chi > 9:
+        out.append(f"chi'={chi} exceeds 9 on a 2-connected outerplanar graph with max degree 5")
     if rec.subcubic and rec.outerplanar and chi > 5:
         out.append(f"chi'={chi} exceeds 5 on a subcubic outerplanar graph")
     if rec.maximal and rec.n >= 5 and chi < 6:

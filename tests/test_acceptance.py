@@ -21,7 +21,7 @@ from starchrome.harness import verify_figures
 from starchrome.outerplanar import (
     enumerate_mops,
     fixed_polygon_triangulations,
-    is_polygon_triangulation,
+    is_maximal_outerplanar,
     polygon_triangulation_graph,
 )
 from starchrome.solver import Budget, brute_force_chi_star, exact_chi_star, star_palette_feasible
@@ -129,7 +129,7 @@ def test_criterion_6_strip_family():
         assert coloring.palette_size() <= 9
         g = coloring.graph
         assert g.max_degree() == 5
-        assert is_polygon_triangulation(g)  # maximal outerplanar at any order
+        assert is_maximal_outerplanar(g)
     elapsed = time.monotonic() - start
     assert elapsed < 30
     _report("6 (degree-5 strip at figure size, +1 and +2 periods)", elapsed)

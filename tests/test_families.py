@@ -13,7 +13,7 @@ from starchrome.families import (
     formula_coloring,
 )
 from starchrome.graph import diameter, is_two_connected
-from starchrome.outerplanar import is_polygon_triangulation
+from starchrome.outerplanar import is_maximal_outerplanar
 
 
 def test_fan_order_eight():
@@ -148,7 +148,7 @@ def test_strip_sizes_and_structure():
         assert inst.graph.n == 4 * blocks + 2
         assert inst.graph.m == 8 * blocks + 1
         assert inst.graph.max_degree() == 5
-        assert is_polygon_triangulation(inst.graph)
+        assert is_maximal_outerplanar(inst.graph)
 
 
 def test_strip_bad_params():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from starchrome.sweep import (
     ResultCache,
     SweepRecord,
     default_cache_path,
+    proven_bound_violations,
     run_sweep,
 )
 
@@ -248,6 +250,24 @@ def test_sweep_margins_reported(tmp_path):
             assert rec.bound_margin_conj16 is not None
 
 
+def test_proven_bound_violations_check_the_paper_theorems():
+    base = SweepRecord.from_json(PARENT_CACHE.splitlines()[1])
+    # 2-connected outerplanar, diameter 3, D=6: within floor(3D/2)+5 = 14 but over D+6
+    over_d6 = replace(base, max_degree=6, diameter=3, maximal=False, subcubic=False, chi_star=13)
+    assert proven_bound_violations(over_d6) == [
+        "chi'=13 exceeds 6+6 on a 2-connected outerplanar graph of diameter 3"
+    ]
+    assert proven_bound_violations(replace(over_d6, diameter=4)) == []
+    assert proven_bound_violations(replace(over_d6, two_connected=False)) == []
+    # 2-connected outerplanar, D=5, diameter 4: within floor(3D/2)+5 = 12 but over 9
+    over_9 = replace(over_d6, max_degree=5, diameter=4, chi_star=10)
+    assert proven_bound_violations(over_9) == [
+        "chi'=10 exceeds 9 on a 2-connected outerplanar graph with max degree 5"
+    ]
+    assert proven_bound_violations(replace(over_9, chi_star=9)) == []
+    assert proven_bound_violations(replace(over_9, two_connected=False)) == []
+
+
 def test_default_cache_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "override.jsonl"))
     assert default_cache_path() == tmp_path / "override.jsonl"
@@ -326,6 +346,10 @@ def test_cli_sweep_reports_unreadable_cache(tmp_path, capsys):
     assert main(["sweep", "--n-max", "4", "--cache", str(path)]) == 1
     assert "cache error:" in capsys.readouterr().err
     assert path.read_text().count("\n") == 3  # left as it was
+    for not_a_record in ("[1, 2]", "5", '{"bogus": 1}', json.dumps(lines[1])):
+        path.write_text("\n".join([lines[0], not_a_record, lines[1]]) + "\n")
+        assert main(["sweep", "--n-max", "4", "--cache", str(path)]) == 1
+        assert "cache error: not a sweep record" in capsys.readouterr().err
 
 
 def test_cli_family_check_figure_backed_delta(capsys):

@@ -15,8 +15,6 @@ from starchrome.outerplanar import (
     fixed_polygon_triangulations,
     is_maximal_outerplanar,
     is_outerplanar,
-    is_polygon_triangulation,
-    polygon_structure,
     polygon_triangulation_graph,
     two_connected_spanning_subgraphs,
 )
@@ -76,14 +74,19 @@ def test_recognition_above_sixteen_vertices():
     assert is_outerplanar(cycle_graph(3000))  # deeper than the recursion limit
 
 
-def test_outerplanar_matches_planarity_oracle():
+def _oracle_graphs() -> list:
+    """The recognition oracle's draws: dissections and random connected graphs."""
     rng = random.Random(31)
+    return [
+        _dissection(rng, rng.randint(3, 20)) if i % 3
+        else random_connected_graph(rng, max_edges=40, max_n=20)
+        for i in range(1200)
+    ]
+
+
+def test_outerplanar_matches_planarity_oracle():
     outer = 0
-    for i in range(1200):
-        if i % 3:
-            g = _dissection(rng, rng.randint(3, 20))
-        else:
-            g = random_connected_graph(rng, max_edges=40, max_n=20)
+    for g in _oracle_graphs():
         want = _nx_outerplanar(g)
         assert is_outerplanar(g) == want, g.edges
         outer += want
@@ -113,15 +116,21 @@ def test_polygon_check_agrees_with_definitional_route():
     rng = random.Random(77)
     for _ in range(150):
         g = random_connected_graph(rng, max_edges=12, max_n=8)
-        assert is_polygon_triangulation(g) == is_maximal_outerplanar(g)
+        want = _nx_outerplanar(g) and g.n >= 3 and g.m == 2 * g.n - 3
+        assert is_maximal_outerplanar(g) == want
 
 
 def test_polygon_check_rejects_triangle_book():
     # 2-connected, 2n-3 edges, but contains K2,3: the edge-count shortcut
     # must not be fooled
     book = from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
-    assert not is_polygon_triangulation(book)
     assert not is_maximal_outerplanar(book)
+
+
+def test_classify_maximal_matches_is_maximal_outerplanar():
+    tiny = [from_edges(1, []), from_edges(2, []), from_edges(2, [(0, 1)])]
+    for g in tiny + _oracle_graphs():
+        assert classify(g).maximal == is_maximal_outerplanar(g), g.edges
 
 
 def test_rooted_counts_are_catalan():
@@ -145,15 +154,13 @@ def test_enumerated_mops_are_mops_with_right_edge_count():
     for n in range(3, 9):
         for g in enumerate_mops(n).members.values():
             assert g.m == 2 * n - 3
-            assert is_polygon_triangulation(g)
-            if n <= 8:
-                assert is_maximal_outerplanar(g)
+            assert is_maximal_outerplanar(g)
 
 
 def test_member_counts():
     # OEIS A000207 per order; the rooted counts are Catalan(n-2)
-    counts = [1, 1, 1, 3, 4, 12, 27, 82, 228, 733]
-    for n, count in zip(range(3, 13), counts):
+    counts = [1, 1, 1, 3, 4, 12, 27, 82, 228, 733, 2282]
+    for n, count in zip(range(3, 14), counts):
         catalog = enumerate_mops(n)
         assert catalog.member_count() == count
         assert catalog.rooted_count == math.comb(2 * n - 4, n - 2) // (n - 1)
@@ -197,7 +204,7 @@ def test_members_keep_construction_labels():
 
 def test_enumeration_limit():
     with pytest.raises(TooLarge):
-        enumerate_mops(13)
+        enumerate_mops(17)
 
 
 def test_diameter_two_mops_are_fans_plus_g61():
@@ -268,10 +275,15 @@ def test_classify_disconnected():
 
 
 def test_polygon_structure_boundary_and_chords():
-    structure = polygon_structure(g61())
-    assert structure is not None
-    assert len(structure.boundary) == 6
-    assert sorted(structure.chords) == [(0, 2), (0, 3), (2, 3)]
+    from starchrome.outerplanar import _outer_cycle
+
+    g = g61()
+    boundary = _outer_cycle(g)
+    assert boundary is not None
+    assert sorted(boundary) == list(range(6))
+    ring = {frozenset(e) for e in zip(boundary, boundary[1:] + boundary[:1])}
+    assert ring <= {frozenset(e) for e in g.edges}
+    assert sorted(e for e in g.edges if frozenset(e) not in ring) == [(0, 2), (0, 3), (2, 3)]
 
 
 def test_biconnected_blocks_of_pendant_family():
