@@ -33,13 +33,12 @@ from .families import (
 from .graph import (
     INFINITE,
     Graph,
-    canonical_form,
     diameter,
     from_edges,
     is_two_connected,
     relabel,
 )
-from .graph6 import canonical_key, graph6_decode, graph6_encode
+from .graph6 import graph6_decode, graph6_encode
 from .harness import family_check, verify_figures
 from .outerplanar import (
     Classification,
@@ -49,6 +48,7 @@ from .outerplanar import (
     fixed_polygon_triangulations,
     is_maximal_outerplanar,
     is_outerplanar,
+    polygon_key,
     two_connected_spanning_subgraphs,
 )
 from .solver import (

@@ -2,11 +2,13 @@
 
 Each builder returns a FamilyInstance whose roles map the family's symbolic
 vertex names onto dense ids, and asserts the structural facts the family is
-defined by (hub degrees, diameter, 2-connectivity) instead of silently
-repairing them.  The closed-form coloring functions and the literal figure
-tables are kept apart: formulas live in formula_coloring, figures in
-versioned plain-text data files loaded by figure_coloring.  Neither asserts
-validity; running the validator is the caller's job.
+defined by (hub degrees, diameter, 2-connectivity, and the outerplanar or
+maximal outerplanar class it stands for) instead of silently repairing
+them.  ``h_prime`` has 2n edges, over the outerplanar bound of 2n-3, so it
+declares no class.  The closed-form coloring functions and the literal
+figure tables are kept apart: formulas live in formula_coloring, figures
+in versioned plain-text data files loaded by figure_coloring.  Neither
+asserts validity; running the validator is the caller's job.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from importlib import resources
 
 from .coloring import EdgeColoring
 from .errors import BadParams, MalformedText, OutOfRange, PostconditionFailed, UnknownFigure
-from .graph import Graph, diameter, from_edges, is_two_connected
-from .outerplanar import is_maximal_outerplanar
+from .graph import Graph, from_edges
+from .outerplanar import classify
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,9 @@ class FamilyInstance:
 
 
 def _check(instance: FamilyInstance, *, degrees: dict[str, int] | None = None,
-           diam: int | None = None, two_connected: bool | None = None) -> FamilyInstance:
+           diam: int | None = None, two_connected: bool | None = None,
+           outerplanar: bool | None = None, maximal: bool | None = None) -> FamilyInstance:
+    """Raise PostconditionFailed unless the instance has every declared fact."""
     g = instance.graph
     if sorted(instance.roles.values()) != list(range(g.n)):
         raise PostconditionFailed(f"{instance.family_id}: roles are not a bijection")
@@ -49,12 +53,14 @@ def _check(instance: FamilyInstance, *, degrees: dict[str, int] | None = None,
             raise PostconditionFailed(
                 f"{instance.family_id}: d({role}) = {got}, declared {want}"
             )
-    if diam is not None and diameter(g) != diam:
-        raise PostconditionFailed(
-            f"{instance.family_id}: diameter {diameter(g)}, declared {diam}"
-        )
-    if two_connected is not None and is_two_connected(g) != two_connected:
-        raise PostconditionFailed(f"{instance.family_id}: 2-connectivity mismatch")
+    cls = classify(g)
+    declared = {"diameter": diam, "two_connected": two_connected,
+                "outerplanar": outerplanar, "maximal": maximal}
+    for name, want in declared.items():
+        if want is not None and getattr(cls, name) != want:
+            raise PostconditionFailed(
+                f"{instance.family_id}: {name} {getattr(cls, name)}, declared {want}"
+            )
     return instance
 
 
@@ -115,20 +121,22 @@ def _build_fan(order: int) -> FamilyInstance:
     if order < 3:
         raise BadParams("fan needs order >= 3 (hub joined to a path on >= 2 vertices)")
     inst = _from_role_edges("fan", _fan_role_edges(order), {"n": order})
-    return _check(inst, degrees={"v0": order - 1}, two_connected=True)
+    return _check(inst, degrees={"v0": order - 1}, two_connected=True, maximal=True)
 
 
 def _build_g61() -> FamilyInstance:
-    return _check(_from_role_edges("g61", _G61_EDGES), diam=2, two_connected=True)
+    return _check(_from_role_edges("g61", _G61_EDGES), diam=2, two_connected=True, maximal=True)
 
 
 def _build_g61_prime() -> FamilyInstance:
     edges = [e for e in _G61_EDGES if e not in [("v0", "v2"), ("v0", "v3")]]
-    return _check(_from_role_edges("g61_prime", edges), diam=3, two_connected=True)
+    return _check(
+        _from_role_edges("g61_prime", edges), diam=3, two_connected=True, outerplanar=True,
+    )
 
 
 def _build_g62() -> FamilyInstance:
-    return _check(_from_role_edges("g62", _G62_EDGES), diam=3, two_connected=True)
+    return _check(_from_role_edges("g62", _G62_EDGES), diam=3, two_connected=True, maximal=True)
 
 
 def _build_g_delta(delta: int) -> FamilyInstance:
@@ -141,7 +149,7 @@ def _build_g_delta(delta: int) -> FamilyInstance:
     inst = _from_role_edges("g_delta", edges, {"delta": delta})
     return _check(
         inst, degrees={"v0": delta, "v2": delta, "v3": delta}, diam=3,
-        two_connected=False,
+        two_connected=False, outerplanar=True,
     )
 
 
@@ -149,7 +157,8 @@ def _build_h_prime(delta: int) -> FamilyInstance:
     """The pendant family with each hub's leaves chained into a fan.
 
     The leaf chains run v1..v4 around v0, v1..v5 around v2 and v5..v4
-    around v3; chain indices stop at the last existing leaf.
+    around v3; chain indices stop at the last existing leaf.  With m = 2n
+    it is not outerplanar at any delta, so it declares no class.
     """
     if delta < 5:
         raise BadParams("h_prime needs delta >= 5")
@@ -184,7 +193,7 @@ def _build_h_case1(delta: int) -> FamilyInstance:
     inst = _from_role_edges("h_case1", edges, {"delta": delta})
     return _check(
         inst, degrees={"v0": delta, "v3": delta, "v4": delta}, diam=3,
-        two_connected=True,
+        two_connected=True, maximal=True,
     )
 
 
@@ -209,7 +218,7 @@ def _build_h2(delta: int) -> FamilyInstance:
         edges.append((_leaf("v3", k), "v6"))
     inst = _from_role_edges("h2", edges, {"delta": delta})
     return _check(
-        inst, degrees={"v2": delta, "v3": delta}, diam=3, two_connected=True,
+        inst, degrees={"v2": delta, "v3": delta}, diam=3, two_connected=True, maximal=True,
     )
 
 
@@ -282,9 +291,7 @@ def _build_delta5_strip(blocks: int) -> FamilyInstance:
         raise PostconditionFailed("strip size does not match 4b+2 vertices / 8b+1 edges")
     if g.max_degree() != 5:
         raise PostconditionFailed("strip max degree must be exactly 5")
-    if not is_maximal_outerplanar(g):
-        raise PostconditionFailed("strip must be maximal outerplanar")
-    return inst
+    return _check(inst, maximal=True)
 
 
 def delta5_strip_coloring(blocks: int) -> EdgeColoring:

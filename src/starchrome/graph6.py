@@ -1,20 +1,25 @@
 """Standard graph6 text encoding for small simple graphs.
 
-Single-byte size header only (n <= 62), then the upper triangle of the
-adjacency matrix in column order, packed six bits per printable byte.
-The graph6 string of the canonical form is the toolkit's one isomorphism
-key: enumeration members and sweep cache records are keyed by it.
+Single-byte size header only (n <= GRAPH6_MAX_N), then the upper triangle
+of the adjacency matrix in column order, packed six bits per printable
+byte.  The graph6 string of a graph relabelled from its outer cycle
+(``outerplanar.polygon_key``) is the toolkit's one isomorphism key:
+enumeration members and sweep cache records are keyed by it, so this
+header is the only order limit the sweep has.
 """
 
 from __future__ import annotations
 
 from .errors import MalformedText, TooLarge
-from .graph import Graph, canonical_form, from_edges
+from .graph import Graph, from_edges
+
+#: Largest order the single-byte size header can hold.
+GRAPH6_MAX_N = 62
 
 
 def graph6_encode(g: Graph) -> str:
-    if g.n > 62:
-        raise TooLarge(f"graph6 single-byte header supports n <= 62, got {g.n}")
+    if g.n > GRAPH6_MAX_N:
+        raise TooLarge(f"graph6 single-byte header supports n <= {GRAPH6_MAX_N}, got {g.n}")
     edge_set = g.edge_set()
     bits: list[int] = []
     for j in range(1, g.n):
@@ -38,7 +43,7 @@ def graph6_decode(text: str) -> Graph:
     if any(c < 0 or c > 63 for c in codes):
         raise MalformedText(f"invalid graph6 characters in {text!r}")
     n = codes[0]
-    if n > 62:
+    if n > GRAPH6_MAX_N:
         raise TooLarge("multi-byte graph6 size headers are not supported")
     nbits = n * (n - 1) // 2
     body = codes[1:]
@@ -59,7 +64,3 @@ def graph6_decode(text: str) -> Graph:
             idx += 1
     return from_edges(n, edges)
 
-
-def canonical_key(g: Graph) -> str:
-    """graph6 of the canonical form: equal for two graphs iff they are isomorphic."""
-    return graph6_encode(canonical_form(g))

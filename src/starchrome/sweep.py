@@ -1,9 +1,11 @@
 """Exhaustive sweep of small outerplanar graphs against the known bounds.
 
 Every enumerated graph is solved exactly and lands in an append-only
-JSON-lines cache keyed by the canonical graph6 string.  Violations of a
-proven theorem are hard failures (they mean the toolkit is wrong);
-violations of a conjecture are findings and never fail a run.
+JSON-lines cache keyed by ``polygon_key``, the graph6 string of the graph
+relabelled from its outer cycle; the sweep runs no generic isomorphism
+search.  Violations of a proven theorem are hard failures (they mean the
+toolkit is wrong); violations of a conjecture are findings and never fail
+a run.
 
 The 6 <= chi' <= n-1 window for maximal outerplanar graphs is enforced
 where it is coherent: the upper half from n >= 8 (order-7 fans need 7
@@ -22,13 +24,13 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import BudgetExhausted
-from .graph6 import canonical_key, graph6_decode
-from .outerplanar import classify, enumerate_mops, two_connected_spanning_subgraphs
+from .graph6 import graph6_decode
+from .outerplanar import classify, enumerate_mops, polygon_key, two_connected_spanning_subgraphs
 from .solver import Budget, exact_chi_star
 
 CACHE_ENV_VAR = "STARCHROME_CACHE"
 DEFAULT_CACHE_NAME = "starchrome-cache.jsonl"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -79,10 +81,12 @@ def default_cache_path() -> Path:
 
 
 class ResultCache:
-    """Append-only JSONL log, one record per canonical graph6 key.
+    """Append-only JSONL log of records keyed by ``polygon_key``.
 
-    A last line that does not parse (a torn write) is dropped, counted in
-    ``torn_lines`` and cut off by the next append; other bad lines raise.
+    The last line for a key wins, so a re-solved record supersedes the one
+    before it without rewriting the log.  A last line that does not parse
+    (a torn write) is dropped, counted in ``torn_lines`` and cut off by the
+    next append; other bad lines raise.
     """
 
     def __init__(self, path: Path):
@@ -127,8 +131,9 @@ class ResultCache:
         return self.records.get(key)
 
     def append(self, rec: SweepRecord) -> None:
-        if rec.graph6 in self.records:
-            return  # re-solving a cached graph is a no-op
+        old = self.records.get(rec.graph6)
+        if old is not None and old.status == "ok":
+            return  # an exact answer is final; re-solving it is a no-op
         if self._cut is not None:
             os.truncate(self.path, self._cut)
         with open(self.path, "a") as fh:
@@ -157,7 +162,7 @@ def _margin(bound: int | None, chi: int | None) -> int | None:
 
 
 def solve_record(key: str, budget: Budget) -> SweepRecord:
-    """Classify and exactly solve one canonical graph6 key."""
+    """Classify and exactly solve one graph given by its graph6 key."""
     g = graph6_decode(key)
     cls = classify(g)
     diam = None if cls.diameter == float("inf") else int(cls.diameter)
@@ -256,10 +261,11 @@ def run_sweep(
     """Enumerate MOPs of orders 4..n_max (optionally their chord-deletion
     closures), solve everything exactly, and collect the bound checks.
 
-    Targets run by order, then by canonical key.  Each solved record is
+    Targets run by order, then by ``polygon_key``.  Each solved record is
     appended to the cache as soon as it arrives, so an interrupted sweep
     keeps what it finished.  Budget exhaustion marks a record and the sweep
-    continues.
+    continues; a later sweep solves that record again, so a larger budget
+    can settle it.
     """
     budget = budget or Budget()
     targets: list[str] = []
@@ -269,10 +275,10 @@ def run_sweep(
             level.add(key)
             if expand_subgraphs:
                 # the closure starts with the MOP itself, already keyed
-                level.update(map(canonical_key, two_connected_spanning_subgraphs(mop)[1:]))
+                level.update(map(polygon_key, two_connected_spanning_subgraphs(mop)[1:]))
         targets += sorted(level)
 
-    todo = [key for key in targets if key not in cache]
+    todo = [key for key in targets if key not in cache or cache.get(key).status != "ok"]
     if workers > 1 and todo:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for rec in pool.map(solve_record, todo, [budget] * len(todo)):

@@ -256,13 +256,15 @@ def test_postcondition_check_fires_on_wrong_declaration():
 def test_extremal_mop_families_appear_in_the_catalog():
     # h_case1 and h2 carry exactly 2n-3 edges and are genuine members of
     # the enumerated maximal outerplanar graphs of their order
-    from starchrome.graph6 import canonical_key
     from starchrome.outerplanar import enumerate_mops
+
+    from iso_oracle import canonical_key
 
     for fid, delta, order in [("h_case1", 4, 7), ("h2", 4, 7), ("h2", 5, 9)]:
         g = build_family(fid, delta=delta).graph
         assert g.n == order and g.m == 2 * order - 3
-        assert canonical_key(g) in enumerate_mops(order).members
+        members = enumerate_mops(order).members.values()
+        assert canonical_key(g) in {canonical_key(m) for m in members}
 
 
 def test_deleting_any_two_core_chords_gives_the_same_graph():
@@ -271,8 +273,9 @@ def test_deleting_any_two_core_chords_gives_the_same_graph():
     import itertools
 
     from starchrome.graph import Graph, diameter
-    from starchrome.graph6 import canonical_key
     from starchrome.solver import exact_chi_star
+
+    from iso_oracle import canonical_key
 
     inst = build_family("g61")
     chords = [(inst.vertex("v0"), inst.vertex("v2")),

@@ -67,9 +67,11 @@ def test_sweep_record_json_roundtrip(tmp_path):
     assert SweepRecord.from_json(rec.to_json()) == rec
 
 
-# Written by the sweep before its record parser was folded into SweepRecord.
+# Written by the sweep before its record parser was folded into SweepRecord,
+# under the schema-2 header of outer-cycle keys ("C^" is the diamond's key
+# under both schemas).
 PARENT_CACHE = (
-    '{"schema": 1}\n'
+    '{"schema": 2}\n'
     '{"graph6": "C^", "n": 4, "m": 5, "max_degree": 3, "diameter": 2, "two_connected": true, '
     '"maximal": true, "subcubic": true, "outerplanar": true, "chi_star": 4, "chi_lower": 4, '
     '"chi_upper": 4, "bound_margin_conj16": 1, "bound_margin_thm110": 5, '
@@ -143,13 +145,11 @@ def test_cli_sweep_reports_torn_line(tmp_path, capsys):
 
 
 def test_sweep_keys_are_canonical_graph6_of_members(tmp_path):
-    from starchrome.graph import canonical_form
-    from starchrome.graph6 import graph6_encode
-    from starchrome.outerplanar import enumerate_mops
+    from starchrome.outerplanar import enumerate_mops, polygon_key
 
     summary = run_sweep(9, ResultCache(tmp_path / "c.jsonl"))
     want = sorted(
-        (n, graph6_encode(canonical_form(g)))
+        (n, polygon_key(g))
         for n in range(4, 10)
         for g in enumerate_mops(n).members.values()
     )
@@ -198,17 +198,20 @@ def test_sweep_expand_subgraphs(tmp_path):
 
 
 def test_one_canonical_search_per_sweep_record(tmp_path, monkeypatch):
-    from starchrome import graph
+    import iso_oracle
+    from starchrome import graph, graph6, outerplanar, sweep
 
     calls = []
-    search = graph._canonical_search
-    monkeypatch.setattr(graph, "_canonical_search", lambda g: calls.append(g) or search(g))
+    search = iso_oracle._canonical_search
+    monkeypatch.setattr(iso_oracle, "_canonical_search", lambda g: calls.append(g) or search(g))
     path = tmp_path / "c.jsonl"
-    cold = run_sweep(9, ResultCache(path))
-    assert len(calls) == len(cold.records) == cold.solved == 48
-    calls.clear()
-    warm = run_sweep(9, ResultCache(path))
-    assert len(calls) == len(warm.records) == warm.from_cache == 48
+    cold = run_sweep(9, ResultCache(path), expand_subgraphs=True)
+    assert len(cold.records) == cold.solved == 371
+    warm = run_sweep(9, ResultCache(path), expand_subgraphs=True)
+    assert len(warm.records) == warm.from_cache == 371
+    assert calls == []  # the sweep runs no generic canonical search
+    for module in (graph, graph6, outerplanar, sweep):
+        assert not hasattr(module, "_canonical_search") and not hasattr(module, "canonical_key")
 
 
 def test_sweep_appends_each_record_as_it_is_solved(tmp_path, monkeypatch):
@@ -336,6 +339,14 @@ def test_cli_malformed_arguments_exit_1(capsys):
     assert "bad delta range 'a..b'" in capsys.readouterr().err
 
 
+def test_cli_sweep_rejects_a_schema_1_cache(tmp_path, capsys):
+    # schema 1 keyed records by the generic canonical form; its keys differ
+    path = tmp_path / "cache.jsonl"
+    path.write_text(PARENT_CACHE.replace('{"schema": 2}', '{"schema": 1}'))
+    assert main(["sweep", "--n-max", "4", "--cache", str(path)]) == 1
+    assert "cache error: cache schema 1 unsupported" in capsys.readouterr().err
+
+
 def test_cli_sweep_reports_unreadable_cache(tmp_path, capsys):
     path = tmp_path / "cache.jsonl"
     path.write_text('{"schema": 99}\n')
@@ -402,3 +413,18 @@ def test_sweep_budget_exhaustion_marks_records_and_continues(tmp_path):
         assert rec.chi_star is None
         assert rec.chi_lower is not None and rec.chi_upper is not None
         assert rec.chi_lower <= rec.chi_upper
+
+
+def test_sweep_retries_cached_budget_exhausted_records(tmp_path):
+    path = tmp_path / "c.jsonl"
+    first = run_sweep(6, ResultCache(path), budget=Budget(max_nodes=8))
+    exhausted = {r.graph6 for r in first.records if r.status == "budget_exhausted"}
+    assert exhausted
+    again = run_sweep(6, ResultCache(path))  # the default budget
+    assert again.solved == len(exhausted) and again.budget_exhausted == 0
+    assert again.from_cache == len(first.records) - len(exhausted)
+    assert all(r.status == "ok" for r in again.records)
+    reloaded = ResultCache(path)  # the re-solved line comes last and wins
+    assert all(reloaded.get(key).status == "ok" for key in exhausted)
+    assert len(path.read_text().splitlines()) == 1 + len(first.records) + len(exhausted)
+    assert run_sweep(6, reloaded).solved == 0

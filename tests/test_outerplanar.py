@@ -6,20 +6,21 @@ import random
 import networkx as nx
 import pytest
 
-from starchrome.errors import BadParams, NotMop, TooLarge
-from starchrome.graph import diameter, from_edges
-from starchrome.graph6 import canonical_key
+from starchrome.errors import BadParams, NotMop, OutOfRange, TooLarge
+from starchrome.graph import diameter, from_edges, is_two_connected, relabel
 from starchrome.outerplanar import (
     classify,
     enumerate_mops,
     fixed_polygon_triangulations,
     is_maximal_outerplanar,
     is_outerplanar,
+    polygon_key,
     polygon_triangulation_graph,
     two_connected_spanning_subgraphs,
 )
 
 from conftest import cycle_graph, fan_graph, g61, g61_prime, g62, k23, k4, path_graph, random_connected_graph
+from iso_oracle import canonical_key
 
 
 def _nx_outerplanar(g) -> bool:
@@ -129,8 +130,12 @@ def test_polygon_check_rejects_triangle_book():
 
 def test_classify_maximal_matches_is_maximal_outerplanar():
     tiny = [from_edges(1, []), from_edges(2, []), from_edges(2, [(0, 1)])]
+    tiny += [from_edges(3, [(0, 1)]), from_edges(4, [(0, 1), (1, 2), (0, 2)])]  # isolated vertices
     for g in tiny + _oracle_graphs():
-        assert classify(g).maximal == is_maximal_outerplanar(g), g.edges
+        c = classify(g)
+        assert c.maximal == is_maximal_outerplanar(g), g.edges
+        assert c.two_connected == is_two_connected(g), g.edges
+        assert c.outerplanar == is_outerplanar(g), g.edges
 
 
 def test_rooted_counts_are_catalan():
@@ -146,7 +151,8 @@ def test_enumerate_members_match_fixed_polygon_oracle():
             canonical_key(polygon_triangulation_graph(n, chords))
             for chords in fixed_polygon_triangulations(n)
         }
-        assert set(catalog.members) == oracle_keys
+        assert {canonical_key(g) for g in catalog.members.values()} == oracle_keys
+        assert len(catalog.members) == len(oracle_keys)
         assert catalog.rooted_count == sum(1 for _ in fixed_polygon_triangulations(n))
 
 
@@ -183,16 +189,60 @@ def _mops_by_canonical_key(n: int) -> set[str]:
 
 def test_members_match_canonical_key_reference():
     for n in range(3, 11):
-        assert set(enumerate_mops(n).members) == _mops_by_canonical_key(n)
+        members = enumerate_mops(n).members
+        reference = _mops_by_canonical_key(n)
+        assert {canonical_key(g) for g in members.values()} == reference
+        assert len(members) == len(reference)
 
 
 def test_one_canonical_search_per_member(monkeypatch):
+    import iso_oracle
     import starchrome.outerplanar as op
 
-    calls = []
-    monkeypatch.setattr(op, "canonical_key", lambda g: calls.append(g) or canonical_key(g))
+    searches, keys = [], []
+    search, cycle_key = iso_oracle._canonical_search, op._cycle_key
+    monkeypatch.setattr(iso_oracle, "_canonical_search", lambda g: searches.append(g) or search(g))
+    monkeypatch.setattr(op, "_cycle_key", lambda g, c: keys.append(g) or cycle_key(g, c))
     catalog = op.enumerate_mops(12)
-    assert len(calls) == catalog.member_count() == 733
+    assert searches == []  # the enumeration runs no generic search
+    assert len(keys) == catalog.member_count() == 733
+    assert not hasattr(op, "canonical_key")
+
+
+def _same_partition(pairs) -> bool:
+    """True iff (a, b) pairs relate two keys one to one."""
+    pairs = set(pairs)
+    return len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+
+
+def test_polygon_key_partition_matches_oracle():
+    rng = random.Random(2024)
+    graphs = []
+    for n in range(3, 13):
+        for key, g in enumerate_mops(n).members.items():
+            assert polygon_key(g) == key  # members are keyed by it
+            graphs.append(g)
+            if n <= 9:
+                graphs += two_connected_spanning_subgraphs(g)[1:]
+    assert len(graphs) == 1092 + 2158  # MOPs to n=12, proper chord deletions to n=9
+    pairs = []
+    for g in graphs:
+        key, oracle = polygon_key(g), canonical_key(g)
+        pairs.append((key, oracle))
+        for _ in range(2):
+            h = relabel(g, rng.sample(range(g.n), g.n))
+            assert polygon_key(h) == key and canonical_key(h) == oracle
+    assert _same_partition(pairs)
+    assert len(set(pairs)) == 1092 + 371 - 48  # classes: MOPs, and the non-MOPs to n=9
+
+
+def test_polygon_key_needs_an_outer_cycle():
+    for g in (path_graph(4), k4(), k23(), from_edges(6, cycle_graph(3).edges + ((3, 4), (4, 5), (3, 5)))):
+        with pytest.raises(OutOfRange):
+            polygon_key(g)
+    assert polygon_key(cycle_graph(5)) != polygon_key(fan_graph(5))
+    with pytest.raises(TooLarge):
+        polygon_key(fan_graph(300))  # past the graph6 single-byte header
 
 
 def test_members_keep_construction_labels():
@@ -204,14 +254,15 @@ def test_members_keep_construction_labels():
 
 def test_enumeration_limit():
     with pytest.raises(TooLarge):
-        enumerate_mops(17)
+        enumerate_mops(63)  # past the graph6 single-byte header
 
 
 def test_diameter_two_mops_are_fans_plus_g61():
     g61_key = canonical_key(g61())
     for n in range(4, 11):
         fan_key = canonical_key(fan_graph(n))
-        for key, g in enumerate_mops(n).members.items():
+        for g in enumerate_mops(n).members.values():
+            key = canonical_key(g)
             if diameter(g) == 2:
                 assert key == fan_key or (n == 6 and key == g61_key)
             if key == fan_key or (n == 6 and key == g61_key):

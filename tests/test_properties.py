@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from starchrome.coloring import EdgeColoring, star_violations
 from starchrome.graph import from_edges, relabel
-from starchrome.graph6 import canonical_key, graph6_decode, graph6_encode
+from starchrome.graph6 import graph6_decode, graph6_encode
 from starchrome.outerplanar import is_outerplanar
 from starchrome.solver import brute_force_chi_star, exact_chi_star, greedy_star_upper
 
 from conftest import random_connected_graph
+from iso_oracle import canonical_key
 
 
 @settings(max_examples=50, deadline=None)

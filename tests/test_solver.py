@@ -9,7 +9,8 @@ from starchrome import solver
 from starchrome.coloring import EdgeColoring, star_violations
 from starchrome.errors import BudgetExhausted, TooLarge
 from starchrome.families import build_family
-from starchrome.graph import canonical_form, from_edges, relabel
+from starchrome.graph import from_edges, relabel
+from starchrome.graph6 import graph6_decode
 from starchrome.outerplanar import enumerate_mops, two_connected_spanning_subgraphs
 from starchrome.solver import (
     Budget,
@@ -20,6 +21,7 @@ from starchrome.solver import (
 )
 
 from conftest import cycle_graph, fan_graph, g61, g61_prime, k4, path_graph, random_connected_graph
+from iso_oracle import canonical_form
 
 
 @pytest.mark.parametrize("n,expected", [(2, 1), (3, 2), (4, 2), (5, 3), (8, 3)])
@@ -198,9 +200,10 @@ def _hard(name):
 
 
 def test_search_tree_is_pinned_on_mops():
-    # Summed over every MOP of each order, as the sweep solves them.  The
-    # totals pin the edge order and the node accounting: a kernel that
-    # prunes differently, or counts a node elsewhere, moves them.
+    # Summed over every MOP of each order, labelled by the generic canonical
+    # form of the tests' oracle.  The totals pin the edge order and the node
+    # accounting: a kernel that prunes differently, or counts a node
+    # elsewhere, moves them.
     expected = {4: 11, 5: 46, 6: 165, 7: 314, 8: 1168, 9: 6689, 10: 44643}
     for n, total in expected.items():
         nodes = 0
@@ -209,6 +212,17 @@ def test_search_tree_is_pinned_on_mops():
             assert star_violations(result.witness) == []
             assert result.witness.palette_size() == result.chi
             nodes += result.nodes_expanded
+        assert nodes == total, n
+
+
+def test_search_tree_is_pinned_on_mops_as_the_sweep_solves_them():
+    # The sweep solves each MOP under the labels of its polygon_key, the
+    # graph6 cache key; these totals move if that labelling does.
+    expected = {4: 11, 5: 46, 6: 166, 7: 313, 8: 1199, 9: 6592, 10: 44006}
+    for n, total in expected.items():
+        nodes = sum(
+            exact_chi_star(graph6_decode(key)).nodes_expanded for key in enumerate_mops(n).members
+        )
         assert nodes == total, n
 
 
