@@ -12,7 +12,6 @@ from .errors import (
     BudgetExhausted,
     DuplicateEdge,
     MalformedText,
-    NotMop,
     OutOfRange,
     PartialColoring,
     PostconditionFailed,
@@ -44,12 +43,12 @@ from .outerplanar import (
     Classification,
     MopCatalog,
     classify,
+    enumerate_dissections,
     enumerate_mops,
     fixed_polygon_triangulations,
     is_maximal_outerplanar,
     is_outerplanar,
     polygon_key,
-    two_connected_spanning_subgraphs,
 )
 from .solver import (
     Budget,

@@ -15,7 +15,7 @@ from .families import FAMILY_IDS, build_family
 from .graph6 import graph6_decode, graph6_encode
 from .graph import from_edges
 from .harness import family_check, verify_figures
-from .solver import DEFAULT_EDGE_LIMIT, Budget, exact_chi_star
+from .solver import Budget, exact_chi_star
 from .sweep import ResultCache, default_cache_path, run_sweep
 
 
@@ -46,7 +46,7 @@ def _input_graph(args: argparse.Namespace):
 def cmd_solve(args: argparse.Namespace) -> int:
     g = _input_graph(args)
     try:
-        result = exact_chi_star(g, _budget(args), edge_limit=args.edge_limit)
+        result = exact_chi_star(g, _budget(args))
     except BudgetExhausted as exc:
         print(f"budget exhausted: chi_star in [{exc.lower_bound}, {exc.upper_bound}]")
         print(f"nodes={exc.nodes} elapsed={exc.elapsed:.2f}s")
@@ -176,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--delta", type=int)
     p.add_argument("--blocks", type=int)
-    p.add_argument("--edge-limit", type=int, default=DEFAULT_EDGE_LIMIT,
-                   help="solver edge ceiling; raise at your own risk")
     _add_budget_flags(p)
     p.set_defaults(func=cmd_solve)
 

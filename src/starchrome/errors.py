@@ -27,10 +27,6 @@ class PartialColoring(StarchromeError):
     """A coloring leaves some edge without a positive color id."""
 
 
-class NotMop(StarchromeError):
-    """A maximal outerplanar graph was required."""
-
-
 class BadParams(StarchromeError):
     """Family parameters outside the builder's declared range."""
 

@@ -56,11 +56,6 @@ class Graph:
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edge_set()
-
     def edge_set(self) -> frozenset[tuple[int, int]]:
         cached = self.__dict__.get("_edge_set")
         if cached is None:

@@ -1,5 +1,6 @@
-"""Outerplanar recognition, the outer-cycle isomorphism key, and
-maximal-outerplanar (MOP) enumeration.
+"""Outerplanar recognition, the outer-cycle isomorphism key, and the
+enumeration of maximal-outerplanar graphs (MOPs) and of all 2-connected
+outerplanar graphs.
 
 Recognition is ear removal per biconnected block (S. L. Mitchell,
 "Linear algorithms to recognize outerplanar and maximal outerplanar
@@ -7,8 +8,7 @@ graphs", IPL 9(5), 1979): a 2-connected outerplanar graph always has a
 degree-2 vertex, and suppressing it keeps the graph 2-connected and
 outerplanar.  Replaying the suppressions in reverse rebuilds the block's
 Hamiltonian cycle, and the block is accepted only if no two of its edges
-cross on that cycle, so every "yes" carries a certificate.  The same
-cycle gives a maximal outerplanar graph's chords: its edges off the cycle.
+cross on that cycle, so every "yes" carries a certificate.
 
 That Hamiltonian cycle is unique, so a 2-connected outerplanar graph is
 its chord diagram up to the 2n rotations and reflections of the cycle.
@@ -16,20 +16,23 @@ its chord diagram up to the 2n rotations and reflections of the cycle.
 and its graph6 string is the isomorphism key of every graph the sweep
 touches.
 
-Enumeration tells MOPs apart by their degrees around the outer cycle up to
-rotation and reflection, which fix a triangulated polygon (Conway and
-Coxeter, Math. Gazette 1973); each member is then keyed from the outer
-cycle it was grown with.
+Both enumerations grow a graph of order n from one of order n-1 by a new
+vertex on an outer edge, keeping the outer cycle as they go.  MOPs are
+told apart by their degrees around that cycle up to rotation and
+reflection, which fix a triangulated polygon (Conway and Coxeter, Math.
+Gazette 1973); each member is then keyed from the cycle it grew with.
+Every 2-connected outerplanar graph (a polygon dissection) is grown by an
+ear or by subdividing an outer edge, and each candidate is keyed from its
+cycle.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NotMop, OutOfRange, TooLarge
+from .errors import OutOfRange, TooLarge
 from .graph import Graph, _block_edges, _normalized, diameter, is_two_connected, relabel
 from .graph6 import GRAPH6_MAX_N, graph6_encode
 
@@ -249,6 +252,8 @@ def enumerate_mops(n: int) -> MopCatalog:
     degrees by one and inserts a 2 between them; each level is deduplicated
     by the dihedral key of that degree sequence, with no graph search.
     Each member is keyed by ``polygon_key``, from the cycle it grew with.
+    The degree key is exact only for triangulations, and keying every
+    candidate by its cycle instead would slow this path down.
     """
     if not 3 <= n <= GRAPH6_MAX_N:
         raise TooLarge(f"enumerate_mops supports 3 <= n <= {GRAPH6_MAX_N}, got {n}")
@@ -273,30 +278,34 @@ def enumerate_mops(n: int) -> MopCatalog:
     return MopCatalog(n, {_cycle_key(g, ring): g for g, ring in members}, rooted)
 
 
-def two_connected_spanning_subgraphs(h: Graph) -> list[Graph]:
-    """Chord-deletion closure of a MOP: one graph per subset of its chords.
+def enumerate_dissections(n: int) -> dict[str, Graph]:
+    """All 2-connected outerplanar graphs of order n up to isomorphism,
+    as ``polygon_key`` -> construction-labelled graph.
 
-    Includes h itself (the empty deletion), so isomorphic results repeat.
-    The chords are the edges off the outer cycle, in edge order; the cycle
-    survives every deletion, so each result is 2-connected.  A MOP is a
-    2-connected graph with 2n-3 edges that has an outer cycle, so one ear
-    removal both tests h and gives the cycle.
+    Such a graph of order n >= 4 has a degree-2 vertex.  Deleting it (if
+    its neighbours are adjacent) or suppressing it (if not) leaves one of
+    order n-1 in which the two neighbours are consecutive on the outer
+    cycle.  So each level adds a vertex on every outer edge u-v of every
+    member of the level below, once as an ear and once with u-v removed,
+    and keys each candidate from the cycle it grew with.
     """
-    if h.n > GRAPH6_MAX_N:
-        raise TooLarge(f"two_connected_spanning_subgraphs supports n <= {GRAPH6_MAX_N}")
-    cycle = _outer_cycle(h) if _maximal_edge_count(h) and is_two_connected(h) else None
-    if cycle is None:
-        raise NotMop("chord-deletion closure needs a maximal outerplanar graph")
-    pos = [0] * h.n
-    for i, v in enumerate(cycle):
-        pos[v] = i
-    chords = [(u, v) for u, v in h.edges if (pos[u] - pos[v]) % h.n not in (1, h.n - 1)]
-    out: list[Graph] = []
-    for r in range(len(chords) + 1):
-        for removed in itertools.combinations(chords, r):
-            removed_set = set(removed)
-            out.append(Graph(h.n, tuple(e for e in h.edges if e not in removed_set)))
-    return out
+    if not 3 <= n <= GRAPH6_MAX_N:
+        raise TooLarge(f"enumerate_dissections supports 3 <= n <= {GRAPH6_MAX_N}, got {n}")
+    triangle = Graph(3, ((0, 1), (0, 2), (1, 2)))
+    level = {_cycle_key(triangle, (0, 1, 2)): (triangle, (0, 1, 2))}
+    for size in range(3, n):
+        nxt = {}
+        for g, boundary in level.values():
+            for i in range(size):
+                u, v = boundary[i], boundary[(i + 1) % size]
+                ring = boundary[: i + 1] + (size,) + boundary[i + 1 :]
+                ear = tuple(sorted(g.edges + ((u, size), (v, size))))
+                outer = (u, v) if u < v else (v, u)
+                for edges in (ear, tuple(e for e in ear if e != outer)):
+                    grown = Graph(size + 1, edges)
+                    nxt.setdefault(_cycle_key(grown, ring), (grown, ring))
+        level = nxt
+    return {key: g for key, (g, _) in level.items()}
 
 
 @dataclass(frozen=True)

@@ -253,15 +253,13 @@ def greedy_star_upper(g: Graph, order_seed: int = 0) -> EdgeColoring:
     return slots.coloring([bit.bit_length() - 1 for bit in bits])
 
 
-def star_palette_feasible(
-    g: Graph, k: int, budget: Budget | None = None, edge_limit: int = DEFAULT_EDGE_LIMIT
-) -> EdgeColoring | None:
+def star_palette_feasible(g: Graph, k: int, budget: Budget | None = None) -> EdgeColoring | None:
     """A star edge coloring of g with at most k colors, or None if impossible.
 
     Raises BudgetExhausted if the search cannot be completed in budget.
     """
-    if g.m > edge_limit:
-        raise TooLarge(f"solver supports |E| <= {edge_limit}, got {g.m}")
+    if g.m > DEFAULT_EDGE_LIMIT:
+        raise TooLarge(f"solver supports |E| <= {DEFAULT_EDGE_LIMIT}, got {g.m}")
     search = _Search(g, budget or Budget())
     try:
         slots = search.run_round(k)
@@ -272,16 +270,14 @@ def star_palette_feasible(
     return search.slots.coloring(slots)
 
 
-def exact_chi_star(
-    g: Graph, budget: Budget | None = None, edge_limit: int = DEFAULT_EDGE_LIMIT
-) -> SolveResult:
+def exact_chi_star(g: Graph, budget: Budget | None = None) -> SolveResult:
     """Least k admitting a star edge coloring, with a validating witness.
 
     ``rounds`` holds one entry per palette tried; their nodes sum to
     ``nodes_expanded``.
     """
-    if g.m > edge_limit:
-        raise TooLarge(f"solver supports |E| <= {edge_limit}, got {g.m}")
+    if g.m > DEFAULT_EDGE_LIMIT:
+        raise TooLarge(f"solver supports |E| <= {DEFAULT_EDGE_LIMIT}, got {g.m}")
     search = _Search(g, budget or Budget())
     if g.m == 0:
         return SolveResult(0, EdgeColoring(g, ()), 0, search.elapsed())

@@ -1,11 +1,13 @@
 """Exhaustive sweep of small outerplanar graphs against the known bounds.
 
-Every enumerated graph is solved exactly and lands in an append-only
-JSON-lines cache keyed by ``polygon_key``, the graph6 string of the graph
-relabelled from its outer cycle; the sweep runs no generic isomorphism
-search.  Violations of a proven theorem are hard failures (they mean the
-toolkit is wrong); violations of a conjecture are findings and never fail
-a run.
+The sweep covers every MOP of each order, or with ``expand_subgraphs``
+every 2-connected outerplanar graph.  Every enumerated graph is solved
+exactly and lands in an append-only JSON-lines cache keyed by
+``polygon_key``, the graph6 string of the graph relabelled from its outer
+cycle; the enumerations key their members as they grow them, so the sweep
+runs no isomorphism search of its own.  Violations of a proven theorem are
+hard failures (they mean the toolkit is wrong); violations of a conjecture
+are findings and never fail a run.
 
 The 6 <= chi' <= n-1 window for maximal outerplanar graphs is enforced
 where it is coherent: the upper half from n >= 8 (order-7 fans need 7
@@ -25,7 +27,7 @@ from pathlib import Path
 
 from .errors import BudgetExhausted
 from .graph6 import graph6_decode
-from .outerplanar import classify, enumerate_mops, polygon_key, two_connected_spanning_subgraphs
+from .outerplanar import classify, enumerate_dissections, enumerate_mops
 from .solver import Budget, exact_chi_star
 
 CACHE_ENV_VAR = "STARCHROME_CACHE"
@@ -258,10 +260,12 @@ def run_sweep(
     expand_subgraphs: bool = False,
     workers: int = 1,
 ) -> SweepSummary:
-    """Enumerate MOPs of orders 4..n_max (optionally their chord-deletion
-    closures), solve everything exactly, and collect the bound checks.
+    """Enumerate MOPs of orders 4..n_max (with ``expand_subgraphs``, every
+    2-connected outerplanar graph, which is their chord-deletion closure),
+    solve everything exactly, and collect the bound checks.
 
-    Targets run by order, then by ``polygon_key``.  Each solved record is
+    Targets run by order, then by ``polygon_key``, the keys the
+    enumerations give their members.  Each solved record is
     appended to the cache as soon as it arrives, so an interrupted sweep
     keeps what it finished.  Budget exhaustion marks a record and the sweep
     continues; a later sweep solves that record again, so a larger budget
@@ -270,12 +274,7 @@ def run_sweep(
     budget = budget or Budget()
     targets: list[str] = []
     for n in range(4, n_max + 1):
-        level: set[str] = set()
-        for key, mop in enumerate_mops(n).members.items():
-            level.add(key)
-            if expand_subgraphs:
-                # the closure starts with the MOP itself, already keyed
-                level.update(map(polygon_key, two_connected_spanning_subgraphs(mop)[1:]))
+        level = enumerate_dissections(n) if expand_subgraphs else enumerate_mops(n).members
         targets += sorted(level)
 
     todo = [key for key in targets if key not in cache or cache.get(key).status != "ok"]

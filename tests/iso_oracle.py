@@ -1,17 +1,25 @@
-"""Generic canonical labelling, kept as the tests' isomorphism oracle.
+"""Generic canonical labelling and the chord-subset closure, kept as the
+tests' oracles.
 
-A backtracking search over vertex placements after degree refinement; it
-knows nothing of outer cycles, so tests can check the toolkit's
-outer-cycle key (``outerplanar.polygon_key``) and its enumeration against
-it.  It is exponential in the worst case and limited to CANONICAL_LIMIT
-vertices.
+The canonical labelling is a backtracking search over vertex placements
+after degree refinement; it knows nothing of outer cycles, so tests can
+check the toolkit's outer-cycle key (``outerplanar.polygon_key``) and its
+enumerations against it.  It is exponential in the worst case and limited
+to CANONICAL_LIMIT vertices.
+
+``two_connected_spanning_subgraphs`` lists every chord subset of a MOP, so
+tests can check ``outerplanar.enumerate_dissections`` against a closure
+that does not grow graphs by ears.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from starchrome.errors import TooLarge
-from starchrome.graph import Graph, relabel
-from starchrome.graph6 import graph6_encode
+from starchrome.graph import Graph, is_two_connected, relabel
+from starchrome.graph6 import GRAPH6_MAX_N, graph6_encode
+from starchrome.outerplanar import _maximal_edge_count, _outer_cycle
 
 #: Order ceiling of the permutation-based canonical form.
 CANONICAL_LIMIT = 16
@@ -94,3 +102,29 @@ def canonical_form(g: Graph) -> Graph:
 def canonical_key(g: Graph) -> str:
     """graph6 of the canonical form: equal for two graphs iff they are isomorphic."""
     return graph6_encode(canonical_form(g))
+
+
+def two_connected_spanning_subgraphs(h: Graph) -> list[Graph]:
+    """Chord-deletion closure of a MOP: one graph per subset of its chords.
+
+    Includes h itself (the empty deletion), so isomorphic results repeat.
+    The chords are the edges off the outer cycle, in edge order; the cycle
+    survives every deletion, so each result is 2-connected.  A MOP is a
+    2-connected graph with 2n-3 edges that has an outer cycle, so one ear
+    removal both tests h and gives the cycle.
+    """
+    if h.n > GRAPH6_MAX_N:
+        raise TooLarge(f"two_connected_spanning_subgraphs supports n <= {GRAPH6_MAX_N}")
+    cycle = _outer_cycle(h) if _maximal_edge_count(h) and is_two_connected(h) else None
+    if cycle is None:
+        raise ValueError("chord-deletion closure needs a maximal outerplanar graph")
+    pos = [0] * h.n
+    for i, v in enumerate(cycle):
+        pos[v] = i
+    chords = [(u, v) for u, v in h.edges if (pos[u] - pos[v]) % h.n not in (1, h.n - 1)]
+    out: list[Graph] = []
+    for r in range(len(chords) + 1):
+        for removed in itertools.combinations(chords, r):
+            removed_set = set(removed)
+            out.append(Graph(h.n, tuple(e for e in h.edges if e not in removed_set)))
+    return out

@@ -6,21 +6,21 @@ import random
 import networkx as nx
 import pytest
 
-from starchrome.errors import BadParams, NotMop, OutOfRange, TooLarge
+from starchrome.errors import BadParams, OutOfRange, TooLarge
 from starchrome.graph import diameter, from_edges, is_two_connected, relabel
 from starchrome.outerplanar import (
     classify,
+    enumerate_dissections,
     enumerate_mops,
     fixed_polygon_triangulations,
     is_maximal_outerplanar,
     is_outerplanar,
     polygon_key,
     polygon_triangulation_graph,
-    two_connected_spanning_subgraphs,
 )
 
 from conftest import cycle_graph, fan_graph, g61, g61_prime, g62, k23, k4, path_graph, random_connected_graph
-from iso_oracle import canonical_key
+from iso_oracle import canonical_key, two_connected_spanning_subgraphs
 
 
 def _nx_outerplanar(g) -> bool:
@@ -271,7 +271,7 @@ def test_diameter_two_mops_are_fans_plus_g61():
 
 def test_spanning_subgraphs_of_triangle():
     k3 = from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    assert two_connected_spanning_subgraphs(k3) == [k3]
+    assert enumerate_dissections(3) == {polygon_key(k3): k3}
 
 
 def test_spanning_subgraphs_of_f5():
@@ -283,14 +283,51 @@ def test_spanning_subgraphs_of_f5():
 
 
 def test_spanning_subgraphs_g61_includes_g61_prime():
-    target = canonical_key(g61_prime())
-    keys = {canonical_key(s) for s in two_connected_spanning_subgraphs(g61())}
-    assert target in keys
+    assert polygon_key(g61_prime()) in enumerate_dissections(6)
 
 
-def test_spanning_subgraphs_need_mop():
-    with pytest.raises(NotMop):
-        two_connected_spanning_subgraphs(cycle_graph(5))
+def test_dissection_counts():
+    # OEIS A001004: polygon dissections up to rotation and reflection
+    counts = [1, 2, 3, 9, 20, 75, 262, 1117]
+    assert [len(enumerate_dissections(n)) for n in range(3, 11)] == counts
+
+
+def test_dissections_match_chord_subset_closure():
+    for n in range(3, 10):
+        closure = {
+            polygon_key(sub)
+            for mop in enumerate_mops(n).members.values()
+            for sub in two_connected_spanning_subgraphs(mop)
+        }
+        assert set(enumerate_dissections(n)) == closure
+
+
+def test_dissections_are_keyed_by_polygon_key():
+    for n in range(3, 10):
+        for key, g in enumerate_dissections(n).items():
+            assert polygon_key(g) == key  # keyed from the cycle each member grew with
+
+
+def test_maximal_dissections_are_the_mops():
+    for n in range(3, 12):
+        maximal = {key for key, g in enumerate_dissections(n).items() if g.m == 2 * n - 3}
+        assert maximal == set(enumerate_mops(n).members)
+
+
+def test_dissection_limit():
+    with pytest.raises(TooLarge):
+        enumerate_dissections(63)  # past the graph6 single-byte header
+
+
+def test_dissections_run_no_ear_removal(monkeypatch):
+    import starchrome.outerplanar as op
+
+    calls = []
+    cycle, two_connected = op._outer_cycle, op.is_two_connected
+    monkeypatch.setattr(op, "_outer_cycle", lambda g: calls.append(g) or cycle(g))
+    monkeypatch.setattr(op, "is_two_connected", lambda g: calls.append(g) or two_connected(g))
+    assert len(op.enumerate_dissections(9)) == 262
+    assert calls == []
 
 
 def test_classify_examples():

@@ -11,7 +11,7 @@ from starchrome.errors import BudgetExhausted, TooLarge
 from starchrome.families import build_family
 from starchrome.graph import from_edges, relabel
 from starchrome.graph6 import graph6_decode
-from starchrome.outerplanar import enumerate_mops, two_connected_spanning_subgraphs
+from starchrome.outerplanar import enumerate_mops
 from starchrome.solver import (
     Budget,
     brute_force_chi_star,
@@ -21,7 +21,7 @@ from starchrome.solver import (
 )
 
 from conftest import cycle_graph, fan_graph, g61, g61_prime, k4, path_graph, random_connected_graph
-from iso_oracle import canonical_form
+from iso_oracle import canonical_form, two_connected_spanning_subgraphs
 
 
 @pytest.mark.parametrize("n,expected", [(2, 1), (3, 2), (4, 2), (5, 3), (8, 3)])
