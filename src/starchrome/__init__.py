@@ -40,6 +40,7 @@ from .graph import (
 from .graph6 import graph6_decode, graph6_encode
 from .harness import family_check, verify_figures
 from .outerplanar import (
+    Catalog,
     Classification,
     MopCatalog,
     classify,

@@ -154,13 +154,23 @@ def is_maximal_outerplanar(g: Graph) -> bool:
 
 
 @dataclass(frozen=True)
-class MopCatalog:
+class Catalog:
+    """One order of an enumeration, with what it takes to grow the next."""
+
     n: int
     members: dict[str, Graph]  # polygon_key -> construction-labelled graph
-    rooted_count: int
+    rings: dict[str, tuple[int, ...]]  # polygon_key -> the outer cycle it grew with
+    # polygon_key -> keys of the order n-1 graphs it grows from by an ear,
+    # that is its ear-deleted subgraphs; empty where those were not keyed
+    children: dict[str, set[str]]
 
     def member_count(self) -> int:
         return len(self.members)
+
+
+@dataclass(frozen=True)
+class MopCatalog(Catalog):
+    rooted_count: int
 
 
 def fixed_polygon_triangulations(n: int):
@@ -245,67 +255,109 @@ def _cycle_key(g: Graph, cycle: Sequence[int]) -> str:
     return graph6_encode(relabel(g, perm))
 
 
-def enumerate_mops(n: int) -> MopCatalog:
+def _add_ears(level, size: int) -> dict:
+    """Grow MOPs of order ``size`` by an ear on each outer edge.
+
+    ``level`` yields (edges, outer cycle, degrees along it, key).  An ear
+    raises the degrees at both ends of its edge by one and inserts a 2
+    between them, so the result maps the dihedral key of that degree
+    sequence to (edges, cycle, degrees, keys of the graphs grown into it).
+    """
+    nxt: dict = {}
+    for edges, boundary, degrees, parent in level:
+        for i in range(size):
+            grown = bytearray(degrees)
+            grown[i] += 1
+            grown[(i + 1) % size] += 1
+            grown.insert(i + 1, 2)
+            key = _dihedral_key(grown)
+            if key not in nxt:
+                u, v = boundary[i], boundary[(i + 1) % size]
+                ring = boundary[: i + 1] + (size,) + boundary[i + 1 :]
+                nxt[key] = (tuple(sorted(edges + ((u, size), (v, size)))), ring, grown, set())
+            nxt[key][3].add(parent)
+    return nxt
+
+
+def enumerate_mops(n: int, below: MopCatalog | None = None) -> MopCatalog:
     """All MOPs of order n up to isomorphism, by vertex addition.
 
-    Attaching a new vertex to both ends of an outer-cycle edge raises their
-    degrees by one and inserts a 2 between them; each level is deduplicated
-    by the dihedral key of that degree sequence, with no graph search.
-    Each member is keyed by ``polygon_key``, from the cycle it grew with.
-    The degree key is exact only for triangulations, and keying every
+    Each level is deduplicated by the dihedral key of the degrees around
+    the outer cycle, with no graph search, and only the members of order n
+    are keyed by ``polygon_key``, from the cycle each grew with.  The
+    degree key is exact only for triangulations, and keying every
     candidate by its cycle instead would slow this path down.
+
+    Given ``below``, the catalog of order n-1, the call grows that one
+    level, and records each member's ear-deleted children: the members of
+    ``below`` that grow into its degree key.  Without it, the levels below
+    are grown unkeyed and ``children`` holds empty sets.
     """
     if not 3 <= n <= GRAPH6_MAX_N:
         raise TooLarge(f"enumerate_mops supports 3 <= n <= {GRAPH6_MAX_N}, got {n}")
-    # dihedral key -> (edges, outer cycle, degrees along the cycle)
-    frontier = {b"\2\2\2": (((0, 1), (0, 2), (1, 2)), (0, 1, 2), b"\2\2\2")}
-    for size in range(3, n):
-        nxt = {}
-        for edges, boundary, degrees in frontier.values():
-            for i in range(size):
-                grown = bytearray(degrees)
-                grown[i] += 1
-                grown[(i + 1) % size] += 1
-                grown.insert(i + 1, 2)
-                key = _dihedral_key(grown)
-                if key not in nxt:
-                    u, v = boundary[i], boundary[(i + 1) % size]
-                    ring = boundary[: i + 1] + (size,) + boundary[i + 1 :]
-                    nxt[key] = (tuple(sorted(edges + ((u, size), (v, size)))), ring, grown)
-        frontier = nxt
-    members = ((Graph(n, edges), ring) for edges, ring, _ in frontier.values())
+    if below is None:
+        level = {b"\2\2\2": (((0, 1), (0, 2), (1, 2)), (0, 1, 2), b"\2\2\2", set())}
+        for size in range(3, n):
+            level = _add_ears(((e, r, d, None) for e, r, d, _ in level.values()), size)
+    elif below.n != n - 1:
+        raise OutOfRange(f"enumerate_mops({n}) grows from order {n - 1}, got {below.n}")
+    else:
+        parents = []
+        for key, g in below.members.items():
+            ring, degs = below.rings[key], g.degrees()
+            parents.append((g.edges, ring, bytes(degs[v] for v in ring), key))
+        level = _add_ears(parents, n - 1)
+    members, rings, children = {}, {}, {}
+    for edges, ring, _, parents in level.values():
+        g = Graph(n, edges)
+        key = _cycle_key(g, ring)
+        members[key], rings[key], children[key] = g, ring, parents - {None}
     rooted = math.comb(2 * n - 4, n - 2) // (n - 1)  # Catalan(n-2)
-    return MopCatalog(n, {_cycle_key(g, ring): g for g, ring in members}, rooted)
+    return MopCatalog(n, members, rings, children, rooted)
 
 
-def enumerate_dissections(n: int) -> dict[str, Graph]:
-    """All 2-connected outerplanar graphs of order n up to isomorphism,
-    as ``polygon_key`` -> construction-labelled graph.
+def enumerate_dissections(n: int, below: Catalog | None = None) -> Catalog:
+    """All 2-connected outerplanar graphs of order n up to isomorphism.
 
     Such a graph of order n >= 4 has a degree-2 vertex.  Deleting it (if
     its neighbours are adjacent) or suppressing it (if not) leaves one of
     order n-1 in which the two neighbours are consecutive on the outer
     cycle.  So each level adds a vertex on every outer edge u-v of every
     member of the level below, once as an ear and once with u-v removed,
-    and keys each candidate from the cycle it grew with.
+    and keys each candidate from the cycle it grew with.  Only the ear
+    parents are recorded as ``children``: they are subgraphs of the member,
+    and a subdivided graph is not.
+
+    Given ``below``, the catalog of order n-1, the call grows that one
+    level; without it, every level from the triangle.
     """
     if not 3 <= n <= GRAPH6_MAX_N:
         raise TooLarge(f"enumerate_dissections supports 3 <= n <= {GRAPH6_MAX_N}, got {n}")
-    triangle = Graph(3, ((0, 1), (0, 2), (1, 2)))
-    level = {_cycle_key(triangle, (0, 1, 2)): (triangle, (0, 1, 2))}
-    for size in range(3, n):
-        nxt = {}
-        for g, boundary in level.values():
-            for i in range(size):
-                u, v = boundary[i], boundary[(i + 1) % size]
-                ring = boundary[: i + 1] + (size,) + boundary[i + 1 :]
-                ear = tuple(sorted(g.edges + ((u, size), (v, size))))
-                outer = (u, v) if u < v else (v, u)
-                for edges in (ear, tuple(e for e in ear if e != outer)):
-                    grown = Graph(size + 1, edges)
-                    nxt.setdefault(_cycle_key(grown, ring), (grown, ring))
-        level = nxt
-    return {key: g for key, (g, _) in level.items()}
+    if below is None:
+        if n == 3:
+            triangle, ring = Graph(3, ((0, 1), (0, 2), (1, 2))), (0, 1, 2)
+            key = _cycle_key(triangle, ring)
+            return Catalog(3, {key: triangle}, {key: ring}, {key: set()})
+        below = enumerate_dissections(n - 1)
+    elif below.n != n - 1:
+        raise OutOfRange(f"enumerate_dissections({n}) grows from order {n - 1}, got {below.n}")
+    size = n - 1
+    members, rings, children = {}, {}, {}
+    for parent, g in below.members.items():
+        boundary = below.rings[parent]
+        for i in range(size):
+            u, v = boundary[i], boundary[(i + 1) % size]
+            ring = boundary[: i + 1] + (size,) + boundary[i + 1 :]
+            ear = tuple(sorted(g.edges + ((u, size), (v, size))))
+            outer = (u, v) if u < v else (v, u)
+            for edges in (ear, tuple(e for e in ear if e != outer)):
+                grown = Graph(n, edges)
+                key = _cycle_key(grown, ring)
+                if key not in members:
+                    members[key], rings[key], children[key] = grown, ring, set()
+                if edges is ear:
+                    children[key].add(parent)
+    return Catalog(n, members, rings, children)
 
 
 @dataclass(frozen=True)

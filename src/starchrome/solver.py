@@ -1,7 +1,8 @@
 """Exact star chromatic index by iterative-deepening depth-first search.
 
-Palette size k ascends from the maximum degree, so the first feasible k is
-exact by construction.  Within a palette, edges are assigned depth-first in
+Palette size k ascends from the maximum degree, or from a larger proven
+lower bound the caller passes, so the first feasible k is exact by
+construction.  Within a palette, edges are assigned depth-first in
 a static BFS order rooted at a maximum-degree vertex, and a fresh color id
 may only be introduced as max-used+1.  Partial colorings stay proper.
 
@@ -16,7 +17,8 @@ q swapped), every color at w is bad if p has a b-edge, and otherwise a is
 bad when w's a-neighbor has a b-edge.  The free colors are tried lowest
 first; each one counts as a node, and the bad ones are pruned without
 descending.  The greedy upper bound colors first-fit with the same mask,
-over an order from the same BFS routine with shuffled roots and neighbors.
+over an order from the same BFS routine with shuffled roots and neighbors;
+a budget hit reports the best of GREEDY_SEEDS such orders.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .errors import BudgetExhausted, TooLarge
 from .graph import Graph
 
 DEFAULT_EDGE_LIMIT = 40
+GREEDY_SEEDS = 64  # greedy orders tried for the upper bound on a budget hit
 
 
 @dataclass(frozen=True)
@@ -163,8 +166,8 @@ class _Search:
         return slots
 
     def exhausted(self, lower: int) -> BudgetExhausted:
-        """The error for a budget hit, with the greedy palette as upper bound."""
-        upper = greedy_star_upper(self.g).palette_size()
+        """The error for a budget hit, with the best greedy palette as upper bound."""
+        upper = min(greedy_star_upper(self.g, seed).palette_size() for seed in range(GREEDY_SEEDS))
         return BudgetExhausted(lower, upper, self.nodes, self.elapsed(), tuple(self.rounds))
 
     def feasible(self, k: int) -> list[int] | None:
@@ -270,9 +273,11 @@ def star_palette_feasible(g: Graph, k: int, budget: Budget | None = None) -> Edg
     return search.slots.coloring(slots)
 
 
-def exact_chi_star(g: Graph, budget: Budget | None = None) -> SolveResult:
+def exact_chi_star(g: Graph, budget: Budget | None = None, lower: int = 0) -> SolveResult:
     """Least k admitting a star edge coloring, with a validating witness.
 
+    ``lower`` must be a proven lower bound on the answer, such as the star
+    chromatic index of a subgraph; the palettes below it are not tried.
     ``rounds`` holds one entry per palette tried; their nodes sum to
     ``nodes_expanded``.
     """
@@ -281,7 +286,7 @@ def exact_chi_star(g: Graph, budget: Budget | None = None) -> SolveResult:
     search = _Search(g, budget or Budget())
     if g.m == 0:
         return SolveResult(0, EdgeColoring(g, ()), 0, search.elapsed())
-    k = max(g.max_degree(), 1)
+    k = max(g.max_degree(), 1, lower)
     while k <= g.m:
         try:
             slots = search.run_round(k)

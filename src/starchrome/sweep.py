@@ -9,6 +9,12 @@ runs no isomorphism search of its own.  Violations of a proven theorem are
 hard failures (they mean the toolkit is wrong); violations of a conjecture
 are findings and never fail a run.
 
+Orders are grown and solved one at a time, each from the one below.  A
+graph of order n that grows from one of order n-1 by an ear contains it,
+and chi' never increases under deletion, so each solve starts at the
+largest chi' (or proven lower bound) among those ear-deleted children.
+On the MOPs to n=12 that bound is chi' itself for 993 of 1091 graphs.
+
 The 6 <= chi' <= n-1 window for maximal outerplanar graphs is enforced
 where it is coherent: the upper half from n >= 8 (order-7 fans need 7
 colors) and the lower half from n >= 5 (the order-4 diamond needs only 4).
@@ -22,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -163,14 +170,18 @@ def _margin(bound: int | None, chi: int | None) -> int | None:
     return bound - chi
 
 
-def solve_record(key: str, budget: Budget) -> SweepRecord:
-    """Classify and exactly solve one graph given by its graph6 key."""
+def solve_record(key: str, budget: Budget, lower: int = 0) -> SweepRecord:
+    """Classify and exactly solve one graph given by its graph6 key.
+
+    ``lower`` is a proven lower bound on its star chromatic index, which
+    the solver starts from.
+    """
     g = graph6_decode(key)
     cls = classify(g)
     diam = None if cls.diameter == float("inf") else int(cls.diameter)
     delta = g.max_degree()
     try:
-        result = exact_chi_star(g, budget)
+        result = exact_chi_star(g, budget, lower)
         chi: int | None = result.chi
         chi_lower = chi_upper = chi
         nodes, elapsed, status = result.nodes_expanded, result.elapsed, "ok"
@@ -264,27 +275,36 @@ def run_sweep(
     2-connected outerplanar graph, which is their chord-deletion closure),
     solve everything exactly, and collect the bound checks.
 
-    Targets run by order, then by ``polygon_key``, the keys the
-    enumerations give their members.  Each solved record is
-    appended to the cache as soon as it arrives, so an interrupted sweep
-    keeps what it finished.  Budget exhaustion marks a record and the sweep
-    continues; a later sweep solves that record again, so a larger budget
-    can settle it.
+    The sweep grows one order at a time from the one below and solves it
+    before growing the next.  Each graph's solve starts at the largest
+    ``chi_lower`` among the cached records of its ear-deleted children:
+    they are subgraphs, and star chromatic index never grows under
+    deletion.  Targets run by order, then by ``polygon_key``, the keys the
+    enumerations give their members.  Each solved record is appended to the
+    cache as soon as it arrives, so an interrupted sweep keeps what it
+    finished.  Budget exhaustion marks a record and the sweep continues; a
+    later sweep solves that record again, so a larger budget can settle it.
     """
     budget = budget or Budget()
+    grow = enumerate_dissections if expand_subgraphs else enumerate_mops
     targets: list[str] = []
-    for n in range(4, n_max + 1):
-        level = enumerate_dissections(n) if expand_subgraphs else enumerate_mops(n).members
-        targets += sorted(level)
-
-    todo = [key for key in targets if key not in cache or cache.get(key).status != "ok"]
-    if workers > 1 and todo:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rec in pool.map(solve_record, todo, [budget] * len(todo)):
+    todo: list[str] = []
+    level = None
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for n in range(4, n_max + 1):
+            level = grow(n, level)
+            keys = sorted(level.members)
+            new = [key for key in keys if key not in cache or cache.get(key).status != "ok"]
+            # children outside the cache (the triangle) give no bound
+            lowers = [
+                max((cache.get(c).chi_lower for c in level.children[key] if c in cache), default=0)
+                for key in new
+            ]
+            solve = pool.map if pool else map
+            for rec in solve(solve_record, new, [budget] * len(new), lowers):
                 cache.append(rec)
-    else:
-        for key in todo:
-            cache.append(solve_record(key, budget))
+            targets += keys
+            todo += new
     records = [cache.records[key] for key in targets]
     exhausted = sum(cache.records[key].status == "budget_exhausted" for key in todo)
     hard = [(r.graph6, msg) for r in records for msg in proven_bound_violations(r)]

@@ -221,11 +221,11 @@ def test_sweep_appends_each_record_as_it_is_solved(tmp_path, monkeypatch):
     full = run_sweep(7, ResultCache(full_path), workers=2)
     solve, solved = sweep.solve_record, []
 
-    def interrupted(key, budget):
+    def interrupted(key, budget, lower=0):
         if len(solved) == 4:
             raise KeyboardInterrupt
         solved.append(key)
-        return solve(key, budget)
+        return solve(key, budget, lower)
 
     path = tmp_path / "c.jsonl"
     monkeypatch.setattr(sweep, "solve_record", interrupted)
@@ -234,7 +234,7 @@ def test_sweep_appends_each_record_as_it_is_solved(tmp_path, monkeypatch):
     kept = ResultCache(path)
     assert list(kept.records) == solved == [r.graph6 for r in full.records[:4]]
 
-    monkeypatch.setattr(sweep, "solve_record", lambda k, b: solved.append(k) or solve(k, b))
+    monkeypatch.setattr(sweep, "solve_record", lambda k, b, lo=0: solved.append(k) or solve(k, b, lo))
     again = run_sweep(7, kept)
     assert again.from_cache == 4 and again.solved == len(full.records) - 4 == 5
     assert solved[4:] == [r.graph6 for r in full.records[4:]]
@@ -243,6 +243,27 @@ def test_sweep_appends_each_record_as_it_is_solved(tmp_path, monkeypatch):
         return [{**json.loads(line), "elapsed": 0} for line in p.read_text().splitlines()]
 
     assert without_elapsed(path) == without_elapsed(full_path)
+
+
+@pytest.mark.parametrize("n_max,expand", [(10, False), (9, True)])
+def test_inherited_bounds_give_the_same_answers(tmp_path, n_max, expand):
+    from starchrome.graph6 import graph6_decode
+    from starchrome.outerplanar import enumerate_dissections, enumerate_mops
+    from starchrome.solver import exact_chi_star
+
+    summary = run_sweep(n_max, ResultCache(tmp_path / "c.jsonl"), expand_subgraphs=expand)
+    chi = {r.graph6: r.chi_star for r in summary.records}
+    for key, got in chi.items():
+        assert got == exact_chi_star(graph6_decode(key)).chi, key
+    grow, level, pairs = enumerate_dissections if expand else enumerate_mops, None, 0
+    for n in range(4, n_max + 1):
+        level = grow(n, level)
+        for key, children in level.children.items():
+            for child in children & chi.keys():
+                assert chi[child] <= chi[key], (child, key)
+                pairs += 1
+    # a MOP of order >= 5 always has an ear-deleted child, itself a MOP
+    assert pairs >= sum(r.maximal and r.n >= 5 for r in summary.records)
 
 
 def test_sweep_margins_reported(tmp_path):

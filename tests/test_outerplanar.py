@@ -9,6 +9,7 @@ import pytest
 from starchrome.errors import BadParams, OutOfRange, TooLarge
 from starchrome.graph import diameter, from_edges, is_two_connected, relabel
 from starchrome.outerplanar import (
+    _cycle_key,
     classify,
     enumerate_dissections,
     enumerate_mops,
@@ -252,6 +253,56 @@ def test_members_keep_construction_labels():
         assert earlier == [0, 1, 2] + [2] * (g.n - 3)
 
 
+def _delete_vertex(g, v):
+    keep = [w for w in range(g.n) if w != v]
+    return from_edges(g.n - 1, [(keep.index(a), keep.index(b)) for a, b in g.edges if v not in (a, b)])
+
+
+def _ear_deletions(g) -> set[str]:
+    """Keys of g minus a degree-2 vertex whose two neighbours are adjacent."""
+    nbrs = g.neighbors()
+    return {
+        polygon_key(_delete_vertex(g, v))
+        for v in range(g.n)
+        if len(nbrs[v]) == 2 and nbrs[v][1] in nbrs[nbrs[v][0]]
+    }
+
+
+def test_mop_children_are_the_ear_deletions():
+    catalog = enumerate_mops(3)
+    for n in range(4, 10):
+        catalog = enumerate_mops(n, catalog)
+        for key, g in catalog.members.items():
+            degree_two = [v for v in range(g.n) if len(g.neighbors()[v]) == 2]
+            assert catalog.children[key] == {polygon_key(_delete_vertex(g, v)) for v in degree_two}
+            assert _cycle_key(g, catalog.rings[key]) == key  # the ring is its outer cycle
+
+
+def test_mops_grown_level_by_level_match_standalone_calls():
+    catalog = None
+    for n in range(4, 13):
+        catalog = enumerate_mops(n, catalog)
+        alone = enumerate_mops(n)
+        assert set(catalog.members) == set(alone.members)
+        assert catalog.rooted_count == alone.rooted_count
+        # a standalone call keys only its own order, so it knows no children
+        assert all(c == set() for c in alone.children.values())
+    with pytest.raises(OutOfRange):
+        enumerate_mops(12, enumerate_mops(10))
+
+
+def test_dissection_children_are_the_ear_deletions():
+    catalog = enumerate_dissections(3)
+    for n in range(4, 10):
+        catalog = enumerate_dissections(n, catalog)
+        assert set(catalog.members) == set(enumerate_dissections(n).members)
+        for key, g in catalog.members.items():
+            # a subdivision parent is not a subgraph, so it is never a child
+            assert catalog.children[key] == _ear_deletions(g)
+    with pytest.raises(OutOfRange):
+        enumerate_dissections(9, enumerate_dissections(7))
+
+
 def test_enumeration_limit():
     with pytest.raises(TooLarge):
         enumerate_mops(63)  # past the graph6 single-byte header
@@ -271,7 +322,7 @@ def test_diameter_two_mops_are_fans_plus_g61():
 
 def test_spanning_subgraphs_of_triangle():
     k3 = from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    assert enumerate_dissections(3) == {polygon_key(k3): k3}
+    assert enumerate_dissections(3).members == {polygon_key(k3): k3}
 
 
 def test_spanning_subgraphs_of_f5():
@@ -283,13 +334,13 @@ def test_spanning_subgraphs_of_f5():
 
 
 def test_spanning_subgraphs_g61_includes_g61_prime():
-    assert polygon_key(g61_prime()) in enumerate_dissections(6)
+    assert polygon_key(g61_prime()) in enumerate_dissections(6).members
 
 
 def test_dissection_counts():
     # OEIS A001004: polygon dissections up to rotation and reflection
     counts = [1, 2, 3, 9, 20, 75, 262, 1117]
-    assert [len(enumerate_dissections(n)) for n in range(3, 11)] == counts
+    assert [enumerate_dissections(n).member_count() for n in range(3, 11)] == counts
 
 
 def test_dissections_match_chord_subset_closure():
@@ -299,18 +350,18 @@ def test_dissections_match_chord_subset_closure():
             for mop in enumerate_mops(n).members.values()
             for sub in two_connected_spanning_subgraphs(mop)
         }
-        assert set(enumerate_dissections(n)) == closure
+        assert set(enumerate_dissections(n).members) == closure
 
 
 def test_dissections_are_keyed_by_polygon_key():
     for n in range(3, 10):
-        for key, g in enumerate_dissections(n).items():
+        for key, g in enumerate_dissections(n).members.items():
             assert polygon_key(g) == key  # keyed from the cycle each member grew with
 
 
 def test_maximal_dissections_are_the_mops():
     for n in range(3, 12):
-        maximal = {key for key, g in enumerate_dissections(n).items() if g.m == 2 * n - 3}
+        maximal = {key for key, g in enumerate_dissections(n).members.items() if g.m == 2 * n - 3}
         assert maximal == set(enumerate_mops(n).members)
 
 
@@ -326,7 +377,7 @@ def test_dissections_run_no_ear_removal(monkeypatch):
     cycle, two_connected = op._outer_cycle, op.is_two_connected
     monkeypatch.setattr(op, "_outer_cycle", lambda g: calls.append(g) or cycle(g))
     monkeypatch.setattr(op, "is_two_connected", lambda g: calls.append(g) or two_connected(g))
-    assert len(op.enumerate_dissections(9)) == 262
+    assert op.enumerate_dissections(9).member_count() == 262
     assert calls == []
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from starchrome.solver import (
     greedy_star_upper,
     star_palette_feasible,
 )
+from starchrome.sweep import ResultCache, run_sweep
 
 from conftest import cycle_graph, fan_graph, g61, g61_prime, k4, path_graph, random_connected_graph
 from iso_oracle import canonical_form, two_connected_spanning_subgraphs
@@ -226,6 +228,33 @@ def test_search_tree_is_pinned_on_mops_as_the_sweep_solves_them():
         assert nodes == total, n
 
 
+def test_search_tree_is_pinned_on_the_sweep_with_inherited_bounds(tmp_path):
+    # Each sweep solve starts at the largest chi' of its ear-deleted
+    # children, so only the rounds from there on count; the same MOPs take
+    # 52 333 nodes from k = D (the totals above).
+    expected = {4: 11, 5: 46, 6: 59, 7: 219, 8: 614, 9: 5026, 10: 24768}
+    summary = run_sweep(10, ResultCache(tmp_path / "c.jsonl"))
+    nodes = Counter()
+    for rec in summary.records:
+        nodes[rec.n] += rec.solver_nodes
+    assert dict(nodes) == expected
+    assert sum(nodes.values()) == 30_743
+
+
+def test_lower_bound_skips_the_rounds_below_it():
+    def shape(result):
+        return [(r.k, r.nodes, r.outcome) for r in result.rounds]
+
+    g = fan_graph(7)
+    plain = exact_chi_star(g)
+    assert shape(exact_chi_star(g, lower=1)) == shape(plain)  # below D: no effect
+    started = exact_chi_star(g, lower=plain.chi)
+    assert started.chi == plain.chi
+    assert [(r.k, r.outcome) for r in started.rounds] == [(plain.chi, "feasible")]
+    assert started.nodes_expanded == plain.rounds[-1].nodes < plain.nodes_expanded
+    assert star_violations(started.witness) == []
+
+
 def test_greedy_palettes_are_pinned():
     expected = {
         "h_prime-d7": [12, 11, 13, 11, 12],
@@ -258,6 +287,14 @@ def test_budget_hit_stops_at_the_node_budget():
     assert [(r.k, r.outcome) for r in exc.rounds] == [(8, "refuted"), (9, "budget")]
     assert sum(r.nodes for r in exc.rounds) == exc.nodes
     assert exc.rounds[-1].k == exc.lower_bound
+
+
+def test_budget_hit_reports_the_best_of_64_greedy_orders():
+    # greedy seed 0 alone gives 10, 13 and 12
+    for name, upper in (("h2-d8", 9), ("h_prime-d8", 11), ("h2-d9", 10)):
+        with pytest.raises(BudgetExhausted) as exc_info:
+            exact_chi_star(_hard(name), Budget(500_000, 1e9))
+        assert exc_info.value.upper_bound == upper, name
 
 
 def test_rounds_account_for_every_node():
