@@ -43,17 +43,24 @@ def _input_graph(args: argparse.Namespace):
     raise StarchromeError("provide --g6 or --family")
 
 
+def _print_rounds(rounds) -> None:
+    for r in rounds:
+        print(f"round k={r.k} nodes={r.nodes} seconds={r.seconds:.3f} outcome={r.outcome}")
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     g = _input_graph(args)
     try:
         result = exact_chi_star(g, _budget(args))
     except BudgetExhausted as exc:
         print(f"budget exhausted: chi_star in [{exc.lower_bound}, {exc.upper_bound}]")
+        _print_rounds(exc.rounds)
         print(f"nodes={exc.nodes} elapsed={exc.elapsed:.2f}s")
         return 2
     print(f"chi_star = {result.chi}")
     for (u, v), color in result.witness.as_mapping().items():
         print(f"  {u}-{v}: {color}")
+    _print_rounds(result.rounds)
     print(f"nodes={result.nodes_expanded} elapsed={result.elapsed:.3f}s")
     return 0
 

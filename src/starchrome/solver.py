@@ -17,8 +17,14 @@ q swapped), every color at w is bad if p has a b-edge, and otherwise a is
 bad when w's a-neighbor has a b-edge.  The free colors are tried lowest
 first; each one counts as a node, and the bad ones are pruned without
 descending.  The greedy upper bound colors first-fit with the same mask,
-over an order from the same BFS routine with shuffled roots and neighbors;
-a budget hit reports the best of GREEDY_SEEDS such orders.
+over an order from the same BFS routine with shuffled roots and neighbors.
+
+A solve draws greedy orders as it searches, seed 0, 1, ... up to
+GREEDY_SEEDS in all: one each time the node count passes a multiple of
+4096, where the budget is tested, and a budget hit draws the rest.  Every
+palette the search enters is a proven lower bound, so once the best greedy
+coloring fits in k colors, round k ends there with that coloring as its
+witness, before or in the middle of its search, and after a budget hit too.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .errors import BudgetExhausted, TooLarge
 from .graph import Graph
 
 DEFAULT_EDGE_LIMIT = 40
-GREEDY_SEEDS = 64  # greedy orders tried for the upper bound on a budget hit
+GREEDY_SEEDS = 64  # greedy orders drawn per search, the last ones on a budget hit
 
 
 @dataclass(frozen=True)
@@ -47,7 +53,7 @@ class Round:
     k: int
     nodes: int
     seconds: float
-    outcome: str  # "refuted", "feasible" or "budget"
+    outcome: str  # "refuted", "feasible", "greedy" (a greedy order fit) or "budget"
 
 
 @dataclass(frozen=True)
@@ -60,6 +66,10 @@ class SolveResult:
 
 
 class _BudgetHit(Exception):
+    pass
+
+
+class _GreedyFit(Exception):
     pass
 
 
@@ -147,6 +157,8 @@ class _Search:
         self.nodes = 0
         self.rounds: list[Round] = []
         self.started = time.monotonic()
+        self.seeds = 0  # greedy orders drawn
+        self.greedy: EdgeColoring | None = None  # the best of them
         degs = g.degrees()
         starts = sorted(range(g.n), key=lambda v: (-degs[v], v))
         self.slots = _Slots(g, bfs_edge_order(g, starts, g.neighbors()))
@@ -154,20 +166,52 @@ class _Search:
     def elapsed(self) -> float:
         return time.monotonic() - self.started
 
-    def run_round(self, k: int) -> list[int] | None:
-        """Run :meth:`feasible` and record its nodes, seconds and outcome."""
+    def draw(self, seeds: int) -> None:
+        """Draw greedy orders until ``seeds`` of them (at most GREEDY_SEEDS)
+        are drawn, keeping the best coloring."""
+        while self.seeds < min(seeds, GREEDY_SEEDS):
+            coloring = greedy_star_upper(self.g, self.seeds)
+            self.seeds += 1
+            if self.greedy is None or coloring.palette_size() < self.greedy.palette_size():
+                self.greedy = coloring
+
+    def greedy_fits(self, k: int) -> bool:
+        return self.greedy is not None and self.greedy.palette_size() <= k
+
+    def run_round(self, k: int) -> EdgeColoring | None:
+        """Run :meth:`settle` and record its nodes, seconds and outcome."""
         nodes, started, outcome = self.nodes, time.monotonic(), "budget"
         try:
-            slots = self.feasible(k)
-            outcome = "refuted" if slots is None else "feasible"
+            outcome, witness = self.settle(k)
         finally:
             seconds = time.monotonic() - started
             self.rounds.append(Round(k, self.nodes - nodes, seconds, outcome))
-        return slots
+        return witness
+
+    def settle(self, k: int) -> tuple[str, EdgeColoring | None]:
+        """The outcome of round k and a coloring with at most k colors, if any.
+
+        The best greedy coloring settles the round once it fits, also after
+        a budget hit; a hit it does not settle propagates as _BudgetHit.
+        """
+        if not self.greedy_fits(k):
+            try:
+                slots = self.feasible(k)
+            except _BudgetHit:
+                self.draw(GREEDY_SEEDS)
+                if not self.greedy_fits(k):
+                    raise
+            except _GreedyFit:
+                pass
+            else:
+                if slots is None:
+                    return "refuted", None
+                return "feasible", self.slots.coloring(slots)
+        return "greedy", self.greedy
 
     def exhausted(self, lower: int) -> BudgetExhausted:
         """The error for a budget hit, with the best greedy palette as upper bound."""
-        upper = min(greedy_star_upper(self.g, seed).palette_size() for seed in range(GREEDY_SEEDS))
+        upper = self.greedy.palette_size()
         return BudgetExhausted(lower, upper, self.nodes, self.elapsed(), tuple(self.rounds))
 
     def feasible(self, k: int) -> list[int] | None:
@@ -185,7 +229,7 @@ class _Search:
         budget_secs = self.budget.max_seconds
         nodes = self.nodes
         # the next node count at which to test the budget: every 4096 nodes
-        # for time, and at the node budget itself
+        # for time and a greedy draw, and at the node budget itself
         check_at = min(budget_nodes, nodes - nodes % 4096 + 4096)
 
         def dfs(i: int, opened: int) -> bool:
@@ -208,6 +252,9 @@ class _Search:
                     if nodes >= budget_nodes or self.elapsed() > budget_secs:
                         raise _BudgetHit
                     check_at = min(budget_nodes, nodes + 4096)
+                    self.draw(self.seeds + 1)
+                    if self.greedy_fits(k):
+                        raise _GreedyFit
                 if bad & bit:
                     continue
                 bits[i] = bit
@@ -233,8 +280,8 @@ class _Search:
 def greedy_star_upper(g: Graph, order_seed: int = 0) -> EdgeColoring:
     """First-fit coloring along a randomized BFS edge order; always validates.
 
-    The palette it ends up using is an upper bound for the exact solver and
-    the fallback bound reported when a budget runs out.
+    The palette it ends up using is an upper bound on the star chromatic
+    index; the exact solver draws seeds 0 .. GREEDY_SEEDS-1 of it.
     """
     rng = random.Random(order_seed)
     nbrs = [list(ns) for ns in g.neighbors()]
@@ -259,18 +306,16 @@ def greedy_star_upper(g: Graph, order_seed: int = 0) -> EdgeColoring:
 def star_palette_feasible(g: Graph, k: int, budget: Budget | None = None) -> EdgeColoring | None:
     """A star edge coloring of g with at most k colors, or None if impossible.
 
-    Raises BudgetExhausted if the search cannot be completed in budget.
+    Raises BudgetExhausted if the search cannot be completed in budget and
+    no greedy order fits in k colors.
     """
     if g.m > DEFAULT_EDGE_LIMIT:
         raise TooLarge(f"solver supports |E| <= {DEFAULT_EDGE_LIMIT}, got {g.m}")
     search = _Search(g, budget or Budget())
     try:
-        slots = search.run_round(k)
+        return search.run_round(k)
     except _BudgetHit:
         raise search.exhausted(max(g.max_degree(), 1)) from None
-    if slots is None:
-        return None
-    return search.slots.coloring(slots)
 
 
 def exact_chi_star(g: Graph, budget: Budget | None = None, lower: int = 0) -> SolveResult:
@@ -279,7 +324,8 @@ def exact_chi_star(g: Graph, budget: Budget | None = None, lower: int = 0) -> So
     ``lower`` must be a proven lower bound on the answer, such as the star
     chromatic index of a subgraph; the palettes below it are not tried.
     ``rounds`` holds one entry per palette tried; their nodes sum to
-    ``nodes_expanded``.
+    ``nodes_expanded``.  The witness of a round settled by a greedy order
+    is that greedy coloring.
     """
     if g.m > DEFAULT_EDGE_LIMIT:
         raise TooLarge(f"solver supports |E| <= {DEFAULT_EDGE_LIMIT}, got {g.m}")
@@ -289,11 +335,10 @@ def exact_chi_star(g: Graph, budget: Budget | None = None, lower: int = 0) -> So
     k = max(g.max_degree(), 1, lower)
     while k <= g.m:
         try:
-            slots = search.run_round(k)
+            witness = search.run_round(k)
         except _BudgetHit:
             raise search.exhausted(k) from None
-        if slots is not None:
-            witness = search.slots.coloring(slots)
+        if witness is not None:
             return SolveResult(k, witness, search.nodes, search.elapsed(), tuple(search.rounds))
         k += 1
     raise AssertionError("all-distinct coloring is always feasible")  # pragma: no cover

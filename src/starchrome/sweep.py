@@ -300,8 +300,14 @@ def run_sweep(
                 max((cache.get(c).chi_lower for c in level.children[key] if c in cache), default=0)
                 for key in new
             ]
-            solve = pool.map if pool else map
-            for rec in solve(solve_record, new, [budget] * len(new), lowers):
+            args = (solve_record, new, [budget] * len(new), lowers)
+            if pool:
+                # about four tasks per worker: most solves take well under a
+                # millisecond, so one round trip per record would dominate
+                solved = pool.map(*args, chunksize=len(new) // (4 * workers) + 1)
+            else:
+                solved = map(*args)
+            for rec in solved:
                 cache.append(rec)
             targets += keys
             todo += new

@@ -318,9 +318,21 @@ def test_cli_solve_cycle(capsys):
 
 
 def test_cli_solve_budget_exhausted(capsys):
-    rc = main(["solve", "--family", "fan", "--n", "9", "--budget-nodes", "5"])
+    # h2 delta=9: chi' = 10, and the best of the 64 greedy orders gives 10
+    rc = main(["solve", "--family", "h2", "--delta", "9", "--budget-nodes", "5"])
     assert rc == 2
-    assert "chi_star in [" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "chi_star in [9, 10]" in out
+    assert "round k=9 nodes=5 seconds=" in out and "outcome=budget" in out
+
+
+def test_cli_solve_budget_hit_settled_by_a_greedy_order(capsys):
+    rc = main(["solve", "--family", "h2", "--delta", "8", "--budget-nodes", "500000"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "chi_star = 9"
+    rounds = [(f[1], f[2], f[-1]) for f in map(str.split, lines) if f[0] == "round"]
+    assert rounds == [("k=8", "nodes=31670", "outcome=refuted"), ("k=9", "nodes=0", "outcome=greedy")]
 
 
 def test_cli_parse_error():

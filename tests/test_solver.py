@@ -132,11 +132,11 @@ def test_greedy_on_trivial_graphs():
 
 
 def test_budget_exhaustion_carries_bounds():
-    g = fan_graph(9)
+    # h2 delta=9: chi' = 10 above D = 9, and no greedy order of the 64 fits 9
     with pytest.raises(BudgetExhausted) as exc_info:
-        exact_chi_star(g, Budget(max_nodes=5, max_seconds=60.0))
+        exact_chi_star(_hard("h2-d9"), Budget(max_nodes=5, max_seconds=60.0))
     exc = exc_info.value
-    assert exc.lower_bound <= 8 <= exc.upper_bound
+    assert exc.lower_bound <= 10 <= exc.upper_bound
     assert exc.nodes >= 5
 
 
@@ -280,21 +280,80 @@ def test_greedy_does_not_run_palette_rounds(monkeypatch):
 
 def test_budget_hit_stops_at_the_node_budget():
     with pytest.raises(BudgetExhausted) as exc_info:
-        exact_chi_star(_hard("h2-d8"), Budget(50_000, 1e9))
+        exact_chi_star(_hard("h_prime-d8"), Budget(50_000, 1e9))
     exc = exc_info.value
     assert exc.nodes == 50_000
-    assert exc.lower_bound <= 9 <= exc.upper_bound
+    assert exc.lower_bound <= 10 <= exc.upper_bound
     assert [(r.k, r.outcome) for r in exc.rounds] == [(8, "refuted"), (9, "budget")]
     assert sum(r.nodes for r in exc.rounds) == exc.nodes
     assert exc.rounds[-1].k == exc.lower_bound
 
 
 def test_budget_hit_reports_the_best_of_64_greedy_orders():
-    # greedy seed 0 alone gives 10, 13 and 12
-    for name, upper in (("h2-d8", 9), ("h_prime-d8", 11), ("h2-d9", 10)):
-        with pytest.raises(BudgetExhausted) as exc_info:
-            exact_chi_star(_hard(name), Budget(500_000, 1e9))
-        assert exc_info.value.upper_bound == upper, name
+    # greedy seed 0 alone gives 13 and 12; a 5-node budget draws no order
+    # during the search, so the hit draws all 64
+    for name, upper in (("h_prime-d8", 11), ("h2-d9", 10)):
+        for budget in (Budget(500_000, 1e9), Budget(5, 1e9)):
+            with pytest.raises(BudgetExhausted) as exc_info:
+                exact_chi_star(_hard(name), budget)
+            assert exc_info.value.upper_bound == upper, (name, budget)
+
+
+def test_greedy_order_settles_h2_d8_after_its_refutation():
+    # the k=8 refutation draws seeds 0..6 and seed 6 colors h2 delta=8 with 9
+    result = exact_chi_star(_hard("h2-d8"), Budget(500_000, 1e9))
+    assert result.chi == 9 and result.nodes_expanded == 31_670
+    assert [(r.k, r.outcome) for r in result.rounds] == [(8, "refuted"), (9, "greedy")]
+    assert [r.nodes for r in result.rounds] == [31_670, 0]
+    assert star_violations(result.witness) == []
+    assert result.witness.palette_size() == 9
+
+
+def test_greedy_orders_are_drawn_only_past_4096_nodes(monkeypatch, tmp_path):
+    calls = []
+    draw = solver.greedy_star_upper
+    monkeypatch.setattr(solver, "greedy_star_upper", lambda g, seed: calls.append(seed) or draw(g, seed))
+    run_sweep(9, ResultCache(tmp_path / "c.jsonl"))
+    assert calls == []  # no sweep solve to n=9 reaches 4096 nodes
+    for name, (_, delta) in HARD.items():
+        calls.clear()
+        budget = Budget(500_000, 1e9) if delta >= 8 else Budget()
+        try:
+            result = exact_chi_star(_hard(name), budget)
+        except BudgetExhausted:
+            assert calls == list(range(solver.GREEDY_SEEDS)), name
+            continue
+        assert calls == list(range(len(calls))) and len(calls) <= solver.GREEDY_SEEDS, name
+        assert (result.rounds[-1].outcome == "greedy") == (name in ("h_case1-d7", "h2-d8")), name
+        assert star_violations(result.witness) == [], name
+        assert result.witness.palette_size() == result.chi, name
+
+
+def test_budget_hit_settled_by_a_greedy_order():
+    # fan_graph(9): chi' = D = 8, which greedy reaches, so a hit at k = D is
+    # no failure: the round is settled with the greedy coloring
+    g = fan_graph(9)
+    result = exact_chi_star(g, Budget(max_nodes=5))
+    assert result.chi == 8 and result.nodes_expanded == 5
+    assert [(r.k, r.nodes, r.outcome) for r in result.rounds] == [(8, 5, "greedy")]
+    assert star_violations(result.witness) == [] and result.witness.palette_size() == 8
+    coloring = star_palette_feasible(g, 8, Budget(max_nodes=5))
+    assert star_violations(coloring) == [] and coloring.palette_size() == 8
+
+
+def test_every_greedy_settled_witness_validates():
+    # an 8-node budget leaves most MOPs to n=9 to the greedy orders
+    settled = 0
+    for n in range(4, 10):
+        for key in enumerate_mops(n).members:
+            try:
+                result = exact_chi_star(graph6_decode(key), Budget(max_nodes=8))
+            except BudgetExhausted:
+                continue
+            settled += result.rounds[-1].outcome == "greedy"
+            assert star_violations(result.witness) == [], key
+            assert result.witness.palette_size() == result.chi, key
+    assert settled
 
 
 def test_rounds_account_for_every_node():
@@ -310,16 +369,16 @@ def test_rounds_account_for_every_node():
 
 def test_palette_feasible_reports_its_round_on_budget():
     with pytest.raises(BudgetExhausted) as exc_info:
-        star_palette_feasible(fan_graph(9), 8, Budget(max_nodes=5))
+        star_palette_feasible(_hard("h2-d9"), 9, Budget(max_nodes=5))
     (only,) = exc_info.value.rounds
-    assert (only.k, only.nodes, only.outcome) == (8, 5, "budget")
+    assert (only.k, only.nodes, only.outcome) == (9, 5, "budget")
 
 
 def test_budget_exhausted_survives_pickling():
     import pickle
 
     with pytest.raises(BudgetExhausted) as exc_info:
-        exact_chi_star(fan_graph(9), Budget(max_nodes=5))
+        exact_chi_star(_hard("h2-d9"), Budget(max_nodes=5))
     exc = exc_info.value
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is BudgetExhausted and str(back) == str(exc)
