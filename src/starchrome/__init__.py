@@ -46,7 +46,6 @@ from .outerplanar import (
     classify,
     enumerate_dissections,
     enumerate_mops,
-    fixed_polygon_triangulations,
     is_maximal_outerplanar,
     is_outerplanar,
     polygon_key,

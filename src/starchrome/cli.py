@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: solve, verify-figures, family-check, sweep, encode, decode.
-Exit codes: 0 success, 1 input/parse/data errors, 2 solver budget
-exhausted (bounds printed), 3 sweep found a proven-bound violation.
+Exit codes: 0 success, 1 input/parse/data errors or an output pipe closed
+early, 2 solver budget exhausted (bounds printed), 3 sweep found a
+proven-bound violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import BudgetExhausted, MalformedText, StarchromeError
@@ -222,9 +224,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except StarchromeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader left early (| head): send what is left, and the flush
+        # at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

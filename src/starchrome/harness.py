@@ -6,7 +6,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from .coloring import Violation, star_violations
-from .errors import BudgetExhausted, OutOfRange, TooLarge
+from .errors import BudgetExhausted, OutOfRange
 from .families import (
     FIGURES,
     FORMULA_MIN_DELTA,
@@ -87,8 +87,8 @@ def family_check(
 
     Deltas in the closed form's range use it; smaller deltas fall back to
     the cataloged drawing for that size.  With exact=True the solver also
-    runs (when the instance fits its edge limit) so the row shows the true
-    value next to the claimed bound.
+    runs, so the row shows the true value (or the interval a budget hit
+    leaves) next to the claimed bound.
     """
     if family not in FORMULA_MIN_DELTA:
         raise OutOfRange(f"family-check supports {sorted(FORMULA_MIN_DELTA)}, not {family!r}")
@@ -125,7 +125,5 @@ def family_check(
                 row.chi_star = result.chi
             except BudgetExhausted as exc:
                 row.chi_bounds = (exc.lower_bound, exc.upper_bound)
-            except TooLarge:
-                pass
         rows.append(row)
     return rows

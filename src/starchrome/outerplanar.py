@@ -161,7 +161,7 @@ class Catalog:
     members: dict[str, Graph]  # polygon_key -> construction-labelled graph
     rings: dict[str, tuple[int, ...]]  # polygon_key -> the outer cycle it grew with
     # polygon_key -> keys of the order n-1 graphs it grows from by an ear,
-    # that is its ear-deleted subgraphs; empty where those were not keyed
+    # that is its ear-deleted subgraphs
     children: dict[str, set[str]]
 
     def member_count(self) -> int:
@@ -171,37 +171,6 @@ class Catalog:
 @dataclass(frozen=True)
 class MopCatalog(Catalog):
     rooted_count: int
-
-
-def fixed_polygon_triangulations(n: int):
-    """Yield the chord sets of all triangulations of the convex n-gon.
-
-    The polygon has vertices 0..n-1 in cyclic order; each triangulation is
-    produced exactly once (the apex of the triangle on a base edge is
-    unique), so the number of results is the (n-2)nd Catalan number.  Kept
-    as the oracle the enumeration tests compare against.
-    """
-
-    def tri(lo: int, hi: int):
-        if hi - lo < 2:
-            yield frozenset()
-            return
-        for k in range(lo + 1, hi):
-            for left in tri(lo, k):
-                for right in tri(k, hi):
-                    chords = set(left | right)
-                    if k - lo > 1:
-                        chords.add((lo, k))
-                    if hi - k > 1:
-                        chords.add((k, hi))
-                    yield frozenset(chords)
-
-    yield from tri(0, n - 1)
-
-
-def polygon_triangulation_graph(n: int, chords: frozenset[tuple[int, int]]) -> Graph:
-    cycle = [(i, (i + 1) % n) for i in range(n)]
-    return _normalized(n, cycle + list(chords))
 
 
 def _dihedral_key(seq: bytearray) -> bytes:
@@ -255,6 +224,13 @@ def _cycle_key(g: Graph, cycle: Sequence[int]) -> str:
     return graph6_encode(relabel(g, perm))
 
 
+def _triangle() -> tuple[dict, dict, dict]:
+    """The one graph of order 3, as a catalog's members, rings and children."""
+    g, ring = Graph(3, ((0, 1), (0, 2), (1, 2))), (0, 1, 2)
+    key = _cycle_key(g, ring)
+    return {key: g}, {key: ring}, {key: set()}
+
+
 def _add_ears(level, size: int) -> dict:
     """Grow MOPs of order ``size`` by an ear on each outer edge.
 
@@ -283,35 +259,33 @@ def enumerate_mops(n: int, below: MopCatalog | None = None) -> MopCatalog:
     """All MOPs of order n up to isomorphism, by vertex addition.
 
     Each level is deduplicated by the dihedral key of the degrees around
-    the outer cycle, with no graph search, and only the members of order n
-    are keyed by ``polygon_key``, from the cycle each grew with.  The
-    degree key is exact only for triangulations, and keying every
-    candidate by its cycle instead would slow this path down.
+    the outer cycle, with no graph search, and only its members are keyed
+    by ``polygon_key``, from the cycle each grew with.  The degree key is
+    exact only for triangulations, and keying every candidate by its cycle
+    instead would slow this path down.
 
-    Given ``below``, the catalog of order n-1, the call grows that one
-    level, and records each member's ear-deleted children: the members of
-    ``below`` that grow into its degree key.  Without it, the levels below
-    are grown unkeyed and ``children`` holds empty sets.
+    The call grows one level from ``below``, the catalog of order n-1
+    (without it, from ``enumerate_mops(n - 1)``), and records each member's
+    ear-deleted children: the members of ``below`` that grow into its
+    degree key.
     """
     if not 3 <= n <= GRAPH6_MAX_N:
         raise TooLarge(f"enumerate_mops supports 3 <= n <= {GRAPH6_MAX_N}, got {n}")
     if below is None:
-        level = {b"\2\2\2": (((0, 1), (0, 2), (1, 2)), (0, 1, 2), b"\2\2\2", set())}
-        for size in range(3, n):
-            level = _add_ears(((e, r, d, None) for e, r, d, _ in level.values()), size)
+        if n == 3:
+            return MopCatalog(3, *_triangle(), 1)
+        below = enumerate_mops(n - 1)
     elif below.n != n - 1:
         raise OutOfRange(f"enumerate_mops({n}) grows from order {n - 1}, got {below.n}")
-    else:
-        parents = []
-        for key, g in below.members.items():
-            ring, degs = below.rings[key], g.degrees()
-            parents.append((g.edges, ring, bytes(degs[v] for v in ring), key))
-        level = _add_ears(parents, n - 1)
+    level = []
+    for key, g in below.members.items():
+        ring, degs = below.rings[key], g.degrees()
+        level.append((g.edges, ring, bytes(degs[v] for v in ring), key))
     members, rings, children = {}, {}, {}
-    for edges, ring, _, parents in level.values():
+    for edges, ring, _, parents in _add_ears(level, n - 1).values():
         g = Graph(n, edges)
         key = _cycle_key(g, ring)
-        members[key], rings[key], children[key] = g, ring, parents - {None}
+        members[key], rings[key], children[key] = g, ring, parents
     rooted = math.comb(2 * n - 4, n - 2) // (n - 1)  # Catalan(n-2)
     return MopCatalog(n, members, rings, children, rooted)
 
@@ -335,9 +309,7 @@ def enumerate_dissections(n: int, below: Catalog | None = None) -> Catalog:
         raise TooLarge(f"enumerate_dissections supports 3 <= n <= {GRAPH6_MAX_N}, got {n}")
     if below is None:
         if n == 3:
-            triangle, ring = Graph(3, ((0, 1), (0, 2), (1, 2))), (0, 1, 2)
-            key = _cycle_key(triangle, ring)
-            return Catalog(3, {key: triangle}, {key: ring}, {key: set()})
+            return Catalog(3, *_triangle())
         below = enumerate_dissections(n - 1)
     elif below.n != n - 1:
         raise OutOfRange(f"enumerate_dissections({n}) grows from order {n - 1}, got {below.n}")

@@ -38,7 +38,6 @@ from .coloring import EdgeColoring, star_violations
 from .errors import BudgetExhausted, TooLarge
 from .graph import Graph
 
-DEFAULT_EDGE_LIMIT = 40
 GREEDY_SEEDS = 64  # greedy orders drawn per search, the last ones on a budget hit
 
 
@@ -309,8 +308,6 @@ def star_palette_feasible(g: Graph, k: int, budget: Budget | None = None) -> Edg
     Raises BudgetExhausted if the search cannot be completed in budget and
     no greedy order fits in k colors.
     """
-    if g.m > DEFAULT_EDGE_LIMIT:
-        raise TooLarge(f"solver supports |E| <= {DEFAULT_EDGE_LIMIT}, got {g.m}")
     search = _Search(g, budget or Budget())
     try:
         return search.run_round(k)
@@ -327,8 +324,6 @@ def exact_chi_star(g: Graph, budget: Budget | None = None, lower: int = 0) -> So
     ``nodes_expanded``.  The witness of a round settled by a greedy order
     is that greedy coloring.
     """
-    if g.m > DEFAULT_EDGE_LIMIT:
-        raise TooLarge(f"solver supports |E| <= {DEFAULT_EDGE_LIMIT}, got {g.m}")
     search = _Search(g, budget or Budget())
     if g.m == 0:
         return SolveResult(0, EdgeColoring(g, ()), 0, search.elapsed())

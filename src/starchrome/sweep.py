@@ -5,9 +5,11 @@ every 2-connected outerplanar graph.  Every enumerated graph is solved
 exactly and lands in an append-only JSON-lines cache keyed by
 ``polygon_key``, the graph6 string of the graph relabelled from its outer
 cycle; the enumerations key their members as they grow them, so the sweep
-runs no isomorphism search of its own.  Violations of a proven theorem are
-hard failures (they mean the toolkit is wrong); violations of a conjecture
-are findings and never fail a run.
+runs no isomorphism search of its own.  A record stores only what its
+solve measured; its graph classes and bound margins are derived.  Every
+bound is one row of ``_BOUNDS``.  Violations of a proven theorem are hard
+failures (they mean the toolkit is wrong); violations of a conjecture are
+findings and never fail a run.
 
 Orders are grown and solved one at a time, each from the one below.  A
 graph of order n that grows from one of order n-1 by an ear contains it,
@@ -31,15 +33,60 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 from .errors import BudgetExhausted
+from .graph import diameter
 from .graph6 import graph6_decode
-from .outerplanar import classify, enumerate_dissections, enumerate_mops
+from .outerplanar import enumerate_dissections, enumerate_mops
 from .solver import Budget, exact_chi_star
 
 CACHE_ENV_VAR = "STARCHROME_CACHE"
 DEFAULT_CACHE_NAME = "starchrome-cache.jsonl"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+
+
+@dataclass(frozen=True)
+class _Bound:
+    """One row of the bounds table: chi' against a bound on a class of records."""
+
+    name: str
+    proven: bool  # a theorem (a violation is a toolkit bug), or a conjecture
+    applies: Callable[[SweepRecord], bool]
+    value: Callable[[SweepRecord], int]
+    message: str  # formatted with chi, d (max degree), diameter and excess
+    lower: bool = False  # chi' must reach the value instead of staying within it
+
+    def margin(self, rec: SweepRecord) -> int | None:
+        """How far chi' stays inside the bound (negative: violated); None off its class."""
+        if rec.chi_star is None or not self.applies(rec):
+            return None
+        gap = self.value(rec) - rec.chi_star
+        return -gap if self.lower else gap
+
+
+# Every record is a 2-connected outerplanar graph, so no row tests for that.
+_BOUNDS = (
+    _Bound("thm110", True, lambda r: True, lambda r: 3 * r.max_degree // 2 + 5,
+           "chi'={chi} exceeds floor(1.5*{d})+5 on an outerplanar graph"),
+    _Bound("paper_diameter", True, lambda r: r.diameter in (2, 3), lambda r: r.max_degree + 6,
+           "chi'={chi} exceeds {d}+6 on a 2-connected outerplanar graph of diameter {diameter}"),
+    _Bound("paper_delta5", True, lambda r: r.max_degree == 5, lambda r: 9,
+           "chi'={chi} exceeds 9 on a 2-connected outerplanar graph with max degree 5"),
+    _Bound("subcubic", True, lambda r: r.subcubic, lambda r: 5,
+           "chi'={chi} exceeds 5 on a subcubic outerplanar graph"),
+    _Bound("mop_lower", True, lambda r: r.maximal and r.n >= 5, lambda r: 6,
+           "chi'={chi} below 6 on a maximal outerplanar graph of order >= 5", lower=True),
+    _Bound("mop_upper", True, lambda r: r.maximal and r.n >= 8, lambda r: r.n - 1,
+           "chi'={chi} above n-1 on a maximal outerplanar graph of order >= 8"),
+    _Bound("conj16", False, lambda r: r.max_degree >= 3, lambda r: 3 * r.max_degree // 2 + 1,
+           "conjecture floor(1.5*D)+1 violated by {excess}"),
+    _Bound("conj_d6", False, lambda r: r.max_degree >= 6, lambda r: r.max_degree + 6,
+           "conjecture D+6 (2-connected) violated by {excess}"),
+    _Bound("conj_d4", False, lambda r: r.maximal and r.max_degree >= 6, lambda r: r.max_degree + 4,
+           "conjecture D+4 (2-connected maximal) violated by {excess}"),
+)
+_BOUND = {b.name: b for b in _BOUNDS}
 
 
 @dataclass
@@ -48,21 +95,29 @@ class SweepRecord:
     n: int
     m: int
     max_degree: int
-    diameter: int | None  # None encodes an infinite diameter
-    two_connected: bool
-    maximal: bool
-    subcubic: bool
-    outerplanar: bool
+    diameter: int
     chi_star: int | None
     chi_lower: int | None
     chi_upper: int | None
-    bound_margin_conj16: int | None
-    bound_margin_thm110: int | None
-    bound_margin_conj_d6: int | None
-    bound_margin_conj_d4: int | None
     solver_nodes: int
     elapsed: float
     status: str  # "ok" | "budget_exhausted"
+    # the budget a "budget_exhausted" record ran under; None on "ok" records
+    budget_nodes: int | None
+    budget_secs: float | None
+
+    @property
+    def maximal(self) -> bool:
+        return self.m == 2 * self.n - 3
+
+    @property
+    def subcubic(self) -> bool:
+        return self.max_degree <= 3
+
+    bound_margin_conj16 = property(_BOUND["conj16"].margin)
+    bound_margin_thm110 = property(_BOUND["thm110"].margin)
+    bound_margin_conj_d6 = property(_BOUND["conj_d6"].margin)
+    bound_margin_conj_d4 = property(_BOUND["conj_d4"].margin)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
@@ -155,103 +210,39 @@ class ResultCache:
         self.records[rec.graph6] = rec
 
 
-def _floor_3halves(delta: int) -> int:
-    return (3 * delta) // 2
-
-
-def _thm110_bound(delta: int) -> int:
-    """floor(3D/2)+5, the proven bound for every outerplanar graph."""
-    return _floor_3halves(delta) + 5
-
-
-def _margin(bound: int | None, chi: int | None) -> int | None:
-    if bound is None or chi is None:
-        return None
-    return bound - chi
-
-
 def solve_record(key: str, budget: Budget, lower: int = 0) -> SweepRecord:
-    """Classify and exactly solve one graph given by its graph6 key.
+    """Exactly solve one graph given by its graph6 key.
 
     ``lower`` is a proven lower bound on its star chromatic index, which
     the solver starts from.
     """
     g = graph6_decode(key)
-    cls = classify(g)
-    diam = None if cls.diameter == float("inf") else int(cls.diameter)
-    delta = g.max_degree()
+    graph = (key, g.n, g.m, g.max_degree(), diameter(g))
     try:
-        result = exact_chi_star(g, budget, lower)
-        chi: int | None = result.chi
-        chi_lower = chi_upper = chi
-        nodes, elapsed, status = result.nodes_expanded, result.elapsed, "ok"
+        r = exact_chi_star(g, budget, lower)
     except BudgetExhausted as exc:
-        chi = None
-        chi_lower, chi_upper = exc.lower_bound, exc.upper_bound
-        nodes, elapsed, status = exc.nodes, exc.elapsed, "budget_exhausted"
-    conj16 = _floor_3halves(delta) + 1 if cls.outerplanar and delta >= 3 else None
-    thm110 = _thm110_bound(delta) if cls.outerplanar else None
-    conj_d6 = delta + 6 if cls.outerplanar and cls.two_connected and delta >= 6 else None
-    conj_d4 = delta + 4 if cls.maximal and cls.two_connected and delta >= 6 else None
-    return SweepRecord(
-        graph6=key,
-        n=g.n,
-        m=g.m,
-        max_degree=delta,
-        diameter=diam,
-        two_connected=cls.two_connected,
-        maximal=cls.maximal,
-        subcubic=cls.subcubic,
-        outerplanar=cls.outerplanar,
-        chi_star=chi,
-        chi_lower=chi_lower,
-        chi_upper=chi_upper,
-        bound_margin_conj16=_margin(conj16, chi),
-        bound_margin_thm110=_margin(thm110, chi),
-        bound_margin_conj_d6=_margin(conj_d6, chi),
-        bound_margin_conj_d4=_margin(conj_d4, chi),
-        solver_nodes=nodes,
-        elapsed=elapsed,
-        status=status,
-    )
+        answer = (None, exc.lower_bound, exc.upper_bound, exc.nodes, exc.elapsed)
+        return SweepRecord(*graph, *answer, "budget_exhausted", budget.max_nodes, budget.max_seconds)
+    return SweepRecord(*graph, r.chi, r.chi, r.chi, r.nodes_expanded, r.elapsed, "ok", None, None)
+
+
+def _violations(rec: SweepRecord, proven: bool) -> list[str]:
+    out = []
+    for bound in _BOUNDS:
+        if bound.proven is proven and (margin := bound.margin(rec)) is not None and margin < 0:
+            fill = dict(chi=rec.chi_star, d=rec.max_degree, diameter=rec.diameter, excess=-margin)
+            out.append(bound.message.format(**fill))
+    return out
 
 
 def proven_bound_violations(rec: SweepRecord) -> list[str]:
     """Checks whose failure means a toolkit bug, not a finding."""
-    out = []
-    chi = rec.chi_star
-    if chi is None:
-        return out
-    d = rec.max_degree
-    if rec.outerplanar and chi > _thm110_bound(d):
-        out.append(f"chi'={chi} exceeds floor(1.5*{d})+5 on an outerplanar graph")
-    two_connected_outer = rec.outerplanar and rec.two_connected
-    if two_connected_outer and rec.diameter in (2, 3) and chi > d + 6:
-        out.append(
-            f"chi'={chi} exceeds {d}+6 on a 2-connected outerplanar graph of diameter {rec.diameter}"
-        )
-    if two_connected_outer and d == 5 and chi > 9:
-        out.append(f"chi'={chi} exceeds 9 on a 2-connected outerplanar graph with max degree 5")
-    if rec.subcubic and rec.outerplanar and chi > 5:
-        out.append(f"chi'={chi} exceeds 5 on a subcubic outerplanar graph")
-    if rec.maximal and rec.n >= 5 and chi < 6:
-        out.append(f"chi'={chi} below 6 on a maximal outerplanar graph of order >= 5")
-    if rec.maximal and rec.n >= 8 and chi > rec.n - 1:
-        out.append(f"chi'={chi} above n-1 on a maximal outerplanar graph of order >= 8")
-    return out
+    return _violations(rec, proven=True)
 
 
 def conjecture_violations(rec: SweepRecord) -> list[str]:
     """Checks whose failure would be a publishable finding."""
-    out = []
-    for name, margin in (
-        ("conjecture floor(1.5*D)+1", rec.bound_margin_conj16),
-        ("conjecture D+6 (2-connected)", rec.bound_margin_conj_d6),
-        ("conjecture D+4 (2-connected maximal)", rec.bound_margin_conj_d4),
-    ):
-        if margin is not None and margin < 0:
-            out.append(f"{name} violated by {-margin}")
-    return out
+    return _violations(rec, proven=False)
 
 
 @dataclass
@@ -262,6 +253,15 @@ class SweepSummary:
     budget_exhausted: int
     hard_failures: list[tuple[str, str]]
     findings: list[tuple[str, str]]
+
+
+def _needs_solve(rec: SweepRecord | None, budget: Budget) -> bool:
+    """True unless the record is exact or hit a budget at least as large."""
+    if rec is None:
+        return True
+    if rec.status == "ok":
+        return False
+    return budget.max_nodes > rec.budget_nodes or budget.max_seconds > rec.budget_secs
 
 
 def run_sweep(
@@ -282,8 +282,8 @@ def run_sweep(
     deletion.  Targets run by order, then by ``polygon_key``, the keys the
     enumerations give their members.  Each solved record is appended to the
     cache as soon as it arrives, so an interrupted sweep keeps what it
-    finished.  Budget exhaustion marks a record and the sweep continues; a
-    later sweep solves that record again, so a larger budget can settle it.
+    finished.  A record that hits the budget stores it, and the sweep goes
+    on; a later sweep retries it only under a larger node or time budget.
     """
     budget = budget or Budget()
     grow = enumerate_dissections if expand_subgraphs else enumerate_mops
@@ -294,7 +294,7 @@ def run_sweep(
         for n in range(4, n_max + 1):
             level = grow(n, level)
             keys = sorted(level.members)
-            new = [key for key in keys if key not in cache or cache.get(key).status != "ok"]
+            new = [key for key in keys if _needs_solve(cache.get(key), budget)]
             # children outside the cache (the triangle) give no bound
             lowers = [
                 max((cache.get(c).chi_lower for c in level.children[key] if c in cache), default=0)
@@ -312,14 +312,13 @@ def run_sweep(
             targets += keys
             todo += new
     records = [cache.records[key] for key in targets]
-    exhausted = sum(cache.records[key].status == "budget_exhausted" for key in todo)
     hard = [(r.graph6, msg) for r in records for msg in proven_bound_violations(r)]
     findings = [(r.graph6, msg) for r in records for msg in conjecture_violations(r)]
     return SweepSummary(
         records=records,
         solved=len(todo),
         from_cache=len(targets) - len(todo),
-        budget_exhausted=exhausted,
+        budget_exhausted=sum(r.status == "budget_exhausted" for r in records),
         hard_failures=hard,
         findings=findings,
     )

@@ -1,5 +1,5 @@
-"""Generic canonical labelling and the chord-subset closure, kept as the
-tests' oracles.
+"""Generic canonical labelling, the chord-subset closure and the fixed
+polygon triangulations, kept as the tests' oracles.
 
 The canonical labelling is a backtracking search over vertex placements
 after degree refinement; it knows nothing of outer cycles, so tests can
@@ -10,6 +10,9 @@ to CANONICAL_LIMIT vertices.
 ``two_connected_spanning_subgraphs`` lists every chord subset of a MOP, so
 tests can check ``outerplanar.enumerate_dissections`` against a closure
 that does not grow graphs by ears.
+
+``fixed_polygon_triangulations`` lists the triangulations of a labelled
+polygon, Catalan(n-2) of them, for the rooted counts and the MOP classes.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import itertools
 
 from starchrome.errors import TooLarge
-from starchrome.graph import Graph, is_two_connected, relabel
+from starchrome.graph import Graph, from_edges, is_two_connected, relabel
 from starchrome.graph6 import GRAPH6_MAX_N, graph6_encode
 from starchrome.outerplanar import _maximal_edge_count, _outer_cycle
 
@@ -128,3 +131,33 @@ def two_connected_spanning_subgraphs(h: Graph) -> list[Graph]:
             removed_set = set(removed)
             out.append(Graph(h.n, tuple(e for e in h.edges if e not in removed_set)))
     return out
+
+
+def fixed_polygon_triangulations(n: int):
+    """Yield the chord sets of all triangulations of the convex n-gon.
+
+    The polygon has vertices 0..n-1 in cyclic order; each triangulation is
+    produced exactly once (the apex of the triangle on a base edge is
+    unique), so the number of results is the (n-2)nd Catalan number.
+    """
+
+    def tri(lo: int, hi: int):
+        if hi - lo < 2:
+            yield frozenset()
+            return
+        for k in range(lo + 1, hi):
+            for left in tri(lo, k):
+                for right in tri(k, hi):
+                    chords = set(left | right)
+                    if k - lo > 1:
+                        chords.add((lo, k))
+                    if hi - k > 1:
+                        chords.add((k, hi))
+                    yield frozenset(chords)
+
+    yield from tri(0, n - 1)
+
+
+def polygon_triangulation_graph(n: int, chords: frozenset[tuple[int, int]]) -> Graph:
+    """The n-gon's cycle plus the given chords."""
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)] + list(chords))

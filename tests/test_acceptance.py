@@ -18,17 +18,12 @@ from starchrome.families import build_family, claimed_palette, delta5_strip_colo
 from starchrome.graph import Graph, from_edges
 from starchrome.graph6 import graph6_decode
 from starchrome.harness import verify_figures
-from starchrome.outerplanar import (
-    enumerate_mops,
-    fixed_polygon_triangulations,
-    is_maximal_outerplanar,
-    polygon_triangulation_graph,
-)
+from starchrome.outerplanar import enumerate_mops, is_maximal_outerplanar
 from starchrome.solver import Budget, brute_force_chi_star, exact_chi_star, star_palette_feasible
 from starchrome.sweep import ResultCache, proven_bound_violations, run_sweep
 
 from conftest import cycle_graph, fan_graph, g61, g61_prime, path_graph, random_connected_graph
-from iso_oracle import canonical_key
+from iso_oracle import canonical_key, fixed_polygon_triangulations, polygon_triangulation_graph
 
 
 def _report(criterion: str, elapsed: float, detail: str = "") -> None:

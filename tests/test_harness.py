@@ -67,10 +67,18 @@ def test_sweep_record_json_roundtrip(tmp_path):
     assert SweepRecord.from_json(rec.to_json()) == rec
 
 
-# Written by the sweep before its record parser was folded into SweepRecord,
-# under the schema-2 header of outer-cycle keys ("C^" is the diamond's key
-# under both schemas).
+# A schema-3 cache as the sweep writes it: a record holds only what its
+# solve measured ("C^" is the diamond's outer-cycle key).
 PARENT_CACHE = (
+    '{"schema": 3}\n'
+    '{"graph6": "C^", "n": 4, "m": 5, "max_degree": 3, "diameter": 2, "chi_star": 4, '
+    '"chi_lower": 4, "chi_upper": 4, "solver_nodes": 11, "elapsed": 0.00013534600020648213, '
+    '"status": "ok", "budget_nodes": null, "budget_secs": null}\n'
+)
+
+# The same record under schema 2, which also stored the graph classes and
+# the bound margins.
+SCHEMA_2_CACHE = (
     '{"schema": 2}\n'
     '{"graph6": "C^", "n": 4, "m": 5, "max_degree": 3, "diameter": 2, "two_connected": true, '
     '"maximal": true, "subcubic": true, "outerplanar": true, "chi_star": 4, "chi_lower": 4, '
@@ -85,6 +93,7 @@ def test_cache_reads_and_rewrites_parent_records_byte_for_byte(tmp_path):
     old.write_text(PARENT_CACHE)
     rec = ResultCache(old).get("C^")
     assert rec.chi_star == 4 and rec.solver_nodes == 11 and rec.bound_margin_conj_d6 is None
+    assert rec.maximal and rec.subcubic and rec.bound_margin_conj16 == 1
     fresh = ResultCache(tmp_path / "new.jsonl")
     fresh.append(rec)
     assert fresh.path.read_text() == PARENT_CACHE
@@ -185,12 +194,17 @@ def _dissections_up_to_symmetry(n: int) -> int:
 
 
 def test_sweep_expand_subgraphs(tmp_path):
+    from starchrome.graph import is_two_connected
+    from starchrome.graph6 import graph6_decode
+    from starchrome.outerplanar import is_outerplanar
+
     summary = run_sweep(8, ResultCache(tmp_path / "c.jsonl"), expand_subgraphs=True)
     # chord-deleted subgraphs join the MOPs (C4, C5 at least)
     assert len(summary.records) > 2
     assert any(not r.maximal for r in summary.records)
     for rec in summary.records:
-        assert rec.outerplanar
+        g = graph6_decode(rec.graph6)
+        assert is_two_connected(g) and is_outerplanar(g)
     # every 2-connected outerplanar graph of each order, once
     per_n = Counter(r.n for r in summary.records)
     assert [per_n[n] for n in range(4, 9)] == [2, 3, 9, 20, 75]
@@ -277,19 +291,64 @@ def test_sweep_margins_reported(tmp_path):
 def test_proven_bound_violations_check_the_paper_theorems():
     base = SweepRecord.from_json(PARENT_CACHE.splitlines()[1])
     # 2-connected outerplanar, diameter 3, D=6: within floor(3D/2)+5 = 14 but over D+6
-    over_d6 = replace(base, max_degree=6, diameter=3, maximal=False, subcubic=False, chi_star=13)
+    over_d6 = replace(base, m=4, max_degree=6, diameter=3, chi_star=13)
+    assert not over_d6.maximal and not over_d6.subcubic
     assert proven_bound_violations(over_d6) == [
         "chi'=13 exceeds 6+6 on a 2-connected outerplanar graph of diameter 3"
     ]
     assert proven_bound_violations(replace(over_d6, diameter=4)) == []
-    assert proven_bound_violations(replace(over_d6, two_connected=False)) == []
     # 2-connected outerplanar, D=5, diameter 4: within floor(3D/2)+5 = 12 but over 9
     over_9 = replace(over_d6, max_degree=5, diameter=4, chi_star=10)
     assert proven_bound_violations(over_9) == [
         "chi'=10 exceeds 9 on a 2-connected outerplanar graph with max degree 5"
     ]
     assert proven_bound_violations(replace(over_9, chi_star=9)) == []
-    assert proven_bound_violations(replace(over_9, two_connected=False)) == []
+
+
+def test_every_bound_is_checked_from_the_one_table():
+    from starchrome.sweep import conjecture_violations
+
+    base = SweepRecord.from_json(PARENT_CACHE.splitlines()[1])  # the diamond: n=4, m=5, D=3
+    cases = [
+        (replace(base, max_degree=4, diameter=4, chi_star=12),
+         ["chi'=12 exceeds floor(1.5*4)+5 on an outerplanar graph"],
+         ["conjecture floor(1.5*D)+1 violated by 5"]),
+        (replace(base, chi_star=6), ["chi'=6 exceeds 5 on a subcubic outerplanar graph"],
+         ["conjecture floor(1.5*D)+1 violated by 1"]),
+        (replace(base, n=5, m=7, chi_star=5),
+         ["chi'=5 below 6 on a maximal outerplanar graph of order >= 5"], []),
+        (replace(base, n=8, m=13, max_degree=5, diameter=4, chi_star=8),
+         ["chi'=8 above n-1 on a maximal outerplanar graph of order >= 8"], []),
+        (replace(base, n=20, m=37, max_degree=6, diameter=4, chi_star=13), [],
+         ["conjecture floor(1.5*D)+1 violated by 3", "conjecture D+6 (2-connected) violated by 1",
+          "conjecture D+4 (2-connected maximal) violated by 3"]),
+        (replace(base, chi_star=None), [], []),
+    ]
+    for rec, proven, conjectured in cases:
+        assert proven_bound_violations(rec) == proven
+        assert conjecture_violations(rec) == conjectured
+    big = cases[4][0]
+    margins = (big.bound_margin_conj16, big.bound_margin_thm110, big.bound_margin_conj_d6,
+               big.bound_margin_conj_d4)
+    assert margins == (-3, 1, -1, -3)
+    unsolved = cases[5][0]
+    assert unsolved.bound_margin_thm110 is None and unsolved.bound_margin_conj16 is None
+    stored = json.loads(big.to_json())
+    assert not {"maximal", "subcubic", "bound_margin_conj16", "two_connected"} & stored.keys()
+
+
+def test_sweep_runs_no_recognition(tmp_path, monkeypatch):
+    # every enumerated graph is 2-connected outerplanar by construction
+    from starchrome import outerplanar
+
+    calls = []
+    for name in ("_outer_cycle", "_block_edges"):
+        real = getattr(outerplanar, name)
+        monkeypatch.setattr(outerplanar, name, lambda *a, r=real, n=name: calls.append(n) or r(*a))
+    for expand in (False, True):
+        summary = run_sweep(9, ResultCache(tmp_path / f"{expand}.jsonl"), expand_subgraphs=expand)
+        assert summary.hard_failures == []
+    assert calls == []
 
 
 def test_default_cache_env_override(tmp_path, monkeypatch):
@@ -375,9 +434,18 @@ def test_cli_malformed_arguments_exit_1(capsys):
 def test_cli_sweep_rejects_a_schema_1_cache(tmp_path, capsys):
     # schema 1 keyed records by the generic canonical form; its keys differ
     path = tmp_path / "cache.jsonl"
-    path.write_text(PARENT_CACHE.replace('{"schema": 2}', '{"schema": 1}'))
+    path.write_text(PARENT_CACHE.replace('{"schema": 3}', '{"schema": 1}'))
     assert main(["sweep", "--n-max", "4", "--cache", str(path)]) == 1
     assert "cache error: cache schema 1 unsupported" in capsys.readouterr().err
+
+
+def test_cli_sweep_rejects_a_schema_2_cache(tmp_path, capsys):
+    # schema 2 also stored the graph classes and the bound margins
+    path = tmp_path / "cache.jsonl"
+    path.write_text(SCHEMA_2_CACHE)
+    assert main(["sweep", "--n-max", "4", "--cache", str(path)]) == 1
+    assert "cache error: cache schema 2 unsupported" in capsys.readouterr().err
+    assert path.read_text() == SCHEMA_2_CACHE
 
 
 def test_cli_sweep_reports_unreadable_cache(tmp_path, capsys):
@@ -421,6 +489,27 @@ def test_cli_sweep(tmp_path, capsys):
     assert all(r["chi_star"] >= 6 for r in records if r["n"] >= 5)
 
 
+def test_cli_sweep_into_a_closed_pipe_exits_quietly(tmp_path):
+    import subprocess
+    import sys
+
+    import starchrome
+
+    path = tmp_path / "cache.jsonl"
+    src = str(Path(starchrome.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with subprocess.Popen(
+        [sys.executable, "-m", "starchrome.cli", "sweep", "--n-max", "6", "--cache", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        proc.stdout.close()  # the reader leaves before the sweep prints anything
+        err = proc.stderr.read()
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+    assert len(ResultCache(path).records) == 5
+
+
 def test_sweep_parallel_workers_match_serial(tmp_path):
     def stripped(records):
         out = []
@@ -461,3 +550,22 @@ def test_sweep_retries_cached_budget_exhausted_records(tmp_path):
     assert all(reloaded.get(key).status == "ok" for key in exhausted)
     assert len(path.read_text().splitlines()) == 1 + len(first.records) + len(exhausted)
     assert run_sweep(6, reloaded).solved == 0
+
+
+def test_sweep_keeps_budget_exhausted_records_under_a_budget_no_larger(tmp_path):
+    path = tmp_path / "c.jsonl"
+    small = Budget(max_nodes=8)
+    first = run_sweep(6, ResultCache(path), budget=small)
+    exhausted = [r for r in first.records if r.status == "budget_exhausted"]
+    assert exhausted and first.budget_exhausted == len(exhausted)
+    for rec in first.records:
+        ran_under = (8, small.max_seconds) if rec.status == "budget_exhausted" else (None, None)
+        assert (rec.budget_nodes, rec.budget_secs) == ran_under
+    text = path.read_text()
+    for budget in (small, Budget(max_nodes=4), Budget(max_nodes=8, max_seconds=1.0)):
+        again = run_sweep(6, ResultCache(path), budget=budget)
+        assert again.solved == 0 and again.from_cache == len(first.records)
+        assert again.budget_exhausted == len(exhausted)  # cached, still unresolved
+        assert path.read_text() == text  # no line appended
+    longer = run_sweep(6, ResultCache(path), budget=Budget(max_nodes=8, max_seconds=600.0))
+    assert longer.solved == len(exhausted)

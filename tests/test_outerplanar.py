@@ -13,15 +13,18 @@ from starchrome.outerplanar import (
     classify,
     enumerate_dissections,
     enumerate_mops,
-    fixed_polygon_triangulations,
     is_maximal_outerplanar,
     is_outerplanar,
     polygon_key,
-    polygon_triangulation_graph,
 )
 
 from conftest import cycle_graph, fan_graph, g61, g61_prime, g62, k23, k4, path_graph, random_connected_graph
-from iso_oracle import canonical_key, two_connected_spanning_subgraphs
+from iso_oracle import (
+    canonical_key,
+    fixed_polygon_triangulations,
+    polygon_triangulation_graph,
+    two_connected_spanning_subgraphs,
+)
 
 
 def _nx_outerplanar(g) -> bool:
@@ -206,7 +209,8 @@ def test_one_canonical_search_per_member(monkeypatch):
     monkeypatch.setattr(op, "_cycle_key", lambda g, c: keys.append(g) or cycle_key(g, c))
     catalog = op.enumerate_mops(12)
     assert searches == []  # the enumeration runs no generic search
-    assert len(keys) == catalog.member_count() == 733
+    # one key per member of every order it grows, 3 to 12
+    assert catalog.member_count() == 733 and len(keys) == 1092
     assert not hasattr(op, "canonical_key")
 
 
@@ -285,8 +289,8 @@ def test_mops_grown_level_by_level_match_standalone_calls():
         alone = enumerate_mops(n)
         assert set(catalog.members) == set(alone.members)
         assert catalog.rooted_count == alone.rooted_count
-        # a standalone call keys only its own order, so it knows no children
-        assert all(c == set() for c in alone.children.values())
+        # a standalone call grows from enumerate_mops(n - 1), so it knows the children
+        assert alone.children == catalog.children
     with pytest.raises(OutOfRange):
         enumerate_mops(12, enumerate_mops(10))
 
