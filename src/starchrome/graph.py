@@ -38,18 +38,6 @@ class Graph:
             self.__dict__["_neighbors"] = cached
         return cached
 
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Neighborhoods as bitmasks (cached)."""
-        cached = self.__dict__.get("_masks")
-        if cached is None:
-            masks = [0] * self.n
-            for u, v in self.edges:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            cached = tuple(masks)
-            self.__dict__["_masks"] = cached
-        return cached
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self.neighbors())
 

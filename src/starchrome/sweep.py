@@ -256,12 +256,19 @@ class SweepSummary:
 
 
 def _needs_solve(rec: SweepRecord | None, budget: Budget) -> bool:
-    """True unless the record is exact or hit a budget at least as large."""
+    """True for a new record, or for one that hit a budget this one exceeds:
+    at least as large in nodes and in seconds, and larger in one.
+
+    A budget larger in one and smaller in the other would overwrite the
+    stored one, and the two would then re-solve each other's records.
+    """
     if rec is None:
         return True
     if rec.status == "ok":
         return False
-    return budget.max_nodes > rec.budget_nodes or budget.max_seconds > rec.budget_secs
+    stored = (rec.budget_nodes, rec.budget_secs)
+    nodes, secs = budget.max_nodes, budget.max_seconds
+    return nodes >= stored[0] and secs >= stored[1] and (nodes, secs) != stored
 
 
 def run_sweep(
@@ -283,7 +290,8 @@ def run_sweep(
     enumerations give their members.  Each solved record is appended to the
     cache as soon as it arrives, so an interrupted sweep keeps what it
     finished.  A record that hits the budget stores it, and the sweep goes
-    on; a later sweep retries it only under a larger node or time budget.
+    on; a later sweep retries it only under a budget at least as large in
+    nodes and in seconds, and larger in one.
     """
     budget = budget or Budget()
     grow = enumerate_dissections if expand_subgraphs else enumerate_mops

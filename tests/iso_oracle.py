@@ -53,7 +53,10 @@ def _canonical_search(g: Graph) -> list[int]:
     branch, everything else prunes.
     """
     n = g.n
-    masks = g.adjacency_masks()
+    masks = [0] * n  # neighbourhoods as bitmasks
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
     classes = _refined_classes(g)
     best: list[tuple[int, int]] | None = None
     best_perm: list[int] = []

@@ -569,3 +569,15 @@ def test_sweep_keeps_budget_exhausted_records_under_a_budget_no_larger(tmp_path)
         assert path.read_text() == text  # no line appended
     longer = run_sweep(6, ResultCache(path), budget=Budget(max_nodes=8, max_seconds=600.0))
     assert longer.solved == len(exhausted)
+
+
+def test_sweep_budgets_larger_in_one_each_do_not_re_solve_each_other(tmp_path):
+    path = tmp_path / "c.jsonl"
+    more_nodes, more_secs = Budget(max_nodes=8), Budget(max_nodes=4, max_seconds=600.0)
+    first = run_sweep(6, ResultCache(path), budget=more_nodes)
+    assert first.budget_exhausted == 4
+    text = path.read_text()
+    for budget in (more_secs, more_nodes, more_secs):
+        again = run_sweep(6, ResultCache(path), budget=budget)
+        assert again.solved == 0 and again.budget_exhausted == 4
+        assert path.read_text() == text  # no line appended

@@ -214,6 +214,21 @@ def test_one_canonical_search_per_member(monkeypatch):
     assert not hasattr(op, "canonical_key")
 
 
+def test_dissections_key_each_mop_class_once(monkeypatch):
+    import collections
+
+    import starchrome.outerplanar as op
+
+    keys = []
+    cycle_key = op._cycle_key
+    monkeypatch.setattr(op, "_cycle_key", lambda g, c: keys.append(g) or cycle_key(g, c))
+    assert op.enumerate_dissections(11).member_count() == 4783
+    maximal = collections.Counter(g.n for g in keys if g.m == 2 * g.n - 3)
+    # one key per MOP of every order grown, 3 to 11: 359 in all
+    assert maximal == {3: 1, 4: 1, 5: 1, 6: 3, 7: 4, 8: 12, 9: 27, 10: 82, 11: 228}
+    assert sum(maximal.values()) == 359
+
+
 def _same_partition(pairs) -> bool:
     """True iff (a, b) pairs relate two keys one to one."""
     pairs = set(pairs)
@@ -387,12 +402,12 @@ def test_dissections_run_no_ear_removal(monkeypatch):
 
 def test_classify_examples():
     c = classify(g61())
-    assert (c.diameter, c.two_connected, c.outerplanar, c.maximal) == (2, True, True, True)
+    assert (diameter(g61()), c.two_connected, c.outerplanar, c.maximal) == (2, True, True, True)
     c = classify(g61_prime())
-    assert (c.diameter, c.two_connected, c.outerplanar, c.maximal) == (3, True, True, False)
+    assert (diameter(g61_prime()), c.two_connected, c.outerplanar, c.maximal) == (3, True, True, False)
     c = classify(path_graph(4))
     assert not c.two_connected
-    assert c.subcubic
+    assert path_graph(4).max_degree() <= 3
 
 
 def test_classify_matches_oracle_on_family_instances():
@@ -413,8 +428,10 @@ def test_classify_matches_oracle_on_family_instances():
 
 
 def test_classify_disconnected():
-    c = classify(from_edges(3, [(0, 1)]))
-    assert c.diameter == math.inf
+    g = from_edges(3, [(0, 1)])
+    assert diameter(g) == math.inf
+    c = classify(g)
+    assert c.outerplanar and not c.two_connected and not c.maximal
 
 
 def test_polygon_structure_boundary_and_chords():
