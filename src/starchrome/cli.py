@@ -16,7 +16,7 @@ from .errors import BudgetExhausted, MalformedText, StarchromeError
 from .families import FAMILY_IDS, build_family
 from .graph6 import graph6_decode, graph6_encode
 from .graph import from_edges
-from .harness import family_check, verify_figures
+from .harness import ColoringReport, family_check, verify_figures
 from .solver import Budget, exact_chi_star
 from .sweep import ResultCache, default_cache_path, run_sweep
 
@@ -67,53 +67,44 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_reports(reports: list[ColoringReport], out: str | None) -> None:
+    """One line per report and, with ``out``, the reports as JSON lines."""
+    for rep in reports:
+        params = "".join(f" {k}={v}" for k, v in rep.params.items())
+        extra = f" first_witness={rep.first_witness}" if rep.first_witness else ""
+        if rep.chi_star is not None:
+            extra += f" chi_star={rep.chi_star}"
+        elif rep.chi_bounds is not None:
+            extra += f" chi_star in {list(rep.chi_bounds)}"
+        status = "PASS" if rep.passed else "FAIL"
+        print(f"{status} {rep.source} {rep.family}{params}: "
+              f"palette={rep.palette} claimed={rep.claimed_palette}{extra}")
+    if out:
+        with open(out, "w") as fh:
+            fh.writelines(rep.to_json() + "\n" for rep in reports)
+
+
 def cmd_verify_figures(args: argparse.Namespace) -> int:
     reports = verify_figures()
-    findings = 0
-    lines = []
-    for rep in reports:
-        status = "PASS" if rep.passed else "FAIL"
-        if not rep.passed:
-            findings += 1
-        extra = f" first_witness={rep.first_witness}" if rep.first_witness else ""
-        print(f"{status} {rep.figure_id}: palette={rep.palette} claimed={rep.claimed_palette}{extra}")
-        lines.append(rep.to_json())
-    print(f"figures={len(reports)} findings={findings}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+    _print_reports(reports, args.out)
+    print(f"figures={len(reports)} findings={sum(not rep.passed for rep in reports)}")
     return 0
 
 
 def _parse_range(text: str) -> list[int]:
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
+        lo, hi = text.split("..", 1) if ".." in text else (text, text)
+        if int(lo) <= int(hi):  # a range that runs backwards would check nothing
             return list(range(int(lo), int(hi) + 1))
-        return [int(text)]
     except ValueError:
-        raise MalformedText(f"bad delta range {text!r}; expected 9 or 9..14") from None
+        pass
+    raise MalformedText(f"bad delta range {text!r}; expected 9 or 9..14")
 
 
 def cmd_family_check(args: argparse.Namespace) -> int:
     family = args.family.lower().replace("-", "_")
     rows = family_check(family, _parse_range(args.range), exact=args.exact, budget=_budget(args))
-    lines = []
-    for row in rows:
-        status = "PASS" if row.passed else "FAIL"
-        exact = ""
-        if row.chi_star is not None:
-            exact = f" chi_star={row.chi_star}"
-        elif row.chi_bounds is not None:
-            exact = f" chi_star in {list(row.chi_bounds)}"
-        print(
-            f"{status} {row.family} delta={row.delta}: palette={row.palette} "
-            f"claimed={row.claimed_palette}{exact}"
-        )
-        lines.append(row.to_json())
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+    _print_reports(rows, args.out)
     return 0
 
 

@@ -7,8 +7,9 @@ maximal outerplanar class it stands for) instead of silently repairing
 them.  ``h_prime`` has 2n edges, over the outerplanar bound of 2n-3, so it
 declares no class.  The closed-form coloring functions and the literal
 figure tables are kept apart: formulas live in formula_coloring, figures
-in versioned plain-text data files loaded by figure_coloring.  Neither
-asserts validity; running the validator is the caller's job.
+in versioned plain-text data files loaded by figure_coloring, and
+family_coloring picks between them by delta.  None asserts validity;
+running the validator is the caller's job.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ class FamilyInstance:
     family_id: str
     graph: Graph
     roles: dict[str, int]
-    params: dict[str, int]
 
     def vertex(self, role: str) -> int:
         return self.roles[role]
@@ -77,14 +77,14 @@ _G62_EDGES = [
 ]
 
 
-def _from_role_edges(family_id: str, role_edges, params=None) -> FamilyInstance:
+def _from_role_edges(family_id: str, role_edges) -> FamilyInstance:
     roles: dict[str, int] = {}
     for r1, r2 in role_edges:
         for r in (r1, r2):
             if r not in roles:
                 roles[r] = len(roles)
     g = from_edges(len(roles), [(roles[r1], roles[r2]) for r1, r2 in role_edges])
-    return FamilyInstance(family_id, g, roles, params or {})
+    return FamilyInstance(family_id, g, roles)
 
 
 def _leaf(hub: str, i: int) -> str:
@@ -108,20 +108,20 @@ def _build_path(n: int) -> FamilyInstance:
     if n < 2:
         raise BadParams("path needs n >= 2")
     edges = [(f"v{i}", f"v{i + 1}") for i in range(n - 1)]
-    return _from_role_edges("path", edges, {"n": n})
+    return _from_role_edges("path", edges)
 
 
 def _build_cycle(n: int) -> FamilyInstance:
     if n < 3:
         raise BadParams("cycle needs n >= 3")
     edges = [(f"v{i}", f"v{(i + 1) % n}") for i in range(n)]
-    return _from_role_edges("cycle", edges, {"n": n})
+    return _from_role_edges("cycle", edges)
 
 
 def _build_fan(order: int) -> FamilyInstance:
     if order < 3:
         raise BadParams("fan needs order >= 3 (hub joined to a path on >= 2 vertices)")
-    inst = _from_role_edges("fan", _fan_role_edges(order), {"n": order})
+    inst = _from_role_edges("fan", _fan_role_edges(order))
     return _check(inst, degrees={"v0": order - 1}, two_connected=True, maximal=True)
 
 
@@ -147,7 +147,7 @@ def _build_g_delta(delta: int) -> FamilyInstance:
     edges = list(_G61_EDGES)
     for hub in ("v0", "v2", "v3"):
         edges += [(hub, _leaf(hub, i)) for i in range(1, delta - 3)]
-    inst = _from_role_edges("g_delta", edges, {"delta": delta})
+    inst = _from_role_edges("g_delta", edges)
     return _check(
         inst, degrees={"v0": delta, "v2": delta, "v3": delta}, diam=3,
         two_connected=False, outerplanar=True,
@@ -170,7 +170,7 @@ def _build_h_prime(delta: int) -> FamilyInstance:
     edges += [("v1", _leaf("v0", 1)), (_leaf("v0", k), "v4")]
     edges += [("v1", _leaf("v2", 1)), (_leaf("v2", k), "v5")]
     edges += [("v5", _leaf("v3", 1)), (_leaf("v3", k), "v4")]
-    inst = _from_role_edges("h_prime", edges, {"delta": delta})
+    inst = _from_role_edges("h_prime", edges)
     return _check(
         inst, degrees={"v0": delta, "v2": delta, "v3": delta}, diam=3,
         two_connected=True,
@@ -191,7 +191,7 @@ def _build_h_case1(delta: int) -> FamilyInstance:
         edges.append((_leaf("v3", k), "v5"))
     edges += _hub_fan_edges("v4", k + 1)
     edges.append(("v5", _leaf("v4", 1)))
-    inst = _from_role_edges("h_case1", edges, {"delta": delta})
+    inst = _from_role_edges("h_case1", edges)
     return _check(
         inst, degrees={"v0": delta, "v3": delta, "v4": delta}, diam=3,
         two_connected=True, maximal=True,
@@ -217,7 +217,7 @@ def _build_h2(delta: int) -> FamilyInstance:
     if k:
         edges.append(("v5", _leaf("v2", 1)))
         edges.append((_leaf("v3", k), "v6"))
-    inst = _from_role_edges("h2", edges, {"delta": delta})
+    inst = _from_role_edges("h2", edges)
     return _check(
         inst, degrees={"v2": delta, "v3": delta}, diam=3, two_connected=True, maximal=True,
     )
@@ -286,7 +286,7 @@ def _put(table: dict[tuple[str, str], int], r1: str, r2: str, color: int) -> Non
 
 def _build_delta5_strip(blocks: int) -> FamilyInstance:
     colored = _strip_layout(blocks)
-    inst = _from_role_edges("delta5_strip", list(colored.keys()), {"blocks": blocks})
+    inst = _from_role_edges("delta5_strip", list(colored.keys()))
     g = inst.graph
     if g.n != 4 * blocks + 2 or g.m != 8 * blocks + 1:
         raise PostconditionFailed("strip size does not match 4b+2 vertices / 8b+1 edges")
@@ -430,13 +430,11 @@ def _h2_coloring(delta: int) -> dict[tuple[str, str], int]:
     return c
 
 
-#: least delta each closed-form coloring is stated for
-FORMULA_MIN_DELTA = {"h_prime": 9, "h_case1": 7, "h2": 10}
-
-_FORMULA_COLORINGS = {
-    "h_prime": (_h_prime_coloring, lambda d: d + 3),
-    "h_case1": (_h_case1_coloring, lambda d: d + 4),
-    "h2": (_h2_coloring, lambda d: d + 2),
+#: family id -> (least delta it is stated for, closed-form rule, claimed palette - delta)
+_FORMULAS = {
+    "h_prime": (9, _h_prime_coloring, 3),
+    "h_case1": (7, _h_case1_coloring, 4),
+    "h2": (10, _h2_coloring, 2),
 }
 
 
@@ -444,22 +442,18 @@ def formula_coloring(family_id: str, delta: int) -> EdgeColoring:
     """The family's closed-form coloring, index ranges taken literally.
 
     Claimed palettes: h_prime delta+3, h_case1 delta+4, h2 delta+2, each
-    from FORMULA_MIN_DELTA on.  Validity is not asserted here.
+    from its least delta in _FORMULAS on.  Validity is not asserted here.
     """
-    if family_id not in _FORMULA_COLORINGS:
+    if family_id not in _FORMULAS:
         raise OutOfRange(f"no closed-form coloring for family {family_id!r}")
-    lo = FORMULA_MIN_DELTA[family_id]
+    lo, rule, _ = _FORMULAS[family_id]
     if delta < lo:
         raise OutOfRange(f"the {family_id} coloring function is stated for delta >= {lo}")
-    rule, _ = _FORMULA_COLORINGS[family_id]
-    table = rule(delta)
-    inst = build_family(family_id, delta=delta)
-    return inst.edge_color_map(table)
+    return build_family(family_id, delta=delta).edge_color_map(rule(delta))
 
 
 def claimed_palette(family_id: str, delta: int) -> int:
-    _, claim = _FORMULA_COLORINGS[family_id]
-    return claim(delta)
+    return delta + _FORMULAS[family_id][2]
 
 
 # --- figure catalog ------------------------------------------------------
@@ -520,3 +514,17 @@ def figure_coloring(figure_id: str) -> tuple[FamilyInstance, EdgeColoring]:
     inst = build_family(family_id, **params)
     table = _load_figure_table(figure_id)
     return inst, inst.edge_color_map(table)
+
+
+def family_coloring(family_id: str, delta: int) -> tuple[str, EdgeColoring, int]:
+    """The coloring the paper gives for a family at one delta, as
+    (source, coloring, claimed palette): the closed form ("formula") from
+    its least delta on, else the figure drawn at that delta."""
+    if family_id not in _FORMULAS:
+        raise OutOfRange(f"family-check supports {sorted(_FORMULAS)}, not {family_id!r}")
+    if delta >= _FORMULAS[family_id][0]:
+        return "formula", formula_coloring(family_id, delta), claimed_palette(family_id, delta)
+    for figure_id, (family, params, claim) in FIGURES.items():
+        if family == family_id and params == {"delta": delta}:
+            return figure_id, figure_coloring(figure_id)[1], claim
+    raise OutOfRange(f"{family_id} has no coloring at delta={delta}")

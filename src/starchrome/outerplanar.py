@@ -287,6 +287,8 @@ def _level(grow, n: int, below: Catalog | None, subdivide: bool) -> tuple[dict, 
         below = grow(n - 1)
     elif below.n != n - 1:
         raise OutOfRange(f"{grow.__name__}({n}) grows from order {n - 1}, got {below.n}")
+    elif isinstance(below, MopCatalog) == subdivide:  # a level of the other enumeration
+        raise OutOfRange(f"{grow.__name__}({n}) grows from its own levels, not a {type(below).__name__}")
     return _grow(below, subdivide)
 
 
@@ -294,7 +296,7 @@ def enumerate_mops(n: int, below: MopCatalog | None = None) -> MopCatalog:
     """All MOPs of order n up to isomorphism, by adding an ear on each
     outer edge of each MOP of order n-1.
 
-    Given ``below``, the catalog of order n-1, the call grows that one
+    Given ``below``, its own catalog of order n-1, the call grows that one
     level; without it, every level from the triangle.  Each member's
     ``children`` are the members of order n-1 it grows from.
     """
@@ -311,7 +313,7 @@ def enumerate_dissections(n: int, below: Catalog | None = None) -> Catalog:
     cycle.  So each level adds a vertex on every outer edge of every member
     of the level below, once as an ear and once in place of that edge.
 
-    Given ``below``, the catalog of order n-1, the call grows that one
+    Given ``below``, its own catalog of order n-1, the call grows that one
     level; without it, every level from the triangle.
     """
     return Catalog(n, *_level(enumerate_dissections, n, below, subdivide=True))

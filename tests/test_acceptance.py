@@ -96,7 +96,7 @@ def test_criterion_4_constructive_upper_bounds():
 def test_criterion_5_figure_catalog_complete():
     start = time.monotonic()
     reports = verify_figures()
-    ids = sorted(r.figure_id for r in reports)
+    ids = sorted(r.source for r in reports)
     expected = sorted(
         ["fig1", "fig2", "fig3_f6", "fig3_f7"]
         + [f"fig8{ch}" for ch in "abcde"]
@@ -107,10 +107,10 @@ def test_criterion_5_figure_catalog_complete():
     assert ids == expected  # complete, each exactly once
     for rep in reports:
         line = "PASS" if rep.passed else "FAIL"
-        print(f"  {line} {rep.figure_id} palette={rep.palette}")
+        print(f"  {line} {rep.source} palette={rep.palette}")
         if not rep.passed:
             assert rep.first_witness is not None  # findings carry witnesses
-    failed = [r.figure_id for r in reports if not r.passed]
+    failed = [r.source for r in reports if not r.passed]
     assert failed == ["fig3_f7"]  # the drawing's bichromatic path, reported not patched
     elapsed = time.monotonic() - start
     assert elapsed < 30

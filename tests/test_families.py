@@ -244,13 +244,13 @@ def test_postcondition_check_fires_on_wrong_declaration():
     from starchrome.graph import from_edges
 
     g = from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    inst = FamilyInstance("k3", g, {"a": 0, "b": 1, "c": 2}, {})
+    inst = FamilyInstance("k3", g, {"a": 0, "b": 1, "c": 2})
     with pytest.raises(PostconditionFailed):
         _check(inst, degrees={"a": 5})
     with pytest.raises(PostconditionFailed):
         _check(inst, diam=7)
     with pytest.raises(PostconditionFailed):
-        _check(FamilyInstance("bad", g, {"a": 0, "b": 1}, {}))
+        _check(FamilyInstance("bad", g, {"a": 0, "b": 1}))
 
 
 def test_extremal_mop_families_appear_in_the_catalog():

@@ -23,17 +23,19 @@ from starchrome.sweep import (
 
 def test_verify_figures_catalog_complete():
     reports = verify_figures()
-    ids = [r.figure_id for r in reports]
+    ids = [r.source for r in reports]
     assert len(ids) == len(set(ids)) == 21
     for rep in reports:
         if not rep.passed:
             assert rep.first_witness is not None
+    reports[2].params["n"] = 99  # a report's params are its own, not the catalog's
+    assert verify_figures()[2].params == {"n": 6}
 
 
 def test_family_check_rows():
     rows = family_check("h_prime", [9, 10])
-    assert [r.delta for r in rows] == [9, 10]
-    assert all(r.passed and r.palette == r.delta + 3 for r in rows)
+    assert [r.params["delta"] for r in rows] == [9, 10]
+    assert all(r.passed and r.palette == r.params["delta"] + 3 for r in rows)
 
 
 def test_family_check_exact_gap():
@@ -429,6 +431,8 @@ def test_cli_malformed_arguments_exit_1(capsys):
     assert "bad edge '0-x'" in capsys.readouterr().err
     assert main(["family-check", "h2", "a..b"]) == 1
     assert "bad delta range 'a..b'" in capsys.readouterr().err
+    assert main(["family-check", "h2", "10..9"]) == 1  # not an empty check
+    assert "bad delta range '10..9'" in capsys.readouterr().err
 
 
 def test_cli_sweep_rejects_a_schema_1_cache(tmp_path, capsys):

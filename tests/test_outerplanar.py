@@ -168,10 +168,12 @@ def test_enumerated_mops_are_mops_with_right_edge_count():
 
 
 def test_member_counts():
-    # OEIS A000207 per order; the rooted counts are Catalan(n-2)
-    counts = [1, 1, 1, 3, 4, 12, 27, 82, 228, 733, 2282]
-    for n, count in zip(range(3, 14), counts):
-        catalog = enumerate_mops(n)
+    # OEIS A000207 per order, each grown from the one below; the rooted
+    # counts are Catalan(n-2)
+    counts = [1, 1, 1, 3, 4, 12, 27, 82, 228, 733, 2282, 7528]
+    catalog = None
+    for n, count in zip(range(3, 15), counts):
+        catalog = enumerate_mops(n, catalog)
         assert catalog.member_count() == count
         assert catalog.rooted_count == math.comb(2 * n - 4, n - 2) // (n - 1)
 
@@ -308,6 +310,8 @@ def test_mops_grown_level_by_level_match_standalone_calls():
         assert alone.children == catalog.children
     with pytest.raises(OutOfRange):
         enumerate_mops(12, enumerate_mops(10))
+    with pytest.raises(OutOfRange):  # unchecked: 7 "MOPs", 4 of them not maximal
+        enumerate_mops(6, enumerate_dissections(5))
 
 
 def test_dissection_children_are_the_ear_deletions():
@@ -320,6 +324,8 @@ def test_dissection_children_are_the_ear_deletions():
             assert catalog.children[key] == _ear_deletions(g)
     with pytest.raises(OutOfRange):
         enumerate_dissections(9, enumerate_dissections(7))
+    with pytest.raises(OutOfRange):  # unchecked: 5 of the 9 classes
+        enumerate_dissections(6, enumerate_mops(5))
 
 
 def test_enumeration_limit():
