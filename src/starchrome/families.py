@@ -438,22 +438,26 @@ _FORMULAS = {
 }
 
 
+def _formula(family_id: str):
+    if family_id not in _FORMULAS:
+        raise OutOfRange(f"no closed-form coloring for family {family_id!r}")
+    return _FORMULAS[family_id]
+
+
 def formula_coloring(family_id: str, delta: int) -> EdgeColoring:
     """The family's closed-form coloring, index ranges taken literally.
 
     Claimed palettes: h_prime delta+3, h_case1 delta+4, h2 delta+2, each
     from its least delta in _FORMULAS on.  Validity is not asserted here.
     """
-    if family_id not in _FORMULAS:
-        raise OutOfRange(f"no closed-form coloring for family {family_id!r}")
-    lo, rule, _ = _FORMULAS[family_id]
+    lo, rule, _ = _formula(family_id)
     if delta < lo:
         raise OutOfRange(f"the {family_id} coloring function is stated for delta >= {lo}")
     return build_family(family_id, delta=delta).edge_color_map(rule(delta))
 
 
 def claimed_palette(family_id: str, delta: int) -> int:
-    return delta + _FORMULAS[family_id][2]
+    return delta + _formula(family_id)[2]
 
 
 # --- figure catalog ------------------------------------------------------

@@ -24,7 +24,8 @@ GREEDY_SEEDS in all: one each time the node count passes a multiple of
 4096, where the budget is tested, and a budget hit draws the rest.  Every
 palette the search enters is a proven lower bound, so once the best greedy
 coloring fits in k colors, round k ends there with that coloring as its
-witness, before or in the middle of its search, and after a budget hit too.
+witness: before, during or after its search.  _Search.round is the one
+place where a palette round ends, for both public solvers.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .coloring import EdgeColoring, star_violations
-from .errors import BudgetExhausted, TooLarge
+from .errors import BudgetExhausted, OutOfRange, TooLarge
 from .graph import Graph
 
 GREEDY_SEEDS = 64  # greedy orders drawn per search, the last ones on a budget hit
@@ -65,10 +66,6 @@ class SolveResult:
 
 
 class _BudgetHit(Exception):
-    pass
-
-
-class _GreedyFit(Exception):
     pass
 
 
@@ -165,61 +162,43 @@ class _Search:
     def elapsed(self) -> float:
         return time.monotonic() - self.started
 
-    def draw(self, seeds: int) -> None:
-        """Draw greedy orders until ``seeds`` of them (at most GREEDY_SEEDS)
-        are drawn, keeping the best coloring."""
-        while self.seeds < min(seeds, GREEDY_SEEDS):
-            coloring = greedy_star_upper(self.g, self.seeds)
-            self.seeds += 1
-            if self.greedy is None or coloring.palette_size() < self.greedy.palette_size():
-                self.greedy = coloring
+    def draw(self) -> None:
+        """Draw the next greedy order, keeping the best coloring."""
+        coloring = greedy_star_upper(self.g, self.seeds)
+        self.seeds += 1
+        if self.greedy is None or coloring.palette_size() < self.greedy.palette_size():
+            self.greedy = coloring
 
-    def greedy_fits(self, k: int) -> bool:
-        return self.greedy is not None and self.greedy.palette_size() <= k
-
-    def run_round(self, k: int) -> EdgeColoring | None:
-        """Run :meth:`settle` and record its nodes, seconds and outcome."""
-        nodes, started, outcome = self.nodes, time.monotonic(), "budget"
+    def round(self, k: int, lower: int) -> EdgeColoring | None:
+        """Palette round k, appended to ``rounds``: a coloring with at most
+        k colors, or None if k is refuted.  The best greedy coloring ends
+        the round once it fits, also after a budget hit has drawn the orders
+        left; a hit it does not end raises BudgetExhausted with the interval
+        [lower, best greedy palette]."""
+        nodes, started = self.nodes, time.monotonic()
+        witness, hit = self.greedy, False
         try:
-            outcome, witness = self.settle(k)
-        finally:
-            seconds = time.monotonic() - started
-            self.rounds.append(Round(k, self.nodes - nodes, seconds, outcome))
+            if witness is None or witness.palette_size() > k:
+                witness = self.feasible(k)
+        except _BudgetHit:
+            while self.seeds < GREEDY_SEEDS:
+                self.draw()
+            witness = self.greedy
+            hit = witness.palette_size() > k
+        outcome = ("budget" if hit else "refuted" if witness is None
+                   else "greedy" if witness is self.greedy else "feasible")
+        self.rounds.append(Round(k, self.nodes - nodes, time.monotonic() - started, outcome))
+        if hit:
+            upper = witness.palette_size()
+            raise BudgetExhausted(lower, upper, self.nodes, self.elapsed(), tuple(self.rounds))
         return witness
 
-    def settle(self, k: int) -> tuple[str, EdgeColoring | None]:
-        """The outcome of round k and a coloring with at most k colors, if any.
-
-        The best greedy coloring settles the round once it fits, also after
-        a budget hit; a hit it does not settle propagates as _BudgetHit.
-        """
-        if not self.greedy_fits(k):
-            try:
-                slots = self.feasible(k)
-            except _BudgetHit:
-                self.draw(GREEDY_SEEDS)
-                if not self.greedy_fits(k):
-                    raise
-            except _GreedyFit:
-                pass
-            else:
-                if slots is None:
-                    return "refuted", None
-                return "feasible", self.slots.coloring(slots)
-        return "greedy", self.greedy
-
-    def exhausted(self, lower: int) -> BudgetExhausted:
-        """The error for a budget hit, with the best greedy palette as upper bound."""
-        upper = self.greedy.palette_size()
-        return BudgetExhausted(lower, upper, self.nodes, self.elapsed(), tuple(self.rounds))
-
-    def feasible(self, k: int) -> list[int] | None:
-        """A coloring (by edge slot) using at most k colors, or None."""
+    def feasible(self, k: int) -> EdgeColoring | None:
+        """A coloring using at most k colors, or None if there is none; the
+        greedy coloring if a draw during the search fits in k colors."""
         edges = self.slots.edges
         earlier = self.slots.earlier
         m = len(edges)
-        if m == 0:
-            return []
         bits = [0] * m
         vmask = [0] * self.g.n
         colored: list[list[tuple[int, int]]] = [[] for _ in range(self.g.n)]
@@ -251,9 +230,10 @@ class _Search:
                     if nodes >= budget_nodes or self.elapsed() > budget_secs:
                         raise _BudgetHit
                     check_at = min(budget_nodes, nodes + 4096)
-                    self.draw(self.seeds + 1)
-                    if self.greedy_fits(k):
-                        raise _GreedyFit
+                    if self.seeds < GREEDY_SEEDS:
+                        self.draw()
+                        if self.greedy.palette_size() <= k:
+                            return True
                 if bad & bit:
                     continue
                 bits[i] = bit
@@ -273,7 +253,11 @@ class _Search:
             found = dfs(0, 2 & palette)
         finally:
             self.nodes = nodes
-        return [bit.bit_length() - 1 for bit in bits] if found else None
+        if not found:
+            return None
+        if self.greedy is not None and self.greedy.palette_size() <= k:
+            return self.greedy
+        return self.slots.coloring([bit.bit_length() - 1 for bit in bits])
 
 
 def greedy_star_upper(g: Graph, order_seed: int = 0) -> EdgeColoring:
@@ -306,13 +290,11 @@ def star_palette_feasible(g: Graph, k: int, budget: Budget | None = None) -> Edg
     """A star edge coloring of g with at most k colors, or None if impossible.
 
     Raises BudgetExhausted if the search cannot be completed in budget and
-    no greedy order fits in k colors.
+    no greedy order fits in k colors, and OutOfRange if k is negative.
     """
-    search = _Search(g, budget or Budget())
-    try:
-        return search.run_round(k)
-    except _BudgetHit:
-        raise search.exhausted(max(g.max_degree(), 1)) from None
+    if k < 0:
+        raise OutOfRange(f"palette size must be >= 0, got {k}")
+    return _Search(g, budget or Budget()).round(k, max(g.max_degree(), 1))
 
 
 def exact_chi_star(g: Graph, budget: Budget | None = None, lower: int = 0) -> SolveResult:
@@ -321,18 +303,18 @@ def exact_chi_star(g: Graph, budget: Budget | None = None, lower: int = 0) -> So
     ``lower`` must be a proven lower bound on the answer, such as the star
     chromatic index of a subgraph; the palettes below it are not tried.
     ``rounds`` holds one entry per palette tried; their nodes sum to
-    ``nodes_expanded``.  The witness of a round settled by a greedy order
-    is that greedy coloring.
+    ``nodes_expanded``.  The witness of a round ended by a greedy order
+    is that greedy coloring.  A ``lower`` above the edge count raises
+    OutOfRange: m colors always suffice, so no such bound can be proven.
     """
+    if lower > g.m:
+        raise OutOfRange(f"lower bound {lower} exceeds the {g.m} edges, which always suffice")
     search = _Search(g, budget or Budget())
     if g.m == 0:
         return SolveResult(0, EdgeColoring(g, ()), 0, search.elapsed())
     k = max(g.max_degree(), 1, lower)
     while k <= g.m:
-        try:
-            witness = search.run_round(k)
-        except _BudgetHit:
-            raise search.exhausted(k) from None
+        witness = search.round(k, k)
         if witness is not None:
             return SolveResult(k, witness, search.nodes, search.elapsed(), tuple(search.rounds))
         k += 1

@@ -94,6 +94,8 @@ def test_formula_coloring_ranges():
         formula_coloring("h2", 9)
     with pytest.raises(OutOfRange):
         formula_coloring("fan", 9)
+    with pytest.raises(OutOfRange):
+        claimed_palette("fan", 5)
 
 
 @pytest.mark.parametrize("family,delta", [("h_prime", 9), ("h_case1", 7), ("h2", 10)])

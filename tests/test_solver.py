@@ -8,7 +8,7 @@ import pytest
 
 from starchrome import solver
 from starchrome.coloring import EdgeColoring, star_violations
-from starchrome.errors import BudgetExhausted, TooLarge
+from starchrome.errors import BudgetExhausted, OutOfRange, TooLarge
 from starchrome.families import build_family
 from starchrome.graph import from_edges, relabel
 from starchrome.graph6 import graph6_decode
@@ -372,6 +372,22 @@ def test_palette_feasible_reports_its_round_on_budget():
         star_palette_feasible(_hard("h2-d9"), 9, Budget(max_nodes=5))
     (only,) = exc_info.value.rounds
     assert (only.k, only.nodes, only.outcome) == (9, 5, "budget")
+    # the interval starts at D = 9 and ends at the best of the 64 greedy orders
+    assert (exc_info.value.lower_bound, exc_info.value.upper_bound) == (9, 10)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        # m = 2 colors always suffice, so a lower bound of 5 cannot be proven
+        lambda: exact_chi_star(path_graph(3), lower=5),
+        lambda: star_palette_feasible(path_graph(3), -1),
+    ],
+    ids=["lower-above-m", "negative-palette"],
+)
+def test_unprovable_solver_inputs_raise_out_of_range(solve):
+    with pytest.raises(OutOfRange):
+        solve()
 
 
 def test_budget_exhausted_survives_pickling():
