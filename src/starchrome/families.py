@@ -1,15 +1,16 @@
 """Named graph families with role-labeled vertices and their colorings.
 
-Each builder returns a FamilyInstance whose roles map the family's symbolic
-vertex names onto dense ids, and asserts the structural facts the family is
-defined by (hub degrees, diameter, 2-connectivity, and the outerplanar or
-maximal outerplanar class it stands for) instead of silently repairing
-them.  ``h_prime`` has 2n edges, over the outerplanar bound of 2n-3, so it
-declares no class.  The closed-form coloring functions and the literal
-figure tables are kept apart: formulas live in formula_coloring, figures
-in versioned plain-text data files loaded by figure_coloring, and
-family_coloring picks between them by delta.  None asserts validity;
-running the validator is the caller's job.
+Each builder returns role edges, hub degrees and the facts the family
+is defined by (size, maximum degree, diameter, 2-connectivity, and the
+outerplanar or maximal outerplanar class it stands for).  build_family
+alone checks the parameter against its least value and step in
+_BUILDERS, maps the roles onto dense ids and checks every declared fact
+instead of silently repairing it.  ``h_prime`` has 2n edges, over the
+outerplanar bound of 2n-3, so it declares no class.  Closed-form
+colorings (formula_coloring) and the figure tables (versioned text files
+loaded by figure_coloring) are kept apart, and family_coloring picks
+between them by delta.  None asserts validity; running the validator is
+the caller's job.
 """
 
 from __future__ import annotations
@@ -39,27 +40,30 @@ class FamilyInstance:
         return EdgeColoring.from_mapping(self.graph, mapping)
 
 
-def _check(instance: FamilyInstance, *, degrees: dict[str, int] | None = None,
-           diam: int | None = None, two_connected: bool | None = None,
-           outerplanar: bool | None = None, maximal: bool | None = None) -> FamilyInstance:
+#: fact a builder may declare -> how it is measured; any other fact is a
+#: field of ``classify``, run only when one is declared
+_MEASURES = {"n": lambda g: g.n, "m": lambda g: g.m,
+             "max_degree": Graph.max_degree, "diameter": diameter}
+
+
+def _check(instance: FamilyInstance, role_degrees: dict[str, int],
+           facts: dict[str, object]) -> FamilyInstance:
     """Raise PostconditionFailed unless the instance has every declared fact."""
     g = instance.graph
     if sorted(instance.roles.values()) != list(range(g.n)):
         raise PostconditionFailed(f"{instance.family_id}: roles are not a bijection")
     degs = g.degrees()
-    for role, want in (degrees or {}).items():
+    for role, want in role_degrees.items():
         got = degs[instance.roles[role]]
         if got != want:
-            raise PostconditionFailed(
-                f"{instance.family_id}: d({role}) = {got}, declared {want}"
-            )
-    cls = classify(g)
-    declared = {"diameter": diam, "two_connected": two_connected,
-                "outerplanar": outerplanar, "maximal": maximal}
-    for name, want in declared.items():
-        if want is None:
-            continue
-        got = diameter(g) if name == "diameter" else getattr(cls, name)
+            raise PostconditionFailed(f"{instance.family_id}: d({role}) = {got}, declared {want}")
+    cls = None
+    for name, want in facts.items():
+        if name in _MEASURES:
+            got = _MEASURES[name](g)
+        else:
+            cls = cls or classify(g)
+            got = getattr(cls, name)
         if got != want:
             raise PostconditionFailed(f"{instance.family_id}: {name} {got}, declared {want}")
     return instance
@@ -76,6 +80,8 @@ _G62_EDGES = [
     ("v2", "v3"), ("v3", "v4"), ("v3", "v5"), ("v4", "v5"),
 ]
 
+_MOP = {"two_connected": True, "maximal": True}
+
 
 def _from_role_edges(family_id: str, role_edges) -> FamilyInstance:
     roles: dict[str, int] = {}
@@ -91,136 +97,97 @@ def _leaf(hub: str, i: int) -> str:
     return f"{hub}^({i})"
 
 
-def _fan_role_edges(order: int) -> list[tuple[str, str]]:
-    edges = [("v0", f"v{i}") for i in range(1, order)]
-    edges += [(f"v{i}", f"v{i + 1}") for i in range(1, order - 1)]
-    return edges
-
-
-def _hub_fan_edges(hub: str, count: int) -> list[tuple[str, str]]:
-    """Spokes hub-hub^(i) plus the consecutive chain between the leaves."""
+def _hub_fan_edges(hub: str, count: int, start: str | None = None,
+                   end: str | None = None) -> list[tuple[str, str]]:
+    """Spokes hub-hub^(i) plus the consecutive chain between the leaves;
+    with any leaves, the chain's ends are joined to ``start`` and ``end``."""
     edges = [(hub, _leaf(hub, i)) for i in range(1, count + 1)]
     edges += [(_leaf(hub, i), _leaf(hub, i + 1)) for i in range(1, count)]
+    if count:
+        edges += [(start, _leaf(hub, 1))] if start else []
+        edges += [(_leaf(hub, count), end)] if end else []
     return edges
 
 
-def _build_path(n: int) -> FamilyInstance:
-    if n < 2:
-        raise BadParams("path needs n >= 2")
-    edges = [(f"v{i}", f"v{i + 1}") for i in range(n - 1)]
-    return _from_role_edges("path", edges)
+def _build_path(n: int):
+    return [(f"v{i}", f"v{i + 1}") for i in range(n - 1)], {}, {}
 
 
-def _build_cycle(n: int) -> FamilyInstance:
-    if n < 3:
-        raise BadParams("cycle needs n >= 3")
-    edges = [(f"v{i}", f"v{(i + 1) % n}") for i in range(n)]
-    return _from_role_edges("cycle", edges)
+def _build_cycle(n: int):
+    return [(f"v{i}", f"v{(i + 1) % n}") for i in range(n)], {}, {}
 
 
-def _build_fan(order: int) -> FamilyInstance:
-    if order < 3:
-        raise BadParams("fan needs order >= 3 (hub joined to a path on >= 2 vertices)")
-    inst = _from_role_edges("fan", _fan_role_edges(order))
-    return _check(inst, degrees={"v0": order - 1}, two_connected=True, maximal=True)
+def _build_fan(order: int):
+    """A hub joined to a path on order - 1 >= 2 vertices."""
+    edges = [("v0", f"v{i}") for i in range(1, order)]
+    edges += [(f"v{i}", f"v{i + 1}") for i in range(1, order - 1)]
+    return edges, {"v0": order - 1}, _MOP
 
 
-def _build_g61() -> FamilyInstance:
-    return _check(_from_role_edges("g61", _G61_EDGES), diam=2, two_connected=True, maximal=True)
+def _build_g61():
+    return _G61_EDGES, {}, {"diameter": 2, **_MOP}
 
 
-def _build_g61_prime() -> FamilyInstance:
+def _build_g61_prime():
     edges = [e for e in _G61_EDGES if e not in [("v0", "v2"), ("v0", "v3")]]
-    return _check(
-        _from_role_edges("g61_prime", edges), diam=3, two_connected=True, outerplanar=True,
-    )
+    return edges, {}, {"diameter": 3, "two_connected": True, "outerplanar": True}
 
 
-def _build_g62() -> FamilyInstance:
-    return _check(_from_role_edges("g62", _G62_EDGES), diam=3, two_connected=True, maximal=True)
+def _build_g62():
+    return _G62_EDGES, {}, {"diameter": 3, **_MOP}
 
 
-def _build_g_delta(delta: int) -> FamilyInstance:
+def _build_g_delta(delta: int):
     """The g61 core plus delta-4 pendant leaves on each of v0, v2, v3."""
-    if delta < 5:
-        raise BadParams("pendant family needs delta >= 5")
+    hubs = ("v0", "v2", "v3")
     edges = list(_G61_EDGES)
-    for hub in ("v0", "v2", "v3"):
+    for hub in hubs:
         edges += [(hub, _leaf(hub, i)) for i in range(1, delta - 3)]
-    inst = _from_role_edges("g_delta", edges)
-    return _check(
-        inst, degrees={"v0": delta, "v2": delta, "v3": delta}, diam=3,
-        two_connected=False, outerplanar=True,
-    )
+    facts = {"diameter": 3, "two_connected": False, "outerplanar": True}
+    return edges, dict.fromkeys(hubs, delta), facts
 
 
-def _build_h_prime(delta: int) -> FamilyInstance:
+def _build_h_prime(delta: int):
     """The pendant family with each hub's leaves chained into a fan.
 
     The leaf chains run v1..v4 around v0, v1..v5 around v2 and v5..v4
-    around v3; chain indices stop at the last existing leaf.  With m = 2n
-    it is not outerplanar at any delta, so it declares no class.
+    around v3.  With m = 2n it is not outerplanar at any delta, so it
+    declares no class.
     """
-    if delta < 5:
-        raise BadParams("h_prime needs delta >= 5")
     k = delta - 4
     edges = list(_G61_EDGES)
-    for hub in ("v0", "v2", "v3"):
-        edges += _hub_fan_edges(hub, k)
-    edges += [("v1", _leaf("v0", 1)), (_leaf("v0", k), "v4")]
-    edges += [("v1", _leaf("v2", 1)), (_leaf("v2", k), "v5")]
-    edges += [("v5", _leaf("v3", 1)), (_leaf("v3", k), "v4")]
-    inst = _from_role_edges("h_prime", edges)
-    return _check(
-        inst, degrees={"v0": delta, "v2": delta, "v3": delta}, diam=3,
-        two_connected=True,
-    )
+    edges += _hub_fan_edges("v0", k, "v1", "v4")
+    edges += _hub_fan_edges("v2", k, "v1", "v5")
+    edges += _hub_fan_edges("v3", k, "v5", "v4")
+    degrees = dict.fromkeys(("v0", "v2", "v3"), delta)
+    return edges, degrees, {"diameter": 3, "two_connected": True}
 
 
-def _build_h_case1(delta: int) -> FamilyInstance:
+def _build_h_case1(delta: int):
     """The g62 core with fans at v0 (to v1), v3 (to v5) and v4 (from v5)."""
-    if delta < 4:
-        raise BadParams("h_case1 needs delta >= 4")
     k = delta - 4
     edges = list(_G62_EDGES)
-    edges += _hub_fan_edges("v0", k)
-    if k:
-        edges.append((_leaf("v0", k), "v1"))
-    edges += _hub_fan_edges("v3", k)
-    if k:
-        edges.append((_leaf("v3", k), "v5"))
-    edges += _hub_fan_edges("v4", k + 1)
-    edges.append(("v5", _leaf("v4", 1)))
-    inst = _from_role_edges("h_case1", edges)
-    return _check(
-        inst, degrees={"v0": delta, "v3": delta, "v4": delta}, diam=3,
-        two_connected=True, maximal=True,
-    )
+    edges += _hub_fan_edges("v0", k, end="v1")
+    edges += _hub_fan_edges("v3", k, end="v5")
+    edges += _hub_fan_edges("v4", k + 1, start="v5")
+    return edges, dict.fromkeys(("v0", "v3", "v4"), delta), {"diameter": 3, **_MOP}
 
 
-def _build_h2(delta: int) -> FamilyInstance:
+def _build_h2(delta: int):
     """Double-apex core with leaf fans at v2 and v3.
 
     The v2 chain starts at apex v5 and the v3 chain ends at apex v6,
     the orientation the coloring function expects.
     """
-    if delta < 4:
-        raise BadParams("h2 needs delta >= 4")
     k = delta - 4
     edges = [
         ("v0", "v1"), ("v0", "v2"), ("v0", "v3"), ("v0", "v4"),
         ("v1", "v2"), ("v2", "v3"), ("v3", "v4"),
         ("v1", "v5"), ("v2", "v5"), ("v3", "v6"), ("v4", "v6"),
     ]
-    edges += _hub_fan_edges("v2", k)
-    edges += _hub_fan_edges("v3", k)
-    if k:
-        edges.append(("v5", _leaf("v2", 1)))
-        edges.append((_leaf("v3", k), "v6"))
-    inst = _from_role_edges("h2", edges)
-    return _check(
-        inst, degrees={"v2": delta, "v3": delta}, diam=3, two_connected=True, maximal=True,
-    )
+    edges += _hub_fan_edges("v2", k, start="v5")
+    edges += _hub_fan_edges("v3", k, end="v6")
+    return edges, dict.fromkeys(("v2", "v3"), delta), {"diameter": 3, **_MOP}
 
 
 # --- the max-degree-5 strip -------------------------------------------
@@ -249,11 +216,6 @@ def _strip_layout(blocks: int):
     left-shared slots; everything else is fresh.  Returns role edges with
     their colors so the graph and its 9-coloring come from one pass.
     """
-    if blocks < STRIP_FIGURE_BLOCKS or (blocks - STRIP_FIGURE_BLOCKS) % STRIP_PERIOD:
-        raise BadParams(
-            f"strip needs blocks >= {STRIP_FIGURE_BLOCKS} and congruent to "
-            f"{STRIP_FIGURE_BLOCKS} mod {STRIP_PERIOD}, got {blocks}"
-        )
     colored_edges: dict[tuple[str, str], int] = {}
     prev_right: tuple[str, str] | None = None
     for t in range(1, blocks + 1):
@@ -284,52 +246,51 @@ def _put(table: dict[tuple[str, str], int], r1: str, r2: str, color: int) -> Non
     table[key] = color
 
 
-def _build_delta5_strip(blocks: int) -> FamilyInstance:
-    colored = _strip_layout(blocks)
-    inst = _from_role_edges("delta5_strip", list(colored.keys()))
-    g = inst.graph
-    if g.n != 4 * blocks + 2 or g.m != 8 * blocks + 1:
-        raise PostconditionFailed("strip size does not match 4b+2 vertices / 8b+1 edges")
-    if g.max_degree() != 5:
-        raise PostconditionFailed("strip max degree must be exactly 5")
-    return _check(inst, maximal=True)
+def _build_delta5_strip(blocks: int):
+    edges = list(_strip_layout(blocks))
+    return edges, {}, {"n": 4 * blocks + 2, "m": 8 * blocks + 1, "max_degree": 5, "maximal": True}
 
 
 def delta5_strip_coloring(blocks: int) -> EdgeColoring:
     """The figure's periodic star 9-coloring extended to the given size."""
-    inst = _build_delta5_strip(blocks)
+    inst = build_family("delta5_strip", blocks=blocks)
     return inst.edge_color_map(_strip_layout(blocks))
 
 
 # --- registry ----------------------------------------------------------
 
-#: family id -> (builder, the parameters it takes in order)
+#: family id -> (builder, the parameter it takes or None, its least value, step)
 _BUILDERS = {
-    "path": (_build_path, ("n",)),
-    "cycle": (_build_cycle, ("n",)),
-    "fan": (_build_fan, ("n",)),
-    "g61": (_build_g61, ()),
-    "g61_prime": (_build_g61_prime, ()),
-    "g62": (_build_g62, ()),
-    "g_delta": (_build_g_delta, ("delta",)),
-    "h_prime": (_build_h_prime, ("delta",)),
-    "h_case1": (_build_h_case1, ("delta",)),
-    "h2": (_build_h2, ("delta",)),
-    "delta5_strip": (_build_delta5_strip, ("blocks",)),
+    "path": (_build_path, "n", 2, 1),
+    "cycle": (_build_cycle, "n", 3, 1),
+    "fan": (_build_fan, "n", 3, 1),
+    "g61": (_build_g61, None, 0, 1),
+    "g61_prime": (_build_g61_prime, None, 0, 1),
+    "g62": (_build_g62, None, 0, 1),
+    "g_delta": (_build_g_delta, "delta", 5, 1),
+    "h_prime": (_build_h_prime, "delta", 5, 1),
+    "h_case1": (_build_h_case1, "delta", 4, 1),
+    "h2": (_build_h2, "delta", 4, 1),
+    "delta5_strip": (_build_delta5_strip, "blocks", STRIP_FIGURE_BLOCKS, STRIP_PERIOD),
 }
 
 FAMILY_IDS = tuple(_BUILDERS)
 
 
 def build_family(family_id: str, **params: int) -> FamilyInstance:
-    """Construct a named family instance; see module docstring for ids."""
+    """Build a named family instance and check every fact its builder declares."""
     if family_id not in _BUILDERS:
         raise BadParams(f"unknown family id {family_id!r}")
-    build, names = _BUILDERS[family_id]
-    try:
-        return build(*[params[name] for name in names])
-    except KeyError as exc:
-        raise BadParams(f"{family_id} is missing parameter {exc}") from None
+    build, name, least, step = _BUILDERS[family_id]
+    args = ()
+    if name is not None:
+        value = params.get(name)
+        if value is None or value < least or (value - least) % step:
+            mod = f" and congruent to {least} mod {step}" if step > 1 else ""
+            raise BadParams(f"{family_id} needs {name} >= {least}{mod}, got {value}")
+        args = (value,)
+    role_edges, role_degrees, facts = build(*args)
+    return _check(_from_role_edges(family_id, role_edges), role_degrees, facts)
 
 
 # --- closed-form coloring functions -------------------------------------

@@ -277,8 +277,10 @@ def _grow(below: Catalog, subdivide: bool) -> tuple[dict, dict, dict]:
 def _level(grow, n: int, below: Catalog | None, subdivide: bool) -> tuple[dict, dict, dict]:
     """Order n of the enumeration ``grow``, from ``below`` (order n-1) or
     else from ``grow(n - 1)``, down to the triangle."""
-    if not 3 <= n <= GRAPH6_MAX_N:
-        raise TooLarge(f"{grow.__name__} supports 3 <= n <= {GRAPH6_MAX_N}, got {n}")
+    if n < 3:
+        raise OutOfRange(f"{grow.__name__} needs n >= 3, got {n}")
+    if n > GRAPH6_MAX_N:
+        raise TooLarge(f"{grow.__name__} supports n <= {GRAPH6_MAX_N}, got {n}")
     if below is None:
         if n == 3:
             g, ring = Graph(3, ((0, 1), (0, 2), (1, 2))), (0, 1, 2)

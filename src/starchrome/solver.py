@@ -47,6 +47,11 @@ class Budget:
     max_nodes: int = 100_000_000
     max_seconds: float = 300.0
 
+    def __post_init__(self):
+        if not (self.max_nodes >= 1 and self.max_seconds > 0):
+            raise OutOfRange(f"a budget needs max_nodes >= 1 and max_seconds > 0, "
+                             f"got {self.max_nodes} and {self.max_seconds}")
+
 
 @dataclass(frozen=True)
 class Round:

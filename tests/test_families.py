@@ -5,6 +5,7 @@ import pytest
 from starchrome.coloring import star_violations
 from starchrome.errors import BadParams, OutOfRange, UnknownFigure
 from starchrome.families import (
+    FAMILY_IDS,
     FIGURES,
     build_family,
     claimed_palette,
@@ -66,9 +67,23 @@ def test_pendant_family_not_two_connected():
     assert diameter(inst.graph) == 3
 
 
+# family id -> (its parameter, the least value it builds at)
+_FLOORS = {
+    "path": ("n", 2), "cycle": ("n", 3), "fan": ("n", 3), "g_delta": ("delta", 5),
+    "h_prime": ("delta", 5), "h_case1": ("delta", 4), "h2": ("delta", 4),
+    "delta5_strip": ("blocks", 10),
+}
+
+
 def test_family_param_validation():
-    with pytest.raises(BadParams):
-        build_family("h_prime", delta=4)
+    assert set(FAMILY_IDS) - set(_FLOORS) == {"g61", "g61_prime", "g62"}
+    for family, (param, least) in _FLOORS.items():
+        below = rf"^{family} needs {param} >= {least}\b.*, got {least - 1}$"
+        with pytest.raises(BadParams, match=below):
+            build_family(family, **{param: least - 1})
+        assert build_family(family, **{param: least}).family_id == family
+    with pytest.raises(BadParams, match="congruent to 10 mod 6, got 11$"):
+        build_family("delta5_strip", blocks=11)  # off the generator period
     with pytest.raises(BadParams):
         build_family("nonsense")
     with pytest.raises(BadParams):
@@ -248,11 +263,11 @@ def test_postcondition_check_fires_on_wrong_declaration():
     g = from_edges(3, [(0, 1), (1, 2), (0, 2)])
     inst = FamilyInstance("k3", g, {"a": 0, "b": 1, "c": 2})
     with pytest.raises(PostconditionFailed):
-        _check(inst, degrees={"a": 5})
+        _check(inst, {"a": 5}, {})
     with pytest.raises(PostconditionFailed):
-        _check(inst, diam=7)
+        _check(inst, {}, {"diameter": 7})
     with pytest.raises(PostconditionFailed):
-        _check(FamilyInstance("bad", g, {"a": 0, "b": 1}))
+        _check(FamilyInstance("bad", g, {"a": 0, "b": 1}), {}, {})
 
 
 def test_extremal_mop_families_appear_in_the_catalog():

@@ -433,6 +433,10 @@ def test_cli_malformed_arguments_exit_1(capsys):
     assert "bad delta range 'a..b'" in capsys.readouterr().err
     assert main(["family-check", "h2", "10..9"]) == 1  # not an empty check
     assert "bad delta range '10..9'" in capsys.readouterr().err
+    assert main(["solve", "--family", "h2", "--delta", "3"]) == 1
+    assert capsys.readouterr().err == "error: h2 needs delta >= 4, got 3\n"
+    assert main(["solve", "--family", "h2", "--delta", "9", "--budget-nodes", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: a budget needs max_nodes >= 1")
 
 
 def test_cli_sweep_rejects_a_schema_1_cache(tmp_path, capsys):

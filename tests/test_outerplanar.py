@@ -331,6 +331,8 @@ def test_dissection_children_are_the_ear_deletions():
 def test_enumeration_limit():
     with pytest.raises(TooLarge):
         enumerate_mops(63)  # past the graph6 single-byte header
+    with pytest.raises(OutOfRange):
+        enumerate_mops(2)  # below the triangle
 
 
 def test_diameter_two_mops_are_fans_plus_g61():
@@ -393,6 +395,8 @@ def test_maximal_dissections_are_the_mops():
 def test_dissection_limit():
     with pytest.raises(TooLarge):
         enumerate_dissections(63)  # past the graph6 single-byte header
+    with pytest.raises(OutOfRange):
+        enumerate_dissections(2)  # below the triangle
 
 
 def test_dissections_run_no_ear_removal(monkeypatch):

@@ -390,6 +390,15 @@ def test_unprovable_solver_inputs_raise_out_of_range(solve):
         solve()
 
 
+@pytest.mark.parametrize(
+    "nodes,seconds", [(0, 300.0), (-5, 300.0), (10, 0.0), (10, -1.0)],
+    ids=["nodes-0", "nodes-negative", "seconds-0", "seconds-negative"],
+)
+def test_budget_rejects_an_empty_budget(nodes, seconds):
+    with pytest.raises(OutOfRange):
+        Budget(max_nodes=nodes, max_seconds=seconds)
+
+
 def test_budget_exhausted_survives_pickling():
     import pickle
 
