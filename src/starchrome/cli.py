@@ -34,13 +34,8 @@ def _input_graph(args: argparse.Namespace):
     if args.g6:
         return graph6_decode(args.g6)
     if args.family:
-        params = {}
-        if args.n is not None:
-            params["n"] = args.n
-        if args.delta is not None:
-            params["delta"] = args.delta
-        if args.blocks is not None:
-            params["blocks"] = args.blocks
+        flags = {name: getattr(args, name) for name in ("n", "delta", "blocks")}
+        params = {name: value for name, value in flags.items() if value is not None}
         return build_family(args.family, **params).graph
     raise StarchromeError("provide --g6 or --family")
 

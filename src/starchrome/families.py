@@ -4,13 +4,13 @@ Each builder returns role edges, hub degrees and the facts the family
 is defined by (size, maximum degree, diameter, 2-connectivity, and the
 outerplanar or maximal outerplanar class it stands for).  build_family
 alone checks the parameter against its least value and step in
-_BUILDERS, maps the roles onto dense ids and checks every declared fact
-instead of silently repairing it.  ``h_prime`` has 2n edges, over the
-outerplanar bound of 2n-3, so it declares no class.  Closed-form
-colorings (formula_coloring) and the figure tables (versioned text files
-loaded by figure_coloring) are kept apart, and family_coloring picks
-between them by delta.  None asserts validity; running the validator is
-the caller's job.
+_BUILDERS, rejects any other keyword, maps the roles onto dense ids and
+checks every declared fact instead of silently repairing it.  ``h_prime``
+has 2n edges, over the outerplanar bound of 2n-3, so it declares no
+class.  Closed-form colorings (formula_coloring) and the figure tables
+(versioned text files loaded by figure_coloring) are kept apart, and
+family_coloring picks between them by delta.  None asserts validity;
+running the validator is the caller's job.
 """
 
 from __future__ import annotations
@@ -282,6 +282,9 @@ def build_family(family_id: str, **params: int) -> FamilyInstance:
     if family_id not in _BUILDERS:
         raise BadParams(f"unknown family id {family_id!r}")
     build, name, least, step = _BUILDERS[family_id]
+    extra = sorted(set(params) - {name})
+    if extra:
+        raise BadParams(f"{family_id} takes no {', '.join(extra)}")
     args = ()
     if name is not None:
         value = params.get(name)

@@ -4,7 +4,9 @@ Palette size k ascends from the maximum degree, or from a larger proven
 lower bound the caller passes, so the first feasible k is exact by
 construction.  Within a palette, edges are assigned depth-first in
 a static BFS order rooted at a maximum-degree vertex, and a fresh color id
-may only be introduced as max-used+1.  Partial colorings stay proper.
+may only be introduced as max-used+1.  Partial colorings stay proper.  The
+search is one loop over its own stack, one entry per colored slot, so the
+graph's size sets no Python recursion limit.
 
 The order is fixed, so at depth i exactly the slots before i are colored.
 Slot tables, built once per graph, list for each slot the earlier slots at
@@ -21,11 +23,12 @@ over an order from the same BFS routine with shuffled roots and neighbors.
 
 A solve draws greedy orders as it searches, seed 0, 1, ... up to
 GREEDY_SEEDS in all: one each time the node count passes a multiple of
-4096, where the budget is tested, and a budget hit draws the rest.  Every
-palette the search enters is a proven lower bound, so once the best greedy
-coloring fits in k colors, round k ends there with that coloring as its
-witness: before, during or after its search.  _Search.round is the one
-place where a palette round ends, for both public solvers.
+4096, where the budget is tested, and a budget hit draws the rest and
+returns the best of them.  Every palette the search enters is a proven
+lower bound, so once the best greedy coloring fits in k colors, round k
+ends there with that coloring as its witness: before, during or after its
+search.  _Search.round is the one place where a palette round ends, for
+both public solvers.
 """
 
 from __future__ import annotations
@@ -68,10 +71,6 @@ class SolveResult:
     nodes_expanded: int
     elapsed: float
     rounds: tuple[Round, ...] = ()
-
-
-class _BudgetHit(Exception):
-    pass
 
 
 def bfs_edge_order(g: Graph, starts: Iterable[int], nbrs: Sequence[Sequence[int]]) -> list[int]:
@@ -177,30 +176,25 @@ class _Search:
     def round(self, k: int, lower: int) -> EdgeColoring | None:
         """Palette round k, appended to ``rounds``: a coloring with at most
         k colors, or None if k is refuted.  The best greedy coloring ends
-        the round once it fits, also after a budget hit has drawn the orders
-        left; a hit it does not end raises BudgetExhausted with the interval
-        [lower, best greedy palette]."""
+        the round once it fits; a budget hit it does not end raises
+        BudgetExhausted with the interval [lower, best greedy palette]."""
         nodes, started = self.nodes, time.monotonic()
-        witness, hit = self.greedy, False
-        try:
-            if witness is None or witness.palette_size() > k:
-                witness = self.feasible(k)
-        except _BudgetHit:
-            while self.seeds < GREEDY_SEEDS:
-                self.draw()
-            witness = self.greedy
-            hit = witness.palette_size() > k
-        outcome = ("budget" if hit else "refuted" if witness is None
+        witness = self.greedy
+        if witness is None or witness.palette_size() > k:
+            witness = self.feasible(k)
+        outcome = ("refuted" if witness is None else "budget" if witness.palette_size() > k
                    else "greedy" if witness is self.greedy else "feasible")
         self.rounds.append(Round(k, self.nodes - nodes, time.monotonic() - started, outcome))
-        if hit:
+        if outcome == "budget":
             upper = witness.palette_size()
             raise BudgetExhausted(lower, upper, self.nodes, self.elapsed(), tuple(self.rounds))
         return witness
 
     def feasible(self, k: int) -> EdgeColoring | None:
-        """A coloring using at most k colors, or None if there is none; the
-        greedy coloring if a draw during the search fits in k colors."""
+        """A coloring using at most k colors, or None if there is none: the
+        greedy coloring if a draw during the search fits in k colors, and on
+        a budget hit the best greedy coloring once the orders left are drawn.
+        """
         edges = self.slots.edges
         earlier = self.slots.earlier
         m = len(edges)
@@ -214,54 +208,55 @@ class _Search:
         # the next node count at which to test the budget: every 4096 nodes
         # for time and a greedy draw, and at the node budget itself
         check_at = min(budget_nodes, nodes - nodes % 4096 + 4096)
-
-        def dfs(i: int, opened: int) -> bool:
-            # opened: the colors used so far plus the next fresh one
-            nonlocal nodes, check_at
-            if i == m:
-                return True
-            u, v = edges[i]
-            free = opened & ~(vmask[u] | vmask[v])
+        # per colored slot: the colors it has left to try, its bad mask and
+        # opened, the colors used so far plus the next fresh one
+        stack: list[tuple[int, int, int]] = []
+        i, opened, free = 0, 2 & palette, None
+        while True:
             if not free:
-                return False
-            bad = _bad_colors(earlier[i], bits, vmask, colored)
-            col_u = colored[u]
-            col_v = colored[v]
-            while free:
-                bit = free & -free
-                free ^= bit
-                nodes += 1
-                if nodes >= check_at:
-                    if nodes >= budget_nodes or self.elapsed() > budget_secs:
-                        raise _BudgetHit
-                    check_at = min(budget_nodes, nodes + 4096)
-                    if self.seeds < GREEDY_SEEDS:
-                        self.draw()
-                        if self.greedy.palette_size() <= k:
-                            return True
-                if bad & bit:
+                if free is None:  # entering slot i
+                    if i == m:
+                        break
+                    u, v = edges[i]
+                    free = opened & ~(vmask[u] | vmask[v])
+                    bad = _bad_colors(earlier[i], bits, vmask, colored) if free else 0
                     continue
-                bits[i] = bit
-                vmask[u] |= bit
-                vmask[v] |= bit
-                col_u.append((bit, v))
-                col_v.append((bit, u))
-                if dfs(i + 1, (opened | bit << 1) & palette):
-                    return True
+                if not stack:  # slot 0 has no color left: k is refuted
+                    self.nodes = nodes
+                    return None
+                i -= 1  # slot i has no color left: uncolor the one below
+                u, v = edges[i]
+                bit = bits[i]
                 vmask[u] ^= bit
                 vmask[v] ^= bit
-                col_u.pop()
-                col_v.pop()
-            return False
-
-        try:
-            found = dfs(0, 2 & palette)
-        finally:
-            self.nodes = nodes
-        if not found:
-            return None
-        if self.greedy is not None and self.greedy.palette_size() <= k:
-            return self.greedy
+                colored[u].pop()
+                colored[v].pop()
+                free, bad, opened = stack.pop()
+                continue
+            bit = free & -free
+            free ^= bit
+            nodes += 1
+            if nodes >= check_at:
+                self.nodes = nodes
+                if nodes >= budget_nodes or self.elapsed() > budget_secs:
+                    while self.seeds < GREEDY_SEEDS:
+                        self.draw()
+                    return self.greedy
+                check_at = min(budget_nodes, nodes + 4096)
+                if self.seeds < GREEDY_SEEDS:
+                    self.draw()
+                    if self.greedy.palette_size() <= k:
+                        return self.greedy
+            if bad & bit:
+                continue
+            bits[i] = bit
+            vmask[u] |= bit
+            vmask[v] |= bit
+            colored[u].append((bit, v))
+            colored[v].append((bit, u))
+            stack.append((free, bad, opened))
+            i, opened, free = i + 1, (opened | bit << 1) & palette, None
+        self.nodes = nodes
         return self.slots.coloring([bit.bit_length() - 1 for bit in bits])
 
 

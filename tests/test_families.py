@@ -88,6 +88,13 @@ def test_family_param_validation():
         build_family("nonsense")
     with pytest.raises(BadParams):
         build_family("fan")
+    # a keyword other than the builder's one parameter is an error, not dropped
+    with pytest.raises(BadParams, match="^g61 takes no delta$"):
+        build_family("g61", delta=3)
+    with pytest.raises(BadParams, match="^h2 takes no blocks, n$"):
+        build_family("h2", delta=5, n=-3, blocks=1)
+    with pytest.raises(BadParams, match="^fan takes no delta$"):
+        build_family("fan", n=5, delta=5)
 
 
 def test_roles_are_bijections():

@@ -435,6 +435,10 @@ def test_cli_malformed_arguments_exit_1(capsys):
     assert "bad delta range '10..9'" in capsys.readouterr().err
     assert main(["solve", "--family", "h2", "--delta", "3"]) == 1
     assert capsys.readouterr().err == "error: h2 needs delta >= 4, got 3\n"
+    assert main(["solve", "--family", "g61", "--delta", "3"]) == 1
+    assert capsys.readouterr().err == "error: g61 takes no delta\n"
+    assert main(["solve", "--family", "g61", "--delta", "3", "--blocks", "7"]) == 1
+    assert capsys.readouterr().err == "error: g61 takes no blocks, delta\n"
     assert main(["solve", "--family", "h2", "--delta", "9", "--budget-nodes", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: a budget needs max_nodes >= 1")
 

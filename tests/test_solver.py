@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -51,6 +52,9 @@ def test_named_six_vertex_graphs():
 def test_single_edge_and_empty():
     assert exact_chi_star(from_edges(2, [(0, 1)])).chi == 1
     assert exact_chi_star(from_edges(1, [])).chi == 0
+    # the palette search on no edges: the empty coloring, even in 0 colors
+    empty = star_palette_feasible(from_edges(2, []), 0)
+    assert empty is not None and empty.as_mapping() == {}
 
 
 def test_witness_validates_and_uses_exactly_chi_colors():
@@ -329,6 +333,24 @@ def test_greedy_orders_are_drawn_only_past_4096_nodes(monkeypatch, tmp_path):
         assert result.witness.palette_size() == result.chi, name
 
 
+@pytest.mark.parametrize(
+    "g,rounds",
+    [
+        (fan_graph(10), [(9, 4096, "greedy")]),
+        (fan_graph(12), [(11, 32768, "greedy")]),
+        (build_family("h2", delta=7).graph, [(7, 630, "refuted"), (8, 23946, "greedy")]),
+    ],
+    ids=["fan-10", "fan-12", "h2-d7"],
+)
+def test_a_draw_during_the_search_ends_its_round(g, rounds):
+    # each round stops at the draw that fits, at a multiple of 4096 nodes,
+    # not at the end of its search
+    result = exact_chi_star(g)
+    assert [(r.k, r.nodes, r.outcome) for r in result.rounds] == rounds
+    assert star_violations(result.witness) == []
+    assert result.witness.palette_size() == result.chi == rounds[-1][0]
+
+
 def test_budget_hit_settled_by_a_greedy_order():
     # fan_graph(9): chi' = D = 8, which greedy reaches, so a hit at k = D is
     # no failure: the round is settled with the greedy coloring
@@ -365,6 +387,27 @@ def test_rounds_account_for_every_node():
         assert sum(r.nodes for r in result.rounds) == result.nodes_expanded
         assert all(r.seconds >= 0 for r in result.rounds)
     assert exact_chi_star(from_edges(1, [])).rounds == ()
+
+
+def test_search_depth_is_not_bound_by_the_recursion_limit():
+    # one stack entry per colored slot, not one Python frame
+    g = path_graph(sys.getrecursionlimit() + 200)
+    result = exact_chi_star(g)
+    assert result.chi == 3
+    assert [(r.k, r.outcome) for r in result.rounds] == [(2, "refuted"), (3, "feasible")]
+    assert star_violations(result.witness) == []
+    assert star_palette_feasible(g, 2) is None
+
+
+@pytest.mark.parametrize("blocks,last", [(10, 440), (16, 757), (22, 898), (124, 12_997)])
+def test_delta5_strip_takes_one_color_under_its_drawing(blocks, last):
+    # the README finding: chi' = 8 where the periodic drawing uses 9; at 124
+    # blocks (993 edges) the search is deeper than the default recursion limit
+    g = build_family("delta5_strip", blocks=blocks).graph
+    result = exact_chi_star(g)
+    assert [(r.k, r.nodes, r.outcome) for r in result.rounds] == [
+        (5, 24, "refuted"), (6, 126, "refuted"), (7, 3045, "refuted"), (8, last, "feasible")]
+    assert star_violations(result.witness) == [] and result.witness.palette_size() == 8
 
 
 def test_palette_feasible_reports_its_round_on_budget():
