@@ -247,14 +247,14 @@ def _put(table: dict[tuple[str, str], int], r1: str, r2: str, color: int) -> Non
 
 
 def _build_delta5_strip(blocks: int):
-    edges = list(_strip_layout(blocks))
-    return edges, {}, {"n": 4 * blocks + 2, "m": 8 * blocks + 1, "max_degree": 5, "maximal": True}
+    facts = {"n": 4 * blocks + 2, "m": 8 * blocks + 1, "max_degree": 5, "maximal": True}
+    return _strip_layout(blocks), {}, facts  # its role edges are the colored table's keys
 
 
 def delta5_strip_coloring(blocks: int) -> EdgeColoring:
     """The figure's periodic star 9-coloring extended to the given size."""
-    inst = build_family("delta5_strip", blocks=blocks)
-    return inst.edge_color_map(_strip_layout(blocks))
+    inst, colored_edges = _build("delta5_strip", {"blocks": blocks})
+    return inst.edge_color_map(colored_edges)
 
 
 # --- registry ----------------------------------------------------------
@@ -279,6 +279,11 @@ FAMILY_IDS = tuple(_BUILDERS)
 
 def build_family(family_id: str, **params: int) -> FamilyInstance:
     """Build a named family instance and check every fact its builder declares."""
+    return _build(family_id, params)[0]
+
+
+def _build(family_id: str, params: dict[str, int]):
+    """The checked instance and the role edges its builder returned."""
     if family_id not in _BUILDERS:
         raise BadParams(f"unknown family id {family_id!r}")
     build, name, least, step = _BUILDERS[family_id]
@@ -293,7 +298,7 @@ def build_family(family_id: str, **params: int) -> FamilyInstance:
             raise BadParams(f"{family_id} needs {name} >= {least}{mod}, got {value}")
         args = (value,)
     role_edges, role_degrees, facts = build(*args)
-    return _check(_from_role_edges(family_id, role_edges), role_degrees, facts)
+    return _check(_from_role_edges(family_id, role_edges), role_degrees, facts), role_edges
 
 
 # --- closed-form coloring functions -------------------------------------

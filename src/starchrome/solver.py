@@ -9,17 +9,19 @@ search is one loop over its own stack, one entry per colored slot, so the
 graph's size sets no Python recursion limit.
 
 The order is fixed, so at depth i exactly the slots before i are colored.
-Slot tables, built once per graph, list for each slot the earlier slots at
-either endpoint.  Colors are bits: each vertex keeps the mask of colors at
-it and the list of its colored edges.  On entering slot p-q the search
+A _Search builds its slot tables once per graph: for each slot, the
+earlier slots at either endpoint.  Colors are bits: each vertex keeps the
+mask of colors at it and the list of its colored edges.  On entering slot p-q the search
 takes the colors free at both ends as one mask, then one bad-color mask:
 the colors a that would close an alternating a,b,a,b walk of four edges
 through p-q.  For each earlier edge q-w of color b (and the same with p and
 q swapped), every color at w is bad if p has a b-edge, and otherwise a is
 bad when w's a-neighbor has a b-edge.  The free colors are tried lowest
 first; each one counts as a node, and the bad ones are pruned without
-descending.  The greedy upper bound colors first-fit with the same mask,
-over an order from the same BFS routine with shuffled roots and neighbors.
+descending.  The greedy upper bound is the same search over an order from
+the same BFS routine with shuffled roots and neighbors, with every color
+open: its first descent is first fit, and it never backtracks, because
+the color above the largest in use is free and never bad.
 
 A solve draws greedy orders as it searches, seed 0, 1, ... up to
 GREEDY_SEEDS in all: one each time the node count passes a multiple of
@@ -98,37 +100,12 @@ def bfs_edge_order(g: Graph, starts: Iterable[int], nbrs: Sequence[Sequence[int]
     return sorted(range(g.m), key=lambda i: (max(ends[i]), min(ends[i])))
 
 
-class _Slots:
-    """Edges in a fixed order, with the walks each slot can extend.
-
-    ``earlier[i]`` lists a triple (p, w, j) for every slot j < i that meets
-    slot i: j joins w to the endpoint q of slot i, and p is i's other
-    endpoint, so p-q-w is a path.
-    """
-
-    def __init__(self, g: Graph, order: list[int]):
-        self.g = g
-        self.edges = [g.edges[i] for i in order]
-        seen: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        self.earlier = []
-        for slot, (u, v) in enumerate(self.edges):
-            self.earlier.append(
-                tuple((v, w, j) for w, j in seen[u]) + tuple((u, w, j) for w, j in seen[v])
-            )
-            seen[u].append((v, slot))
-            seen[v].append((u, slot))
-
-    def coloring(self, slot_colors: list[int]) -> EdgeColoring:
-        mapping = {self.edges[i]: c for i, c in enumerate(slot_colors)}
-        return EdgeColoring.from_mapping(self.g, mapping)
-
-
 def _bad_colors(earlier, bits, vmask, colored) -> int:
     """Bitmask of the colors that would make a slot close a bichromatic
     path or cycle of four edges.
 
     Exact only on colors free at both ends of the slot; others may be
-    marked too.  ``earlier`` is the slot's entry in :class:`_Slots`, and
+    marked too.  ``earlier`` is the slot's entry in ``_Search.earlier``, and
     every slot in it must be colored: ``bits[j]`` is slot j's color as a
     bit.  ``vmask[x]`` has bit c set when x has a c-edge, and
     ``colored[x]`` lists x's colored edges as (color bit, other end).
@@ -149,9 +126,13 @@ def _bad_colors(earlier, bits, vmask, colored) -> int:
 
 
 class _Search:
-    """Palette-feasibility rounds over one fixed edge order."""
+    """Palette-feasibility rounds over one fixed edge order, by default the
+    BFS from the maximum-degree vertices.  ``earlier[i]`` lists a triple
+    (p, w, j) for every slot j < i that meets slot i ``edges[i]``: j joins
+    w to i's endpoint q, and p is i's other endpoint, so p-q-w is a path.
+    """
 
-    def __init__(self, g: Graph, budget: Budget):
+    def __init__(self, g: Graph, budget: Budget, order: list[int] | None = None):
         self.g = g
         self.budget = budget
         self.nodes = 0
@@ -159,9 +140,19 @@ class _Search:
         self.started = time.monotonic()
         self.seeds = 0  # greedy orders drawn
         self.greedy: EdgeColoring | None = None  # the best of them
-        degs = g.degrees()
-        starts = sorted(range(g.n), key=lambda v: (-degs[v], v))
-        self.slots = _Slots(g, bfs_edge_order(g, starts, g.neighbors()))
+        if order is None:
+            degs = g.degrees()
+            starts = sorted(range(g.n), key=lambda v: (-degs[v], v))
+            order = bfs_edge_order(g, starts, g.neighbors())
+        self.edges = [g.edges[i] for i in order]
+        seen: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+        self.earlier = []
+        for slot, (u, v) in enumerate(self.edges):
+            self.earlier.append(
+                tuple((v, w, j) for w, j in seen[u]) + tuple((u, w, j) for w, j in seen[v])
+            )
+            seen[u].append((v, slot))
+            seen[v].append((u, slot))
 
     def elapsed(self) -> float:
         return time.monotonic() - self.started
@@ -195,8 +186,7 @@ class _Search:
         greedy coloring if a draw during the search fits in k colors, and on
         a budget hit the best greedy coloring once the orders left are drawn.
         """
-        edges = self.slots.edges
-        earlier = self.slots.earlier
+        edges, earlier = self.edges, self.earlier
         m = len(edges)
         bits = [0] * m
         vmask = [0] * self.g.n
@@ -257,14 +247,16 @@ class _Search:
             stack.append((free, bad, opened))
             i, opened, free = i + 1, (opened | bit << 1) & palette, None
         self.nodes = nodes
-        return self.slots.coloring([bit.bit_length() - 1 for bit in bits])
+        colors = {e: bit.bit_length() - 1 for e, bit in zip(edges, bits)}
+        return EdgeColoring.from_mapping(self.g, colors)
 
 
 def greedy_star_upper(g: Graph, order_seed: int = 0) -> EdgeColoring:
     """First-fit coloring along a randomized BFS edge order; always validates.
 
     The palette it ends up using is an upper bound on the star chromatic
-    index; the exact solver draws seeds 0 .. GREEDY_SEEDS-1 of it.
+    index; the exact solver draws seeds 0 .. GREEDY_SEEDS-1 of it.  It is
+    the search's first descent with all m colors open, which never backtracks.
     """
     rng = random.Random(order_seed)
     nbrs = [list(ns) for ns in g.neighbors()]
@@ -272,18 +264,10 @@ def greedy_star_upper(g: Graph, order_seed: int = 0) -> EdgeColoring:
         rng.shuffle(ns)
     starts = list(range(g.n))
     rng.shuffle(starts)
-    slots = _Slots(g, bfs_edge_order(g, starts, nbrs))
-    bits = [0] * g.m
-    vmask = [0] * g.n
-    colored: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(slots.edges):
-        free = ~(vmask[u] | vmask[v] | _bad_colors(slots.earlier[i], bits, vmask, colored) | 1)
-        bit = bits[i] = free & -free
-        vmask[u] |= bit
-        vmask[v] |= bit
-        colored[u].append((bit, v))
-        colored[v].append((bit, u))
-    return slots.coloring([bit.bit_length() - 1 for bit in bits])
+    # a slot tries at most m colors, so the descent never meets this budget
+    search = _Search(g, Budget(g.m * g.m + 1, float("inf")), bfs_edge_order(g, starts, nbrs))
+    search.seeds = GREEDY_SEEDS  # it draws no greedy orders of its own
+    return search.feasible(g.m)
 
 
 def star_palette_feasible(g: Graph, k: int, budget: Budget | None = None) -> EdgeColoring | None:

@@ -114,11 +114,6 @@ class SweepRecord:
     def subcubic(self) -> bool:
         return self.max_degree <= 3
 
-    bound_margin_conj16 = property(_BOUND["conj16"].margin)
-    bound_margin_thm110 = property(_BOUND["thm110"].margin)
-    bound_margin_conj_d6 = property(_BOUND["conj_d6"].margin)
-    bound_margin_conj_d4 = property(_BOUND["conj_d4"].margin)
-
     def to_json(self) -> str:
         return json.dumps(asdict(self))
 

@@ -20,7 +20,7 @@ from starchrome.graph6 import graph6_decode
 from starchrome.harness import verify_figures
 from starchrome.outerplanar import enumerate_mops, is_maximal_outerplanar
 from starchrome.solver import Budget, brute_force_chi_star, exact_chi_star, star_palette_feasible
-from starchrome.sweep import ResultCache, proven_bound_violations, run_sweep
+from starchrome.sweep import _BOUND, ResultCache, proven_bound_violations, run_sweep
 
 from conftest import cycle_graph, fan_graph, g61, g61_prime, path_graph, random_connected_graph
 from iso_oracle import canonical_key, fixed_polygon_triangulations, polygon_triangulation_graph
@@ -210,9 +210,9 @@ def test_criterion_9_sweep_soundness(tmp_path):
         assert rec.chi_star <= (3 * rec.max_degree) // 2 + 5
         if rec.subcubic:
             assert rec.chi_star <= 5
-        assert rec.bound_margin_thm110 is not None  # margins reported per record
+        assert _BOUND["thm110"].margin(rec) is not None  # margins reported per record
         if rec.max_degree >= 3:
-            assert rec.bound_margin_conj16 is not None
+            assert _BOUND["conj16"].margin(rec) is not None
         assert proven_bound_violations(rec) == []
     for rec in mops:
         if rec.n >= 5:

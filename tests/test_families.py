@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from starchrome import families
 from starchrome.coloring import star_violations
 from starchrome.errors import BadParams, OutOfRange, UnknownFigure
 from starchrome.families import (
@@ -186,6 +187,20 @@ def test_strip_coloring_validates():
     coloring = delta5_strip_coloring(16)
     assert coloring.palette_size() <= 9
     assert star_violations(coloring) == []
+
+
+def test_strip_coloring_lays_the_strip_out_once(monkeypatch):
+    # the graph and its coloring come from one layout pass, which still goes
+    # through build_family's parameter check and fact check
+    calls = []
+    layout = families._strip_layout
+    monkeypatch.setattr(families, "_strip_layout",
+                        lambda blocks: calls.append(blocks) or layout(blocks))
+    coloring = delta5_strip_coloring(16)
+    assert calls == [16]
+    assert coloring.graph == build_family("delta5_strip", blocks=16).graph
+    with pytest.raises(BadParams):
+        delta5_strip_coloring(11)
 
 
 # Flat transcription of the strip drawing: 42 vertices under their source

@@ -12,6 +12,7 @@ from starchrome.cli import main
 from starchrome.harness import family_check, verify_figures
 from starchrome.solver import Budget
 from starchrome.sweep import (
+    _BOUND,
     CACHE_ENV_VAR,
     ResultCache,
     SweepRecord,
@@ -94,8 +95,8 @@ def test_cache_reads_and_rewrites_parent_records_byte_for_byte(tmp_path):
     old = tmp_path / "old.jsonl"
     old.write_text(PARENT_CACHE)
     rec = ResultCache(old).get("C^")
-    assert rec.chi_star == 4 and rec.solver_nodes == 11 and rec.bound_margin_conj_d6 is None
-    assert rec.maximal and rec.subcubic and rec.bound_margin_conj16 == 1
+    assert rec.chi_star == 4 and rec.solver_nodes == 11 and _BOUND["conj_d6"].margin(rec) is None
+    assert rec.maximal and rec.subcubic and _BOUND["conj16"].margin(rec) == 1
     fresh = ResultCache(tmp_path / "new.jsonl")
     fresh.append(rec)
     assert fresh.path.read_text() == PARENT_CACHE
@@ -285,9 +286,10 @@ def test_inherited_bounds_give_the_same_answers(tmp_path, n_max, expand):
 def test_sweep_margins_reported(tmp_path):
     summary = run_sweep(6, ResultCache(tmp_path / "c.jsonl"))
     for rec in summary.records:
-        assert rec.bound_margin_thm110 is not None and rec.bound_margin_thm110 >= 0
+        margin = _BOUND["thm110"].margin(rec)
+        assert margin is not None and margin >= 0
         if rec.max_degree >= 3:
-            assert rec.bound_margin_conj16 is not None
+            assert _BOUND["conj16"].margin(rec) is not None
 
 
 def test_proven_bound_violations_check_the_paper_theorems():
@@ -330,11 +332,10 @@ def test_every_bound_is_checked_from_the_one_table():
         assert proven_bound_violations(rec) == proven
         assert conjecture_violations(rec) == conjectured
     big = cases[4][0]
-    margins = (big.bound_margin_conj16, big.bound_margin_thm110, big.bound_margin_conj_d6,
-               big.bound_margin_conj_d4)
+    margins = tuple(_BOUND[name].margin(big) for name in ("conj16", "thm110", "conj_d6", "conj_d4"))
     assert margins == (-3, 1, -1, -3)
     unsolved = cases[5][0]
-    assert unsolved.bound_margin_thm110 is None and unsolved.bound_margin_conj16 is None
+    assert _BOUND["thm110"].margin(unsolved) is None and _BOUND["conj16"].margin(unsolved) is None
     stored = json.loads(big.to_json())
     assert not {"maximal", "subcubic", "bound_margin_conj16", "two_connected"} & stored.keys()
 

@@ -275,11 +275,70 @@ def test_greedy_palettes_are_pinned():
 
 
 def test_greedy_does_not_run_palette_rounds(monkeypatch):
-    def refuse(self, k):
+    # greedy is one feasible(m) descent that never backtracks: each slot
+    # tries the colors free at both its ends lowest first, the bad ones
+    # included, up to the one it keeps
+    def refuse(self, k, lower):
         raise AssertionError("greedy ran a palette round")
 
-    monkeypatch.setattr(solver._Search, "feasible", refuse)
-    assert star_violations(greedy_star_upper(g61(), order_seed=3)) == []
+    calls = []
+    feasible = solver._Search.feasible
+
+    def spy(self, k):
+        witness = feasible(self, k)
+        calls.append((self, k, witness))
+        return witness
+
+    monkeypatch.setattr(solver._Search, "round", refuse)
+    monkeypatch.setattr(solver._Search, "feasible", spy)
+    g = g61()
+    coloring = greedy_star_upper(g, order_seed=3)
+    assert star_violations(coloring) == []
+    [(search, k, witness)] = calls
+    assert k == g.m and witness is coloring
+    colors = coloring.as_mapping()
+    tried = 0
+    for i, (u, v) in enumerate(search.edges):
+        taken = {colors[e] for e in search.edges[:i] if u in e or v in e}
+        tried += 1 + sum(c not in taken for c in range(1, colors[(u, v)]))
+    assert search.nodes == tried == 16  # 9 slots and 7 bad colors
+
+
+def test_bad_colors_are_exact_on_free_colors():
+    # along a random star-colored descent in the search's order, a color
+    # free at both ends of a slot is bad iff the colored prefix plus the
+    # slot in that color has a bichromatic path or cycle of four edges
+    cases = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, max_edges=16)
+        search = solver._Search(g, Budget())
+        bits = [0] * g.m
+        vmask = [0] * g.n
+        colored: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+        used = 0
+        for i, (u, v) in enumerate(search.edges):
+            bad = solver._bad_colors(search.earlier[i], bits, vmask, colored)
+            prefix = from_edges(g.n, search.edges[: i + 1])
+            colors = {e: bit.bit_length() - 1 for e, bit in zip(search.edges, bits[:i])}
+            good = []
+            for c in range(1, used + 2):
+                if (vmask[u] | vmask[v]) >> c & 1:
+                    continue
+                colors[(u, v)] = c
+                violated = star_violations(EdgeColoring.from_mapping(prefix, colors)) != []
+                assert bool(bad >> c & 1) == violated, (seed, i, c)
+                cases += 1
+                if not violated:
+                    good.append(c)
+            c = rng.choice(good)
+            used = max(used, c)
+            bit = bits[i] = 1 << c
+            vmask[u] |= bit
+            vmask[v] |= bit
+            colored[u].append((bit, v))
+            colored[v].append((bit, u))
+    assert cases > 5000  # 5320 colors checked
 
 
 def test_budget_hit_stops_at_the_node_budget():
