@@ -2,26 +2,30 @@
 
 Palette size k ascends from the maximum degree, or from a larger proven
 lower bound the caller passes, so the first feasible k is exact by
-construction.  Within a palette, edges are assigned depth-first in
-a static BFS order rooted at a maximum-degree vertex, and a fresh color id
-may only be introduced as max-used+1.  Partial colorings stay proper.  The
-search is one loop over its own stack, one entry per colored slot, so the
-graph's size sets no Python recursion limit.
+construction.  Within a palette, edges are assigned depth-first in a
+static fail-first order: each next edge is one that meets the most edges
+placed before it, the lowest ranked in the BFS from a maximum-degree
+vertex among those (maximum-cardinality search, Tarjan and Yannakakis
+1984, on the line graph).  A fresh color id may only be introduced as
+max-used+1.  Partial colorings stay proper.  The search is one loop over
+its own stack, one entry per colored slot, so the graph's size sets no
+Python recursion limit.
 
 The order is fixed, so at depth i exactly the slots before i are colored.
-A _Search builds its slot tables once per graph: for each slot, the
-earlier slots at either endpoint.  Colors are bits: each vertex keeps the
-mask of colors at it and the list of its colored edges.  On entering slot p-q the search
-takes the colors free at both ends as one mask, then one bad-color mask:
-the colors a that would close an alternating a,b,a,b walk of four edges
-through p-q.  For each earlier edge q-w of color b (and the same with p and
-q swapped), every color at w is bad if p has a b-edge, and otherwise a is
-bad when w's a-neighbor has a b-edge.  The free colors are tried lowest
-first; each one counts as a node, and the bad ones are pruned without
-descending.  The greedy upper bound is the same search over an order from
-the same BFS routine with shuffled roots and neighbors, with every color
-open: its first descent is first fit, and it never backtracks, because
-the color above the largest in use is free and never bad.
+A _Search builds its order and slot tables in one pass per graph: for
+each slot, the earlier slots at either endpoint.  Colors are bits: each
+vertex keeps the mask of colors at it and, per color, the other end of
+its edge of that color.  On entering slot p-q the search takes the colors
+free at both ends as one mask, then one bad-color mask: the free colors a
+that would close an alternating a,b,a,b walk of four edges through p-q.
+For each earlier edge q-w of color b (and the same with p and q swapped),
+every color at w is bad if p has a b-edge, and otherwise a free color a
+at w is bad when w's a-neighbor has a b-edge.  The free colors are tried
+lowest first; each one counts as a node, and the bad ones are pruned
+without descending.  The greedy upper bound is the same search over the
+BFS order with shuffled roots and neighbors, with every color open: its
+first descent is first fit, and it never backtracks, because the color
+above the largest in use is free and never bad.
 
 A solve draws greedy orders as it searches, seed 0, 1, ... up to
 GREEDY_SEEDS in all: one each time the node count passes a multiple of
@@ -96,19 +100,23 @@ def bfs_edge_order(g: Graph, starts: Iterable[int], nbrs: Sequence[Sequence[int]
                     pos[w] = counter
                     counter += 1
                     queue.append(w)
-    ends = [(pos[u], pos[v]) for u, v in g.edges]
-    return sorted(range(g.m), key=lambda i: (max(ends[i]), min(ends[i])))
+    # (later position, earlier position) as one integer, a cheaper sort key
+    n, keys = g.n, []
+    for u, v in g.edges:
+        pu, pv = pos[u], pos[v]
+        keys.append(pu * n + pv if pu > pv else pv * n + pu)
+    return sorted(range(g.m), key=keys.__getitem__)
 
 
-def _bad_colors(earlier, bits, vmask, colored) -> int:
-    """Bitmask of the colors that would make a slot close a bichromatic
-    path or cycle of four edges.
+def _bad_colors(earlier, bits, vmask, at, free) -> int:
+    """Bitmask of the colors in ``free`` that would make a slot close a
+    bichromatic path or cycle of four edges.
 
-    Exact only on colors free at both ends of the slot; others may be
-    marked too.  ``earlier`` is the slot's entry in ``_Search.earlier``, and
-    every slot in it must be colored: ``bits[j]`` is slot j's color as a
-    bit.  ``vmask[x]`` has bit c set when x has a c-edge, and
-    ``colored[x]`` lists x's colored edges as (color bit, other end).
+    Exact on the colors of ``free``, which must be free at both ends of the
+    slot; others may be marked too.  ``earlier`` is the slot's entry in
+    ``_Search.earlier``, and every slot in it must be colored: ``bits[j]``
+    is slot j's color as a bit.  ``vmask[x]`` has bit c set when x has a
+    c-edge, and then ``at[x][c]`` is that edge's other end.
     """
     bad = 0
     for p, w, slot in earlier:
@@ -119,17 +127,27 @@ def _bad_colors(earlier, bits, vmask, colored) -> int:
             bad |= vmask[w]
         else:
             # p-q-w-x-y is a,b,a,b when w's a-neighbor x has a b-edge
-            for a, x in colored[w]:
-                if vmask[x] & b:
+            ends = at[w]
+            rest = vmask[w] & free & ~bad
+            while rest:
+                a = rest & -rest
+                rest ^= a
+                if vmask[ends[a]] & b:
                     bad |= a
     return bad
 
 
 class _Search:
     """Palette-feasibility rounds over one fixed edge order, by default the
-    BFS from the maximum-degree vertices.  ``earlier[i]`` lists a triple
-    (p, w, j) for every slot j < i that meets slot i ``edges[i]``: j joins
-    w to i's endpoint q, and p is i's other endpoint, so p-q-w is a path.
+    fail-first order.  ``order[i]`` is slot i's edge id and ``edges[i]``
+    its endpoints.  ``earlier[i]`` lists a triple (p, w, j) for every slot
+    j < i that meets slot i: j joins w to i's endpoint q, and p is i's
+    other endpoint, so p-q-w is a path.
+
+    The fail-first order takes next the unplaced edge that meets the most
+    placed edges, so the one with the longest ``earlier`` entry; ties, and
+    the first edge of each component, go to the lowest BFS rank: the rank
+    in the BFS from the maximum-degree vertices.
     """
 
     def __init__(self, g: Graph, budget: Budget, order: list[int] | None = None):
@@ -140,19 +158,54 @@ class _Search:
         self.started = time.monotonic()
         self.seeds = 0  # greedy orders drawn
         self.greedy: EdgeColoring | None = None  # the best of them
+        m = g.m
+        ranked = order
         if order is None:
             degs = g.degrees()
             starts = sorted(range(g.n), key=lambda v: (-degs[v], v))
-            order = bfs_edge_order(g, starts, g.neighbors())
-        self.edges = [g.edges[i] for i in order]
+            ranked = bfs_edge_order(g, starts, g.neighbors())
+        ends = [g.edges[e] for e in ranked]
+        if order is None:
+            inc: list[list[int]] = [[] for _ in range(g.n)]  # BFS ranks of the edges at x
+            for r, (u, v) in enumerate(ends):
+                inc[u].append(r)
+                inc[v].append(r)
+        # Unplaced edges that meet a placed one, by BFS rank r, each with the
+        # value score*m - r: the largest value is the next slot, and r is
+        # -value % m.  With a given order it stays empty, and slots follow
+        # that order.
+        frontier: dict[int, int] = {}
+        value_of = frontier.get
+        placed = [False] * m
+        first = 0  # no rank below it is unplaced
+        # (other end, slot) of each placed edge at x
         seen: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        self.earlier = []
-        for slot, (u, v) in enumerate(self.edges):
+        self.order, self.edges, self.earlier = [], [], []
+        for slot in range(m):
+            if frontier:
+                r = -max(frontier.values()) % m
+                del frontier[r]
+            else:
+                while placed[first]:
+                    first += 1
+                r = first
+            placed[r] = True
+            u, v = uv = ends[r]
+            self.order.append(ranked[r])
+            self.edges.append(uv)
+            seen_u, seen_v = seen[u], seen[v]
             self.earlier.append(
-                tuple((v, w, j) for w, j in seen[u]) + tuple((u, w, j) for w, j in seen[v])
+                tuple([(v, w, j) for w, j in seen_u] + [(u, w, j) for w, j in seen_v])
             )
-            seen[u].append((v, slot))
-            seen[v].append((u, slot))
+            seen_u.append((v, slot))
+            seen_v.append((u, slot))
+            if order is None:
+                for f in inc[u]:
+                    if not placed[f]:
+                        frontier[f] = value_of(f, -f) + m
+                for f in inc[v]:
+                    if not placed[f]:
+                        frontier[f] = value_of(f, -f) + m
 
     def elapsed(self) -> float:
         return time.monotonic() - self.started
@@ -190,7 +243,9 @@ class _Search:
         m = len(edges)
         bits = [0] * m
         vmask = [0] * self.g.n
-        colored: list[list[tuple[int, int]]] = [[] for _ in range(self.g.n)]
+        # at[x][bit]: the other end of x's edge of that color, read only
+        # while the bit is in vmask[x], so uncoloring leaves it stale
+        at: list[dict[int, int]] = [{} for _ in range(self.g.n)]
         palette = (2 << k) - 2
         budget_nodes = self.budget.max_nodes
         budget_secs = self.budget.max_seconds
@@ -209,7 +264,7 @@ class _Search:
                         break
                     u, v = edges[i]
                     free = opened & ~(vmask[u] | vmask[v])
-                    bad = _bad_colors(earlier[i], bits, vmask, colored) if free else 0
+                    bad = _bad_colors(earlier[i], bits, vmask, at, free) if free else 0
                     continue
                 if not stack:  # slot 0 has no color left: k is refuted
                     self.nodes = nodes
@@ -219,8 +274,6 @@ class _Search:
                 bit = bits[i]
                 vmask[u] ^= bit
                 vmask[v] ^= bit
-                colored[u].pop()
-                colored[v].pop()
                 free, bad, opened = stack.pop()
                 continue
             bit = free & -free
@@ -242,13 +295,15 @@ class _Search:
             bits[i] = bit
             vmask[u] |= bit
             vmask[v] |= bit
-            colored[u].append((bit, v))
-            colored[v].append((bit, u))
+            at[u][bit] = v
+            at[v][bit] = u
             stack.append((free, bad, opened))
             i, opened, free = i + 1, (opened | bit << 1) & palette, None
         self.nodes = nodes
-        colors = {e: bit.bit_length() - 1 for e, bit in zip(edges, bits)}
-        return EdgeColoring.from_mapping(self.g, colors)
+        colors = [0] * m
+        for e, bit in zip(self.order, bits):
+            colors[e] = bit.bit_length() - 1
+        return EdgeColoring(self.g, tuple(colors))
 
 
 def greedy_star_upper(g: Graph, order_seed: int = 0) -> EdgeColoring:

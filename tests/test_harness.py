@@ -394,7 +394,7 @@ def test_cli_solve_budget_hit_settled_by_a_greedy_order(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "chi_star = 9"
     rounds = [(f[1], f[2], f[-1]) for f in map(str.split, lines) if f[0] == "round"]
-    assert rounds == [("k=8", "nodes=31670", "outcome=refuted"), ("k=9", "nodes=0", "outcome=greedy")]
+    assert rounds == [("k=8", "nodes=10080", "outcome=refuted"), ("k=9", "nodes=18592", "outcome=greedy")]
 
 
 def test_cli_parse_error():

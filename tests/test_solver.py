@@ -13,7 +13,7 @@ from starchrome.errors import BudgetExhausted, OutOfRange, TooLarge
 from starchrome.families import build_family
 from starchrome.graph import from_edges, relabel
 from starchrome.graph6 import graph6_decode
-from starchrome.outerplanar import enumerate_mops
+from starchrome.outerplanar import enumerate_dissections, enumerate_mops
 from starchrome.solver import (
     Budget,
     brute_force_chi_star,
@@ -210,7 +210,7 @@ def test_search_tree_is_pinned_on_mops():
     # form of the tests' oracle.  The totals pin the edge order and the node
     # accounting: a kernel that prunes differently, or counts a node
     # elsewhere, moves them.
-    expected = {4: 11, 5: 46, 6: 165, 7: 314, 8: 1168, 9: 6689, 10: 44643}
+    expected = {4: 11, 5: 42, 6: 143, 7: 229, 8: 1076, 9: 5243, 10: 39407}
     for n, total in expected.items():
         nodes = 0
         for mop in enumerate_mops(n).members.values():
@@ -224,7 +224,7 @@ def test_search_tree_is_pinned_on_mops():
 def test_search_tree_is_pinned_on_mops_as_the_sweep_solves_them():
     # The sweep solves each MOP under the labels of its polygon_key, the
     # graph6 cache key; these totals move if that labelling does.
-    expected = {4: 11, 5: 46, 6: 166, 7: 313, 8: 1199, 9: 6592, 10: 44006}
+    expected = {4: 11, 5: 42, 6: 136, 7: 230, 8: 1080, 9: 5292, 10: 39603}
     for n, total in expected.items():
         nodes = sum(
             exact_chi_star(graph6_decode(key)).nodes_expanded for key in enumerate_mops(n).members
@@ -235,14 +235,14 @@ def test_search_tree_is_pinned_on_mops_as_the_sweep_solves_them():
 def test_search_tree_is_pinned_on_the_sweep_with_inherited_bounds(tmp_path):
     # Each sweep solve starts at the largest chi' of its ear-deleted
     # children, so only the rounds from there on count; the same MOPs take
-    # 52 333 nodes from k = D (the totals above).
-    expected = {4: 11, 5: 46, 6: 59, 7: 219, 8: 614, 9: 5026, 10: 24768}
+    # 46 394 nodes from k = D (the totals above).
+    expected = {4: 11, 5: 42, 6: 52, 7: 153, 8: 671, 9: 4171, 10: 25659}
     summary = run_sweep(10, ResultCache(tmp_path / "c.jsonl"))
     nodes = Counter()
     for rec in summary.records:
         nodes[rec.n] += rec.solver_nodes
     assert dict(nodes) == expected
-    assert sum(nodes.values()) == 30_743
+    assert sum(nodes.values()) == 30_759
 
 
 def test_lower_bound_skips_the_rounds_below_it():
@@ -315,15 +315,17 @@ def test_bad_colors_are_exact_on_free_colors():
         search = solver._Search(g, Budget())
         bits = [0] * g.m
         vmask = [0] * g.n
-        colored: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+        at: list[dict[int, int]] = [{} for _ in range(g.n)]
         used = 0
         for i, (u, v) in enumerate(search.edges):
-            bad = solver._bad_colors(search.earlier[i], bits, vmask, colored)
+            # the colors up to one past the largest in use, free at both ends
+            free = ((2 << (used + 1)) - 2) & ~(vmask[u] | vmask[v])
+            bad = solver._bad_colors(search.earlier[i], bits, vmask, at, free)
             prefix = from_edges(g.n, search.edges[: i + 1])
             colors = {e: bit.bit_length() - 1 for e, bit in zip(search.edges, bits[:i])}
             good = []
             for c in range(1, used + 2):
-                if (vmask[u] | vmask[v]) >> c & 1:
+                if not free >> c & 1:
                     continue
                 colors[(u, v)] = c
                 violated = star_violations(EdgeColoring.from_mapping(prefix, colors)) != []
@@ -336,9 +338,65 @@ def test_bad_colors_are_exact_on_free_colors():
             bit = bits[i] = 1 << c
             vmask[u] |= bit
             vmask[v] |= bit
-            colored[u].append((bit, v))
-            colored[v].append((bit, u))
-    assert cases > 5000  # 5320 colors checked
+            at[u][bit] = v
+            at[v][bit] = u
+    assert cases > 5000  # 5390 colors checked
+
+
+def _bfs_order(g):
+    """The BFS edge order from the maximum-degree vertices, whose ranks
+    break the fail-first order's ties."""
+    degs = g.degrees()
+    starts = sorted(range(g.n), key=lambda v: (-degs[v], v))
+    return solver.bfs_edge_order(g, starts, g.neighbors())
+
+
+def test_fail_first_order_takes_the_edge_meeting_the_most_placed_ones():
+    rng = random.Random(7)
+    graphs = [random_connected_graph(rng, max_edges=40, max_n=12) for _ in range(60)]
+    # two components and an isolated vertex: each component starts at the
+    # best-ranked edge left
+    graphs.append(from_edges(9, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5), (5, 6), (6, 7), (4, 6)]))
+    assert max(g.m for g in graphs) > 30
+    for g in graphs:
+        search = solver._Search(g, Budget())
+        order = search.order
+        assert sorted(order) == list(range(g.m))
+        assert search.edges == [g.edges[e] for e in order]
+        rank = {e: r for r, e in enumerate(_bfs_order(g))}
+        for i, e in enumerate(order):
+            placed = [set(g.edges[d]) for d in order[:i]]
+            # the placed edges each unplaced edge meets
+            score = {f: sum(bool(set(g.edges[f]) & ends) for ends in placed) for f in order[i:]}
+            assert len(search.earlier[i]) == score[e] == max(score.values()), (g, i)
+            assert {j for _, _, j in search.earlier[i]} == {
+                j for j, ends in enumerate(placed) if ends & set(g.edges[e])}
+            tied = [f for f in score if score[f] == score[e]]
+            assert rank[e] == min(rank[f] for f in tied), (g, i)
+
+
+def test_chi_is_the_same_under_relabelings_and_the_bfs_order():
+    # Both runs share _bad_colors, so this checks the order machinery (the
+    # fail-first order, its BFS tie-break and the slot tables), not the kernel.
+    def chi_in_order(g, order):
+        search = solver._Search(g, Budget(), order)
+        k = max(g.max_degree(), 1)
+        while search.round(k, k) is None:
+            k += 1
+        return k
+
+    graphs = [g for n in range(3, 11) for g in enumerate_mops(n).members.values()]
+    graphs += [g for n in range(3, 9) for g in enumerate_dissections(n).members.values()]
+    graphs.append(build_family("h2", delta=7).graph)
+    rng = random.Random(18)
+    for g in graphs:
+        chi = exact_chi_star(g).chi
+        assert chi_in_order(g, _bfs_order(g)) == chi, g
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert exact_chi_star(relabel(g, perm)).chi == chi, (g, perm)
+    assert len(graphs) == 131 + 110 + 1  # A000207 and A001004 summed
 
 
 def test_budget_hit_stops_at_the_node_budget():
@@ -363,11 +421,12 @@ def test_budget_hit_reports_the_best_of_64_greedy_orders():
 
 
 def test_greedy_order_settles_h2_d8_after_its_refutation():
-    # the k=8 refutation draws seeds 0..6 and seed 6 colors h2 delta=8 with 9
+    # the k=8 refutation draws seeds 0 and 1; seed 6, drawn in the k=9
+    # search at 28 672 nodes, colors h2 delta=8 with 9
     result = exact_chi_star(_hard("h2-d8"), Budget(500_000, 1e9))
-    assert result.chi == 9 and result.nodes_expanded == 31_670
+    assert result.chi == 9 and result.nodes_expanded == 28_672 == 7 * 4096
     assert [(r.k, r.outcome) for r in result.rounds] == [(8, "refuted"), (9, "greedy")]
-    assert [r.nodes for r in result.rounds] == [31_670, 0]
+    assert [r.nodes for r in result.rounds] == [10_080, 18_592]
     assert star_violations(result.witness) == []
     assert result.witness.palette_size() == 9
 
@@ -395,17 +454,17 @@ def test_greedy_orders_are_drawn_only_past_4096_nodes(monkeypatch, tmp_path):
 @pytest.mark.parametrize(
     "g,rounds",
     [
-        (fan_graph(10), [(9, 4096, "greedy")]),
-        (fan_graph(12), [(11, 32768, "greedy")]),
-        (build_family("h2", delta=7).graph, [(7, 630, "refuted"), (8, 23946, "greedy")]),
+        (build_family("h2", delta=8).graph, [(8, 10080, "refuted"), (9, 18592, "greedy")]),
+        (path_graph(5000), [(2, 4, "refuted"), (3, 4092, "greedy")]),
     ],
-    ids=["fan-10", "fan-12", "h2-d7"],
+    ids=["h2-d8", "path-5000"],
 )
 def test_a_draw_during_the_search_ends_its_round(g, rounds):
     # each round stops at the draw that fits, at a multiple of 4096 nodes,
     # not at the end of its search
     result = exact_chi_star(g)
     assert [(r.k, r.nodes, r.outcome) for r in result.rounds] == rounds
+    assert result.nodes_expanded % 4096 == 0
     assert star_violations(result.witness) == []
     assert result.witness.palette_size() == result.chi == rounds[-1][0]
 
@@ -458,14 +517,14 @@ def test_search_depth_is_not_bound_by_the_recursion_limit():
     assert star_palette_feasible(g, 2) is None
 
 
-@pytest.mark.parametrize("blocks,last", [(10, 440), (16, 757), (22, 898), (124, 12_997)])
+@pytest.mark.parametrize("blocks,last", [(10, 422), (16, 653), (22, 1101), (124, 19_376)])
 def test_delta5_strip_takes_one_color_under_its_drawing(blocks, last):
     # the README finding: chi' = 8 where the periodic drawing uses 9; at 124
     # blocks (993 edges) the search is deeper than the default recursion limit
     g = build_family("delta5_strip", blocks=blocks).graph
     result = exact_chi_star(g)
     assert [(r.k, r.nodes, r.outcome) for r in result.rounds] == [
-        (5, 24, "refuted"), (6, 126, "refuted"), (7, 3045, "refuted"), (8, last, "feasible")]
+        (5, 24, "refuted"), (6, 125, "refuted"), (7, 3104, "refuted"), (8, last, "feasible")]
     assert star_violations(result.witness) == [] and result.witness.palette_size() == 8
 
 
