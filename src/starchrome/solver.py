@@ -20,12 +20,32 @@ free at both ends as one mask, then one bad-color mask: the free colors a
 that would close an alternating a,b,a,b walk of four edges through p-q.
 For each earlier edge q-w of color b (and the same with p and q swapped),
 every color at w is bad if p has a b-edge, and otherwise a free color a
-at w is bad when w's a-neighbor has a b-edge.  The free colors are tried
-lowest first; each one counts as a node, and the bad ones are pruned
-without descending.  The greedy upper bound is the same search over the
-BFS order with shuffled roots and neighbors, with every color open: its
-first descent is first fit, and it never backtracks, because the color
-above the largest in use is free and never bad.
+at w is bad when w's a-neighbor has a b-edge.  Each free color tried
+counts as a node, and the bad ones are pruned without descending.
+
+A palette round (_Search.round) tries the free colors lowest first.  Once
+it has spent RESTART_NODES nodes, it uncolors every slot and searches
+again from slot 0, highest free color first: the fresh one while k
+allows, then the used ones from the last opened down (a cutoff restart,
+Gomes, Selman and Kautz 1998).  The round's start plus RESTART_NODES is
+one of the node counts where the budget is tested, so the per-node loop
+does no extra test.  The colors tried at a node depend only on the colors
+above it, so a refuted round searches the same tree in either order: it
+costs its first-fit count when that is below RESTART_NODES, and
+RESTART_NODES more otherwise.  A witness round can end far sooner top-down
+on the hub-and-fan families: h_prime delta=8's k=10 round takes 55 850
+nodes, where first fit ran past 96 M.  First fit stays the better start
+on small rounds (the sweep's witness rounds to n=12 take 318 469 nodes
+first fit and 601 011 top-down), and no sweep round to n=12 reaches the
+cutoff: the largest takes 9 714 nodes.  A cutoff of 1024 would add 13.1%
+to that sweep's 539 143 nodes, and one of 4096 4.8%.
+
+The greedy upper bound is the same search over the BFS order with
+shuffled roots and neighbors, with every color open: its first descent
+is first fit, and it never backtracks, because the color above the
+largest in use is free and never bad.  It never restarts: its descent
+can pass RESTART_NODES (24 999 nodes on a 20 000-vertex path), and
+top-down it would give every slot a fresh color.
 
 A solve draws greedy orders as it searches, seed 0, 1, ... up to
 GREEDY_SEEDS in all: one each time the node count passes a multiple of
@@ -49,6 +69,7 @@ from .errors import BudgetExhausted, OutOfRange, TooLarge
 from .graph import Graph
 
 GREEDY_SEEDS = 64  # greedy orders drawn per search, the last ones on a budget hit
+RESTART_NODES = 16_384  # nodes a palette round spends first fit before it restarts top-down
 
 
 @dataclass(frozen=True)
@@ -113,28 +134,31 @@ def _bad_colors(earlier, bits, vmask, at, free) -> int:
     bichromatic path or cycle of four edges.
 
     Exact on the colors of ``free``, which must be free at both ends of the
-    slot; others may be marked too.  ``earlier`` is the slot's entry in
+    slot, and it marks no other color.  ``earlier`` is the slot's entry in
     ``_Search.earlier``, and every slot in it must be colored: ``bits[j]``
     is slot j's color as a bit.  ``vmask[x]`` has bit c set when x has a
-    c-edge, and then ``at[x][c]`` is that edge's other end.
+    c-edge, and then ``at[x][c]`` is that edge's other end.  The scan stops
+    once every free color is bad.
     """
-    bad = 0
+    left = free  # the free colors not yet found bad
     for p, w, slot in earlier:
         b = bits[slot]
         if vmask[p] & b:
             # p's b-edge cannot end at w, which has one to q already, so
             # it starts a walk b,a,b,a through p-q-w and any a-edge at w
-            bad |= vmask[w]
+            left &= ~vmask[w]
         else:
             # p-q-w-x-y is a,b,a,b when w's a-neighbor x has a b-edge
             ends = at[w]
-            rest = vmask[w] & free & ~bad
+            rest = vmask[w] & left
             while rest:
                 a = rest & -rest
                 rest ^= a
                 if vmask[ends[a]] & b:
-                    bad |= a
-    return bad
+                    left ^= a
+        if not left:
+            break
+    return free ^ left
 
 
 class _Search:
@@ -225,7 +249,7 @@ class _Search:
         nodes, started = self.nodes, time.monotonic()
         witness = self.greedy
         if witness is None or witness.palette_size() > k:
-            witness = self.feasible(k)
+            witness = self.feasible(k, RESTART_NODES)
         outcome = ("refuted" if witness is None else "budget" if witness.palette_size() > k
                    else "greedy" if witness is self.greedy else "feasible")
         self.rounds.append(Round(k, self.nodes - nodes, time.monotonic() - started, outcome))
@@ -234,10 +258,14 @@ class _Search:
             raise BudgetExhausted(lower, upper, self.nodes, self.elapsed(), tuple(self.rounds))
         return witness
 
-    def feasible(self, k: int) -> EdgeColoring | None:
+    def feasible(self, k: int, restart_after: int | None = None) -> EdgeColoring | None:
         """A coloring using at most k colors, or None if there is none: the
         greedy coloring if a draw during the search fits in k colors, and on
         a budget hit the best greedy coloring once the orders left are drawn.
+
+        The search starts first fit.  Given ``restart_after``, once it has
+        spent that many nodes it uncolors every slot and searches again
+        from slot 0, trying the highest free color first.
         """
         edges, earlier = self.edges, self.earlier
         m = len(edges)
@@ -250,13 +278,16 @@ class _Search:
         budget_nodes = self.budget.max_nodes
         budget_secs = self.budget.max_seconds
         nodes = self.nodes
-        # the next node count at which to test the budget: every 4096 nodes
-        # for time and a greedy draw, and at the node budget itself
-        check_at = min(budget_nodes, nodes - nodes % 4096 + 4096)
+        # the node counts at which to test the budget: every 4096 nodes for
+        # time and a greedy draw, at the restart and at the node budget
+        draw_at = nodes - nodes % 4096 + 4096
+        restart_at = budget_nodes if restart_after is None else nodes + restart_after
+        check_at = min(budget_nodes, draw_at, restart_at)
         # per colored slot: the colors it has left to try, its bad mask and
         # opened, the colors used so far plus the next fresh one
         stack: list[tuple[int, int, int]] = []
         i, opened, free = 0, 2 & palette, None
+        top_down = False
         while True:
             if not free:
                 if free is None:  # entering slot i
@@ -285,11 +316,24 @@ class _Search:
                     while self.seeds < GREEDY_SEEDS:
                         self.draw()
                     return self.greedy
-                check_at = min(budget_nodes, nodes + 4096)
-                if self.seeds < GREEDY_SEEDS:
-                    self.draw()
-                    if self.greedy.palette_size() <= k:
-                        return self.greedy
+                if nodes >= draw_at:
+                    draw_at += 4096
+                    if self.seeds < GREEDY_SEEDS:
+                        self.draw()
+                        if self.greedy.palette_size() <= k:
+                            return self.greedy
+                if nodes >= restart_at:
+                    # The top-down pass stores color c as bit k+1-c, so the
+                    # lowest bit first is the highest color first: the
+                    # fresh one, then the used ones from the last opened.
+                    restart_at = budget_nodes
+                    top_down = True
+                    vmask = [0] * self.g.n
+                    stack.clear()
+                    i, opened, free = 0, 1 << k & palette, None
+                    check_at = min(budget_nodes, draw_at)
+                    continue
+                check_at = min(budget_nodes, draw_at, restart_at)
             if bad & bit:
                 continue
             bits[i] = bit
@@ -298,11 +342,15 @@ class _Search:
             at[u][bit] = v
             at[v][bit] = u
             stack.append((free, bad, opened))
-            i, opened, free = i + 1, (opened | bit << 1) & palette, None
+            # opened gains the bit next to the chosen one on the side away
+            # from the used colors: above it first fit, below it top-down;
+            # the bit on the other side is opened already or off the palette
+            i, opened, free = i + 1, (opened | bit << 1 | bit >> 1) & palette, None
         self.nodes = nodes
         colors = [0] * m
         for e, bit in zip(self.order, bits):
-            colors[e] = bit.bit_length() - 1
+            c = bit.bit_length() - 1
+            colors[e] = k + 1 - c if top_down else c
         return EdgeColoring(self.g, tuple(colors))
 
 

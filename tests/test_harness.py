@@ -389,12 +389,13 @@ def test_cli_solve_budget_exhausted(capsys):
 
 
 def test_cli_solve_budget_hit_settled_by_a_greedy_order(capsys):
-    rc = main(["solve", "--family", "h2", "--delta", "8", "--budget-nodes", "500000"])
+    rc = main(["solve", "--family", "h_case1", "--delta", "7", "--budget-nodes", "500000"])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "chi_star = 9"
     rounds = [(f[1], f[2], f[-1]) for f in map(str.split, lines) if f[0] == "round"]
-    assert rounds == [("k=8", "nodes=10080", "outcome=refuted"), ("k=9", "nodes=18592", "outcome=greedy")]
+    assert rounds == [("k=7", "nodes=487", "outcome=refuted"), ("k=8", "nodes=411551", "outcome=refuted"),
+                      ("k=9", "nodes=0", "outcome=greedy")]
 
 
 def test_cli_parse_error():

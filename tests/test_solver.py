@@ -420,13 +420,14 @@ def test_budget_hit_reports_the_best_of_64_greedy_orders():
             assert exc_info.value.upper_bound == upper, (name, budget)
 
 
-def test_greedy_order_settles_h2_d8_after_its_refutation():
-    # the k=8 refutation draws seeds 0 and 1; seed 6, drawn in the k=9
-    # search at 28 672 nodes, colors h2 delta=8 with 9
-    result = exact_chi_star(_hard("h2-d8"), Budget(500_000, 1e9))
-    assert result.chi == 9 and result.nodes_expanded == 28_672 == 7 * 4096
-    assert [(r.k, r.outcome) for r in result.rounds] == [(8, "refuted"), (9, "greedy")]
-    assert [r.nodes for r in result.rounds] == [10_080, 18_592]
+def test_greedy_order_settles_h_case1_d7_after_its_refutation():
+    # seed 24, drawn in the k=8 refutation at 102 400 nodes, colors h_case1
+    # delta=7 with 9, so round 9 ends before its search
+    result = exact_chi_star(_hard("h_case1-d7"))
+    assert result.chi == 9 and result.nodes_expanded == 412_038
+    assert [(r.k, r.outcome) for r in result.rounds] == [
+        (7, "refuted"), (8, "refuted"), (9, "greedy")]
+    assert [r.nodes for r in result.rounds] == [487, 411_551, 0]
     assert star_violations(result.witness) == []
     assert result.witness.palette_size() == 9
 
@@ -446,7 +447,7 @@ def test_greedy_orders_are_drawn_only_past_4096_nodes(monkeypatch, tmp_path):
             assert calls == list(range(solver.GREEDY_SEEDS)), name
             continue
         assert calls == list(range(len(calls))) and len(calls) <= solver.GREEDY_SEEDS, name
-        assert (result.rounds[-1].outcome == "greedy") == (name in ("h_case1-d7", "h2-d8")), name
+        assert (result.rounds[-1].outcome == "greedy") == (name == "h_case1-d7"), name
         assert star_violations(result.witness) == [], name
         assert result.witness.palette_size() == result.chi, name
 
@@ -454,10 +455,10 @@ def test_greedy_orders_are_drawn_only_past_4096_nodes(monkeypatch, tmp_path):
 @pytest.mark.parametrize(
     "g,rounds",
     [
-        (build_family("h2", delta=8).graph, [(8, 10080, "refuted"), (9, 18592, "greedy")]),
+        (cycle_graph(5000), [(2, 4, "refuted"), (3, 4092, "greedy")]),
         (path_graph(5000), [(2, 4, "refuted"), (3, 4092, "greedy")]),
     ],
-    ids=["h2-d8", "path-5000"],
+    ids=["cycle-5000", "path-5000"],
 )
 def test_a_draw_during_the_search_ends_its_round(g, rounds):
     # each round stops at the draw that fits, at a multiple of 4096 nodes,
@@ -517,10 +518,71 @@ def test_search_depth_is_not_bound_by_the_recursion_limit():
     assert star_palette_feasible(g, 2) is None
 
 
-@pytest.mark.parametrize("blocks,last", [(10, 422), (16, 653), (22, 1101), (124, 19_376)])
+def test_a_refuted_round_costs_its_first_fit_count_plus_the_restart(monkeypatch):
+    # The colors tried at a node depend only on the colors above it, so a
+    # refuted round searches the same tree top-down as first fit: a restart
+    # after R nodes adds exactly R to a refutation that reaches R nodes.
+    rng = random.Random(19)
+    graphs = [graph6_decode(key) for n in range(4, 10) for key in enumerate_mops(n).members]
+    graphs += [random_connected_graph(rng, max_edges=20) for _ in range(40)]
+
+    def solve(restart):
+        monkeypatch.setattr(solver, "RESTART_NODES", restart)
+        results = [exact_chi_star(g) for g in graphs]
+        refuted = [[(r.k, r.nodes) for r in res.rounds if r.outcome == "refuted"] for res in results]
+        return [res.chi for res in results], refuted
+
+    chi, first_fit = solve(10**12)
+    for restart in (16, 64, 16_384):
+        shifted = [[(k, n + restart if n >= restart else n) for k, n in rounds] for rounds in first_fit]
+        assert solve(restart) == (chi, shifted), restart
+    refuted = sorted(n for rounds in first_fit for _, n in rounds)
+    assert sum(n >= 64 for n in refuted) > 20 and refuted[-1] == 38_296  # a random graph's k=9
+
+    def hard_k8(name):
+        return next(r.nodes for r in exact_chi_star(_hard(name)).rounds if r.k == 8)
+
+    for name, nodes in (("h_case1-d7", 395_167), ("h_prime-d7", 23_472)):
+        monkeypatch.setattr(solver, "RESTART_NODES", 10**12)
+        assert hard_k8(name) == nodes, name
+        monkeypatch.setattr(solver, "RESTART_NODES", 16_384)
+        assert hard_k8(name) == nodes + 16_384, name
+
+
+def test_the_top_down_pass_finds_the_h_prime_d8_witness(monkeypatch):
+    # first fit ran past 96 M nodes in this round without a witness; the
+    # top-down pass finds a 10-coloring 39 466 nodes after the restart
+    g = _hard("h_prime-d8")
+    coloring = star_palette_feasible(g, 10, Budget(200_000))
+    assert star_violations(coloring) == [] and coloring.palette_size() == 10
+    monkeypatch.setattr(solver, "RESTART_NODES", 10**12)
+    with pytest.raises(BudgetExhausted):
+        star_palette_feasible(g, 10, Budget(200_000))
+
+
+def test_greedy_never_restarts(monkeypatch):
+    # greedy's descent on a long path passes RESTART_NODES; top-down from
+    # there would open a fresh color at every slot
+    searches = []
+    feasible = solver._Search.feasible
+
+    def spy(self, k, restart_after=None):
+        searches.append(self)
+        return feasible(self, k, restart_after)
+
+    monkeypatch.setattr(solver._Search, "feasible", spy)
+    coloring = greedy_star_upper(path_graph(20_000))
+    assert coloring.palette_size() == 3 and star_violations(coloring) == []
+    [search] = searches
+    assert search.nodes == 24_999 > solver.RESTART_NODES
+
+
+@pytest.mark.parametrize("blocks,last", [(10, 422), (16, 653), (22, 1101), (124, 26_780)])
 def test_delta5_strip_takes_one_color_under_its_drawing(blocks, last):
     # the README finding: chi' = 8 where the periodic drawing uses 9; at 124
-    # blocks (993 edges) the search is deeper than the default recursion limit
+    # blocks (993 edges) the search is deeper than the default recursion
+    # limit, and its k=8 round restarts top-down after 16 384 first-fit nodes
+    # and finds its witness 10 396 nodes later
     g = build_family("delta5_strip", blocks=blocks).graph
     result = exact_chi_star(g)
     assert [(r.k, r.nodes, r.outcome) for r in result.rounds] == [
