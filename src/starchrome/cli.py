@@ -42,7 +42,8 @@ def _input_graph(args: argparse.Namespace):
 
 def _print_rounds(rounds) -> None:
     for r in rounds:
-        print(f"round k={r.k} nodes={r.nodes} seconds={r.seconds:.3f} outcome={r.outcome}")
+        print(f"round k={r.k} nodes={r.nodes} seconds={r.seconds:.3f} second={r.second} "
+              f"outcome={r.outcome}")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

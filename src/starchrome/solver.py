@@ -23,29 +23,38 @@ every color at w is bad if p has a b-edge, and otherwise a free color a
 at w is bad when w's a-neighbor has a b-edge.  Each free color tried
 counts as a node, and the bad ones are pruned without descending.
 
-A palette round (_Search.round) tries the free colors lowest first.  Once
-it has spent RESTART_NODES nodes, it uncolors every slot and searches
-again from slot 0, highest free color first: the fresh one while k
-allows, then the used ones from the last opened down (a cutoff restart,
-Gomes, Selman and Kautz 1998).  The round's start plus RESTART_NODES is
-one of the node counts where the budget is tested, so the per-node loop
-does no extra test.  The colors tried at a node depend only on the colors
-above it, so a refuted round searches the same tree in either order: it
-costs its first-fit count when that is below RESTART_NODES, and
-RESTART_NODES more otherwise.  A witness round can end far sooner top-down
-on the hub-and-fan families: h_prime delta=8's k=10 round takes 55 850
-nodes, where first fit ran past 96 M.  First fit stays the better start
-on small rounds (the sweep's witness rounds to n=12 take 318 469 nodes
-first fit and 601 011 top-down), and no sweep round to n=12 reaches the
-cutoff: the largest takes 9 714 nodes.  A cutoff of 1024 would add 13.1%
-to that sweep's 539 143 nodes, and one of 4096 4.8%.
+A palette round (_Search.round) runs two searches.  The first-fit search
+tries the free colors lowest first.  Once the round has spent
+RESTART_NODES nodes, a second search starts in the degree order, where an
+edge scores its placed-neighbour count plus the degree sum at its two
+ends (the edges at the hubs first, after Brelaz 1979), and tries the
+highest free color first: the fresh one while k allows, then the used
+ones from the last opened down.  First fit goes on where it stopped.
+From then on the two take turns at each checkpoint where the budget is
+tested, every multiple of 4096 nodes, and the round ends when either
+ends: a witness, or a refutation, which holds in any order (an algorithm
+portfolio, Gomes and Selman 2001).  Each search is a generator that runs
+to the node count it is sent, and feasible alone handles the budget, the
+greedy draws and the turns, so the per-node loop tests one counter.
+
+A refuted round below the cutoff costs its first-fit count A, as before;
+a longer one at most R + 2*min(A - R, B) + 4096, where R is the cutoff and
+B the degree order's own count.  The hub-and-fan families gain most:
+h2 delta=9's k=9 refutation takes 68 388 nodes (1 729 449 first fit
+alone), and h_case1 delta=8 is settled in 48 969 (first fit and one
+top-down restart took 61 M).  Where the degree order is no better a
+round costs up to about twice as much: g_delta delta=8's k=9 refutation
+takes 1 158 662 nodes, against 587 920 first fit alone.  No sweep round
+to n=12 reaches the cutoff (the largest takes 9 714 nodes), so the sweep
+runs node for node as first fit alone.  The degree order's tables are
+built only when a round reaches the cutoff.
 
 The greedy upper bound is the same search over the BFS order with
 shuffled roots and neighbors, with every color open: its first descent
 is first fit, and it never backtracks, because the color above the
-largest in use is free and never bad.  It never restarts: its descent
-can pass RESTART_NODES (24 999 nodes on a 20 000-vertex path), and
-top-down it would give every slot a fresh color.
+largest in use is free and never bad.  It never starts a second search:
+its descent can pass RESTART_NODES (24 999 nodes on a 20 000-vertex
+path), and top-down it would give every slot a fresh color.
 
 A solve draws greedy orders as it searches, seed 0, 1, ... up to
 GREEDY_SEEDS in all: one each time the node count passes a multiple of
@@ -69,7 +78,7 @@ from .errors import BudgetExhausted, OutOfRange, TooLarge
 from .graph import Graph
 
 GREEDY_SEEDS = 64  # greedy orders drawn per search, the last ones on a budget hit
-RESTART_NODES = 16_384  # nodes a palette round spends first fit before it restarts top-down
+RESTART_NODES = 16_384  # nodes a palette round spends first fit before the second search starts
 
 
 @dataclass(frozen=True)
@@ -88,6 +97,7 @@ class Round:
     k: int
     nodes: int
     seconds: float
+    second: int  # nodes the degree-order search spent, 0 if the round ended before it
     outcome: str  # "refuted", "feasible", "greedy" (a greedy order fit) or "budget"
 
 
@@ -161,75 +171,106 @@ def _bad_colors(earlier, bits, vmask, at, free) -> int:
     return free ^ left
 
 
+def _max_degree_bfs(g: Graph) -> list[int]:
+    """Edge ids in the BFS order from the maximum-degree vertices, each
+    adjacency list ascending: the ranks that break the slot orders' ties."""
+    degs = g.degrees()
+    starts = sorted(range(g.n), key=lambda v: (-degs[v], v))
+    return bfs_edge_order(g, starts, g.neighbors())
+
+
+def _slot_order(g: Graph, ranked: list[int], weight: list[int] | None) -> tuple[list, list, list]:
+    """A slot order over the edges ``ranked`` and its tables, as the triple
+    (order, edges, earlier) that _Search describes.
+
+    With ``weight`` None the slots follow ``ranked``.  Otherwise each next
+    slot is, among the unplaced edges that meet a placed one, the one of
+    the highest score: its ``weight`` (indexed by rank in ``ranked``) plus
+    the number of placed edges it meets.  Ties, and the first edge of each
+    component, go to the lowest rank.
+    """
+    m = g.m
+    ends = [g.edges[e] for e in ranked]
+    inc: list[list[int]] = [[] for _ in range(g.n)]  # ranks of the edges at x
+    if weight is not None:
+        for r, (u, v) in enumerate(ends):
+            inc[u].append(r)
+            inc[v].append(r)
+    # Unplaced edges that meet a placed one, by rank r, each with the value
+    # score*m - r: the largest value is the next slot, and r is -value % m.
+    # With no weight it stays empty, and slots follow the ranks.
+    frontier: dict[int, int] = {}
+    value_of = frontier.get
+    # each rank's value while it meets no placed edge
+    base = [] if weight is None else [w * m - r for r, w in enumerate(weight)]
+    placed = [False] * m
+    first = 0  # no rank below it is unplaced
+    # (other end, slot) of each placed edge at x
+    seen: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    order, edges, earlier = [], [], []
+    for slot in range(m):
+        if frontier:
+            r = -max(frontier.values()) % m
+            del frontier[r]
+        else:
+            while placed[first]:
+                first += 1
+            r = first
+        placed[r] = True
+        u, v = uv = ends[r]
+        order.append(ranked[r])
+        edges.append(uv)
+        seen_u, seen_v = seen[u], seen[v]
+        earlier.append(tuple([(v, w, j) for w, j in seen_u] + [(u, w, j) for w, j in seen_v]))
+        seen_u.append((v, slot))
+        seen_v.append((u, slot))
+        for f in inc[u]:
+            if not placed[f]:
+                frontier[f] = value_of(f, base[f]) + m
+        for f in inc[v]:
+            if not placed[f]:
+                frontier[f] = value_of(f, base[f]) + m
+    return order, edges, earlier
+
+
 class _Search:
-    """Palette-feasibility rounds over one fixed edge order, by default the
-    fail-first order.  ``order[i]`` is slot i's edge id and ``edges[i]``
-    its endpoints.  ``earlier[i]`` lists a triple (p, w, j) for every slot
+    """Palette-feasibility rounds over a fixed edge order, by default the
+    fail-first order, joined past the cutoff by a search in the degree
+    order.  ``order[i]`` is slot i's edge id and ``edges[i]`` its
+    endpoints.  ``earlier[i]`` lists a triple (p, w, j) for every slot
     j < i that meets slot i: j joins w to i's endpoint q, and p is i's
     other endpoint, so p-q-w is a path.
 
     The fail-first order takes next the unplaced edge that meets the most
     placed edges, so the one with the longest ``earlier`` entry; ties, and
     the first edge of each component, go to the lowest BFS rank: the rank
-    in the BFS from the maximum-degree vertices.
+    in the BFS from the maximum-degree vertices.  The degree order, the
+    second search's, adds to that count the degree sum at the edge's ends.
     """
 
     def __init__(self, g: Graph, budget: Budget, order: list[int] | None = None):
         self.g = g
         self.budget = budget
         self.nodes = 0
+        self.second = 0  # nodes the degree-order search spent in the last round
         self.rounds: list[Round] = []
         self.started = time.monotonic()
         self.seeds = 0  # greedy orders drawn
         self.greedy: EdgeColoring | None = None  # the best of them
-        m = g.m
-        ranked = order
         if order is None:
-            degs = g.degrees()
-            starts = sorted(range(g.n), key=lambda v: (-degs[v], v))
-            ranked = bfs_edge_order(g, starts, g.neighbors())
-        ends = [g.edges[e] for e in ranked]
-        if order is None:
-            inc: list[list[int]] = [[] for _ in range(g.n)]  # BFS ranks of the edges at x
-            for r, (u, v) in enumerate(ends):
-                inc[u].append(r)
-                inc[v].append(r)
-        # Unplaced edges that meet a placed one, by BFS rank r, each with the
-        # value score*m - r: the largest value is the next slot, and r is
-        # -value % m.  With a given order it stays empty, and slots follow
-        # that order.
-        frontier: dict[int, int] = {}
-        value_of = frontier.get
-        placed = [False] * m
-        first = 0  # no rank below it is unplaced
-        # (other end, slot) of each placed edge at x
-        seen: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        self.order, self.edges, self.earlier = [], [], []
-        for slot in range(m):
-            if frontier:
-                r = -max(frontier.values()) % m
-                del frontier[r]
-            else:
-                while placed[first]:
-                    first += 1
-                r = first
-            placed[r] = True
-            u, v = uv = ends[r]
-            self.order.append(ranked[r])
-            self.edges.append(uv)
-            seen_u, seen_v = seen[u], seen[v]
-            self.earlier.append(
-                tuple([(v, w, j) for w, j in seen_u] + [(u, w, j) for w, j in seen_v])
-            )
-            seen_u.append((v, slot))
-            seen_v.append((u, slot))
-            if order is None:
-                for f in inc[u]:
-                    if not placed[f]:
-                        frontier[f] = value_of(f, -f) + m
-                for f in inc[v]:
-                    if not placed[f]:
-                        frontier[f] = value_of(f, -f) + m
+            self.order, self.edges, self.earlier = _slot_order(g, _max_degree_bfs(g), [0] * g.m)
+        else:
+            self.order, self.edges, self.earlier = _slot_order(g, order, None)
+        self._degree_order: tuple[list, list, list] | None = None
+
+    def degree_order(self) -> tuple[list, list, list]:
+        """The degree order's (order, edges, earlier), built on first use."""
+        if self._degree_order is None:
+            g, degs = self.g, self.g.degrees()
+            ranked = _max_degree_bfs(g)
+            weight = [degs[u] + degs[v] for u, v in (g.edges[e] for e in ranked)]
+            self._degree_order = _slot_order(g, ranked, weight)
+        return self._degree_order
 
     def elapsed(self) -> float:
         return time.monotonic() - self.started
@@ -248,26 +289,75 @@ class _Search:
         BudgetExhausted with the interval [lower, best greedy palette]."""
         nodes, started = self.nodes, time.monotonic()
         witness = self.greedy
+        self.second = 0
         if witness is None or witness.palette_size() > k:
             witness = self.feasible(k, RESTART_NODES)
         outcome = ("refuted" if witness is None else "budget" if witness.palette_size() > k
                    else "greedy" if witness is self.greedy else "feasible")
-        self.rounds.append(Round(k, self.nodes - nodes, time.monotonic() - started, outcome))
+        self.rounds.append(Round(k, self.nodes - nodes, time.monotonic() - started, self.second,
+                                 outcome))
         if outcome == "budget":
             upper = witness.palette_size()
             raise BudgetExhausted(lower, upper, self.nodes, self.elapsed(), tuple(self.rounds))
         return witness
 
-    def feasible(self, k: int, restart_after: int | None = None) -> EdgeColoring | None:
+    def feasible(self, k: int, second_after: int | None = None) -> EdgeColoring | None:
         """A coloring using at most k colors, or None if there is none: the
         greedy coloring if a draw during the search fits in k colors, and on
         a budget hit the best greedy coloring once the orders left are drawn.
 
-        The search starts first fit.  Given ``restart_after``, once it has
-        spent that many nodes it uncolors every slot and searches again
-        from slot 0, trying the highest free color first.
+        The first-fit search runs alone until, given ``second_after``, it
+        has spent that many nodes.  There the degree-order search starts,
+        highest color first, and the two take turns, one per stretch up to
+        the next checkpoint, until either ends; ``second`` counts the
+        degree-order search's nodes.  The checkpoints are where the budget
+        is tested: every multiple of 4096 nodes, which also draws a greedy
+        order, the start of the second search and the node budget.
         """
-        edges, earlier = self.edges, self.earlier
+        budget_nodes = self.budget.max_nodes
+        budget_secs = self.budget.max_seconds
+        second_at = budget_nodes if second_after is None else self.nodes + second_after
+        searches = [self._descend(k, (self.order, self.edges, self.earlier), False)]
+        next(searches[0])
+        turn = 0
+        while True:
+            nodes = self.nodes
+            draw_at = nodes - nodes % 4096 + 4096
+            try:
+                searches[turn].send(min(budget_nodes, draw_at, second_at))
+            except StopIteration as end:
+                return end.value
+            finally:
+                if turn:
+                    self.second += self.nodes - nodes
+            nodes = self.nodes
+            if nodes >= budget_nodes or self.elapsed() > budget_secs:
+                while self.seeds < GREEDY_SEEDS:
+                    self.draw()
+                return self.greedy
+            if nodes >= draw_at and self.seeds < GREEDY_SEEDS:
+                self.draw()
+                if self.greedy.palette_size() <= k:
+                    return self.greedy
+            if nodes >= second_at:
+                second_at = budget_nodes
+                searches.append(self._descend(k, self.degree_order(), True))
+                next(searches[1])
+            if len(searches) == 2:
+                turn ^= 1
+
+    def _descend(self, k: int, slots: tuple[list, list, list], top_down: bool):
+        """One depth-first search for a k-coloring over the slot order
+        ``slots``, as a generator.  Each value sent to it is a node count:
+        it searches until ``nodes`` reaches it, then yields.  It returns the
+        coloring, or None once k is refuted.
+
+        First fit tries the free colors lowest first.  Top-down stores
+        color c as bit k+1-c, so the lowest bit first is the highest color
+        first: the fresh one while k allows, then the used ones from the
+        last opened down.
+        """
+        order, edges, earlier = slots
         m = len(edges)
         bits = [0] * m
         vmask = [0] * self.g.n
@@ -275,19 +365,12 @@ class _Search:
         # while the bit is in vmask[x], so uncoloring leaves it stale
         at: list[dict[int, int]] = [{} for _ in range(self.g.n)]
         palette = (2 << k) - 2
-        budget_nodes = self.budget.max_nodes
-        budget_secs = self.budget.max_seconds
-        nodes = self.nodes
-        # the node counts at which to test the budget: every 4096 nodes for
-        # time and a greedy draw, at the restart and at the node budget
-        draw_at = nodes - nodes % 4096 + 4096
-        restart_at = budget_nodes if restart_after is None else nodes + restart_after
-        check_at = min(budget_nodes, draw_at, restart_at)
         # per colored slot: the colors it has left to try, its bad mask and
         # opened, the colors used so far plus the next fresh one
         stack: list[tuple[int, int, int]] = []
-        i, opened, free = 0, 2 & palette, None
-        top_down = False
+        i, opened, free = 0, (1 << k if top_down else 2) & palette, None
+        stop = yield
+        nodes = self.nodes
         while True:
             if not free:
                 if free is None:  # entering slot i
@@ -310,30 +393,10 @@ class _Search:
             bit = free & -free
             free ^= bit
             nodes += 1
-            if nodes >= check_at:
+            if nodes >= stop:
                 self.nodes = nodes
-                if nodes >= budget_nodes or self.elapsed() > budget_secs:
-                    while self.seeds < GREEDY_SEEDS:
-                        self.draw()
-                    return self.greedy
-                if nodes >= draw_at:
-                    draw_at += 4096
-                    if self.seeds < GREEDY_SEEDS:
-                        self.draw()
-                        if self.greedy.palette_size() <= k:
-                            return self.greedy
-                if nodes >= restart_at:
-                    # The top-down pass stores color c as bit k+1-c, so the
-                    # lowest bit first is the highest color first: the
-                    # fresh one, then the used ones from the last opened.
-                    restart_at = budget_nodes
-                    top_down = True
-                    vmask = [0] * self.g.n
-                    stack.clear()
-                    i, opened, free = 0, 1 << k & palette, None
-                    check_at = min(budget_nodes, draw_at)
-                    continue
-                check_at = min(budget_nodes, draw_at, restart_at)
+                stop = yield
+                nodes = self.nodes
             if bad & bit:
                 continue
             bits[i] = bit
@@ -348,7 +411,7 @@ class _Search:
             i, opened, free = i + 1, (opened | bit << 1 | bit >> 1) & palette, None
         self.nodes = nodes
         colors = [0] * m
-        for e, bit in zip(self.order, bits):
+        for e, bit in zip(order, bits):
             c = bit.bit_length() - 1
             colors[e] = k + 1 - c if top_down else c
         return EdgeColoring(self.g, tuple(colors))

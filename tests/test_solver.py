@@ -375,6 +375,53 @@ def test_fail_first_order_takes_the_edge_meeting_the_most_placed_ones():
             assert rank[e] == min(rank[f] for f in tied), (g, i)
 
 
+def test_degree_order_takes_the_edge_of_the_highest_degree_score():
+    # the second search's order: among the unplaced edges that meet a placed
+    # one, the highest placed count plus degree sum at the two ends
+    rng = random.Random(7)
+    graphs = [random_connected_graph(rng, max_edges=40, max_n=12) for _ in range(60)]
+    graphs.append(from_edges(9, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5), (5, 6), (6, 7), (4, 6)]))
+    graphs.append(build_family("h2", delta=7).graph)
+    for g in graphs:
+        order, edges, earlier = solver._Search(g, Budget()).degree_order()
+        assert sorted(order) == list(range(g.m))
+        assert edges == [g.edges[e] for e in order]
+        degs = g.degrees()
+        rank = {e: r for r, e in enumerate(_bfs_order(g))}
+        for i, e in enumerate(order):
+            placed = [set(g.edges[d]) for d in order[:i]]
+            meets = {f: sum(bool(set(g.edges[f]) & ends) for ends in placed) for f in order[i:]}
+            assert len(earlier[i]) == meets[e], (g, i)
+            assert {j for _, _, j in earlier[i]} == {
+                j for j, ends in enumerate(placed) if ends & set(g.edges[e])}
+            frontier = [f for f in meets if meets[f]]
+            if not frontier:  # a component starts at the best-ranked edge left
+                assert rank[e] == min(rank[f] for f in meets), (g, i)
+                continue
+            score = {f: meets[f] + sum(degs[x] for x in g.edges[f]) for f in frontier}
+            assert e in score and score[e] == max(score.values()), (g, i)
+            tied = [f for f in score if score[f] == score[e]]
+            assert rank[e] == min(rank[f] for f in tied), (g, i)
+
+
+def test_chi_is_the_same_for_any_cutoff(monkeypatch):
+    # the second search changes how long a round takes, never its answer
+    graphs = [g for n in range(3, 11) for g in enumerate_mops(n).members.values()]
+    graphs += [g for n in range(3, 9) for g in enumerate_dissections(n).members.values()]
+    graphs += [build_family(family, delta=delta).graph
+               for family, delta in (("h2", 7), ("h_prime", 6), ("h_case1", 6), ("g_delta", 6))]
+    assert len(graphs) == 245
+    monkeypatch.setattr(solver, "RESTART_NODES", 10**12)
+    first_fit = [exact_chi_star(g).chi for g in graphs]
+    for restart in (16, 64, 1024):
+        monkeypatch.setattr(solver, "RESTART_NODES", restart)
+        for g, chi in zip(graphs, first_fit):
+            result = exact_chi_star(g)
+            assert result.chi == chi, (g, restart)
+            assert star_violations(result.witness) == [], (g, restart)
+            assert result.witness.palette_size() == chi, (g, restart)
+
+
 def test_chi_is_the_same_under_relabelings_and_the_bfs_order():
     # Both runs share _bad_colors, so this checks the order machinery (the
     # fail-first order, its BFS tie-break and the slot tables), not the kernel.
@@ -412,9 +459,11 @@ def test_budget_hit_stops_at_the_node_budget():
 
 def test_budget_hit_reports_the_best_of_64_greedy_orders():
     # greedy seed 0 alone gives 13 and 12; a 5-node budget draws no order
-    # during the search, so the hit draws all 64
-    for name, upper in (("h_prime-d8", 11), ("h2-d9", 10)):
-        for budget in (Budget(500_000, 1e9), Budget(5, 1e9)):
+    # during the search, so the hit draws all 64 (h2 delta=9 is settled
+    # within 500 000 nodes)
+    for name, upper, budgets in (("h_prime-d8", 11, (Budget(500_000, 1e9), Budget(5, 1e9))),
+                                 ("h2-d9", 10, (Budget(5, 1e9),))):
+        for budget in budgets:
             with pytest.raises(BudgetExhausted) as exc_info:
                 exact_chi_star(_hard(name), budget)
             assert exc_info.value.upper_bound == upper, (name, budget)
@@ -424,10 +473,10 @@ def test_greedy_order_settles_h_case1_d7_after_its_refutation():
     # seed 24, drawn in the k=8 refutation at 102 400 nodes, colors h_case1
     # delta=7 with 9, so round 9 ends before its search
     result = exact_chi_star(_hard("h_case1-d7"))
-    assert result.chi == 9 and result.nodes_expanded == 412_038
+    assert result.chi == 9 and result.nodes_expanded == 279_459
     assert [(r.k, r.outcome) for r in result.rounds] == [
         (7, "refuted"), (8, "refuted"), (9, "greedy")]
-    assert [r.nodes for r in result.rounds] == [487, 411_551, 0]
+    assert [r.nodes for r in result.rounds] == [487, 278_972, 0]
     assert star_violations(result.witness) == []
     assert result.witness.palette_size() == 9
 
@@ -447,7 +496,7 @@ def test_greedy_orders_are_drawn_only_past_4096_nodes(monkeypatch, tmp_path):
             assert calls == list(range(solver.GREEDY_SEEDS)), name
             continue
         assert calls == list(range(len(calls))) and len(calls) <= solver.GREEDY_SEEDS, name
-        assert (result.rounds[-1].outcome == "greedy") == (name == "h_case1-d7"), name
+        assert (result.rounds[-1].outcome == "greedy") == (name in ("h_case1-d7", "h2-d9")), name
         assert star_violations(result.witness) == [], name
         assert result.witness.palette_size() == result.chi, name
 
@@ -518,40 +567,65 @@ def test_search_depth_is_not_bound_by_the_recursion_limit():
     assert star_palette_feasible(g, 2) is None
 
 
-def test_a_refuted_round_costs_its_first_fit_count_plus_the_restart(monkeypatch):
-    # The colors tried at a node depend only on the colors above it, so a
-    # refuted round searches the same tree top-down as first fit: a restart
-    # after R nodes adds exactly R to a refutation that reaches R nodes.
+def _alone(g, k, order=None):
+    """Nodes the search in one slot order, alone, spends to refute k."""
+    search = solver._Search(g, Budget(), order)
+    assert search.feasible(k) is None
+    return search.nodes
+
+
+def _turns(start, restart, first_fit, degree):
+    """(nodes, second) of a round refuted at node count ``start`` + nodes:
+    first fit alone up to the cutoff, then a turn each up to every next
+    multiple of 4096.  A search whose last node lands on a turn's end
+    pauses there, and ends when its next turn comes."""
+    if first_fit < restart:
+        return first_fit, 0
+    spent, turn, nodes = [restart, 0], 1, start + restart
+    while True:
+        stretch = 4096 - nodes % 4096
+        need = (first_fit, degree)[turn] - spent[turn]
+        if need < stretch:
+            spent[turn] += need
+            return sum(spent), spent[1]
+        spent[turn] += stretch
+        nodes += stretch
+        turn ^= 1
+
+
+def test_a_refuted_round_costs_at_most_twice_the_better_order(monkeypatch):
+    # Past R nodes the two searches take turns of at most 4096 nodes, and
+    # a refutation in either order ends the round, so a refuted round costs
+    # its first-fit count A below the cutoff and at most
+    # R + 2*min(A - R, B) + 4096 past it, B being the degree order's count.
     rng = random.Random(19)
     graphs = [graph6_decode(key) for n in range(4, 10) for key in enumerate_mops(n).members]
     graphs += [random_connected_graph(rng, max_edges=20) for _ in range(40)]
-
-    def solve(restart):
+    cases = [(restart, g) for restart in (16, 64) for g in graphs]
+    # and at the default cutoff, where h_case1 delta=7's k=8 round takes 65 turns
+    cases += [(16_384, _hard(name)) for name in ("h_case1-d7", "h_prime-d7")]
+    long_rounds = 0
+    for restart, g in cases:
         monkeypatch.setattr(solver, "RESTART_NODES", restart)
-        results = [exact_chi_star(g) for g in graphs]
-        refuted = [[(r.k, r.nodes) for r in res.rounds if r.outcome == "refuted"] for res in results]
-        return [res.chi for res in results], refuted
-
-    chi, first_fit = solve(10**12)
-    for restart in (16, 64, 16_384):
-        shifted = [[(k, n + restart if n >= restart else n) for k, n in rounds] for rounds in first_fit]
-        assert solve(restart) == (chi, shifted), restart
-    refuted = sorted(n for rounds in first_fit for _, n in rounds)
-    assert sum(n >= 64 for n in refuted) > 20 and refuted[-1] == 38_296  # a random graph's k=9
-
-    def hard_k8(name):
-        return next(r.nodes for r in exact_chi_star(_hard(name)).rounds if r.k == 8)
-
-    for name, nodes in (("h_case1-d7", 395_167), ("h_prime-d7", 23_472)):
-        monkeypatch.setattr(solver, "RESTART_NODES", 10**12)
-        assert hard_k8(name) == nodes, name
-        monkeypatch.setattr(solver, "RESTART_NODES", 16_384)
-        assert hard_k8(name) == nodes + 16_384, name
+        result = exact_chi_star(g)
+        degree_ids = solver._Search(g, Budget()).degree_order()[0]
+        start = 0
+        for r in result.rounds:
+            if r.outcome == "refuted":
+                first_fit = _alone(g, r.k)
+                degree = _alone(g, r.k, degree_ids)
+                assert (r.nodes, r.second) == _turns(start, restart, first_fit, degree), (g, r)
+                if first_fit >= restart:
+                    long_rounds += 1
+                    assert r.nodes <= restart + 2 * min(first_fit - restart, degree) + 4096
+            start += r.nodes
+    assert long_rounds > 100
 
 
 def test_the_top_down_pass_finds_the_h_prime_d8_witness(monkeypatch):
     # first fit ran past 96 M nodes in this round without a witness; the
-    # top-down pass finds a 10-coloring 39 466 nodes after the restart
+    # degree order, searched top-down from 16 384 nodes on, finds a
+    # 10-coloring after 88 550 of its own nodes, 190 950 in all
     g = _hard("h_prime-d8")
     coloring = star_palette_feasible(g, 10, Budget(200_000))
     assert star_violations(coloring) == [] and coloring.palette_size() == 10
@@ -560,15 +634,26 @@ def test_the_top_down_pass_finds_the_h_prime_d8_witness(monkeypatch):
         star_palette_feasible(g, 10, Budget(200_000))
 
 
+def test_the_degree_order_finds_the_h_case1_d8_witness():
+    # first fit alone spent 61 M nodes in this round; the degree order's
+    # search finds a 9-coloring after 14 413 of its own nodes
+    coloring = star_palette_feasible(build_family("h_case1", delta=8).graph, 9, Budget(100_000))
+    assert star_violations(coloring) == [] and coloring.palette_size() == 9
+
+
 def test_greedy_never_restarts(monkeypatch):
-    # greedy's descent on a long path passes RESTART_NODES; top-down from
-    # there would open a fresh color at every slot
+    # greedy's descent on a long path passes RESTART_NODES; a second search,
+    # top-down from there, would open a fresh color at every slot
+    def refuse(self):
+        raise AssertionError("greedy built the degree order")
+
+    monkeypatch.setattr(solver._Search, "degree_order", refuse)
     searches = []
     feasible = solver._Search.feasible
 
-    def spy(self, k, restart_after=None):
+    def spy(self, k, second_after=None):
         searches.append(self)
-        return feasible(self, k, restart_after)
+        return feasible(self, k, second_after)
 
     monkeypatch.setattr(solver._Search, "feasible", spy)
     coloring = greedy_star_upper(path_graph(20_000))
@@ -577,12 +662,12 @@ def test_greedy_never_restarts(monkeypatch):
     assert search.nodes == 24_999 > solver.RESTART_NODES
 
 
-@pytest.mark.parametrize("blocks,last", [(10, 422), (16, 653), (22, 1101), (124, 26_780)])
+@pytest.mark.parametrize("blocks,last", [(10, 422), (16, 653), (22, 1101), (124, 20_219)])
 def test_delta5_strip_takes_one_color_under_its_drawing(blocks, last):
     # the README finding: chi' = 8 where the periodic drawing uses 9; at 124
     # blocks (993 edges) the search is deeper than the default recursion
-    # limit, and its k=8 round restarts top-down after 16 384 first-fit nodes
-    # and finds its witness 10 396 nodes later
+    # limit, and its k=8 round passes 16 384 nodes: the degree order takes
+    # one 843-node turn, and first fit finds the witness at 19 376 of its own
     g = build_family("delta5_strip", blocks=blocks).graph
     result = exact_chi_star(g)
     assert [(r.k, r.nodes, r.outcome) for r in result.rounds] == [
