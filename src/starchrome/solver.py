@@ -31,11 +31,11 @@ ends (the edges at the hubs first, after Brelaz 1979), and tries the
 highest free color first: the fresh one while k allows, then the used
 ones from the last opened down.  First fit goes on where it stopped.
 From then on the two take turns at each checkpoint where the budget is
-tested, every multiple of 4096 nodes, and the round ends when either
-ends: a witness, or a refutation, which holds in any order (an algorithm
-portfolio, Gomes and Selman 2001).  Each search is a generator that runs
-to the node count it is sent, and feasible alone handles the budget, the
-greedy draws and the turns, so the per-node loop tests one counter.
+tested, every multiple of CHECKPOINT_NODES = 4096 nodes, and the round
+ends when either ends: a witness, or a refutation, which holds in any
+order (an algorithm portfolio, Gomes and Selman 2001).  Each search is a
+generator that runs to the node count it is sent, and feasible alone
+handles the budget and the turns, so the per-node loop tests one counter.
 
 A refuted round below the cutoff costs its first-fit count A, as before;
 a longer one at most R + 2*min(A - R, B) + 4096, where R is the cutoff and
@@ -56,13 +56,14 @@ largest in use is free and never bad.  It never starts a second search:
 its descent can pass RESTART_NODES (24 999 nodes on a 20 000-vertex
 path), and top-down it would give every slot a fresh color.
 
-A solve draws greedy orders as it searches, seed 0, 1, ... up to
-GREEDY_SEEDS in all: one each time the node count passes a multiple of
-4096, where the budget is tested, and a budget hit draws the rest and
-returns the best of them.  Every palette the search enters is a proven
-lower bound, so once the best greedy coloring fits in k colors, round k
-ends there with that coloring as its witness: before, during or after its
-search.  _Search.round is the one place where a palette round ends, for
+A solve earns one greedy order, seed 0, 1, ..., for every
+CHECKPOINT_NODES nodes it spends, GREEDY_SEEDS in all, and a round draws
+the orders earned so far before its search, keeping the best coloring.
+Every palette the search enters is a proven lower bound, so once that
+coloring fits in k colors, round k ends before its search with it as the
+witness.  Otherwise the search ends the round: a witness, a refutation
+or a budget hit, which draws the orders left and returns the best of
+them.  _Search.round is the one place where a palette round ends, for
 both public solvers.
 """
 
@@ -77,8 +78,9 @@ from .coloring import EdgeColoring, star_violations
 from .errors import BudgetExhausted, OutOfRange, TooLarge
 from .graph import Graph
 
-GREEDY_SEEDS = 64  # greedy orders drawn per search, the last ones on a budget hit
+GREEDY_SEEDS = 64  # greedy orders a solve draws at most
 RESTART_NODES = 16_384  # nodes a palette round spends first fit before the second search starts
+CHECKPOINT_NODES = 4096  # budget tests and turns fall on its multiples, and each earns an order
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ class Round:
     nodes: int
     seconds: float
     second: int  # nodes the degree-order search spent, 0 if the round ended before it
-    outcome: str  # "refuted", "feasible", "greedy" (a greedy order fit) or "budget"
+    outcome: str  # "refuted", "feasible", "budget" or "greedy" (drawn before the search or on a hit)
 
 
 @dataclass(frozen=True)
@@ -275,19 +277,21 @@ class _Search:
     def elapsed(self) -> float:
         return time.monotonic() - self.started
 
-    def draw(self) -> None:
-        """Draw the next greedy order, keeping the best coloring."""
-        coloring = greedy_star_upper(self.g, self.seeds)
-        self.seeds += 1
-        if self.greedy is None or coloring.palette_size() < self.greedy.palette_size():
-            self.greedy = coloring
+    def draw(self, upto: int) -> None:
+        """Draw the greedy orders below seed ``upto``, keeping the best."""
+        while self.seeds < upto:
+            coloring = greedy_star_upper(self.g, self.seeds)
+            self.seeds += 1
+            if self.greedy is None or coloring.palette_size() < self.greedy.palette_size():
+                self.greedy = coloring
 
     def round(self, k: int, lower: int) -> EdgeColoring | None:
         """Palette round k, appended to ``rounds``: a coloring with at most
-        k colors, or None if k is refuted.  The best greedy coloring ends
-        the round once it fits; a budget hit it does not end raises
-        BudgetExhausted with the interval [lower, best greedy palette]."""
+        k colors, or None if k is refuted.  The orders earned so far are
+        drawn first, and the best greedy coloring ends the round if it fits;
+        a hit it does not settle raises BudgetExhausted with [lower, best palette]."""
         nodes, started = self.nodes, time.monotonic()
+        self.draw(min(GREEDY_SEEDS, nodes // CHECKPOINT_NODES))
         witness = self.greedy
         self.second = 0
         if witness is None or witness.palette_size() > k:
@@ -302,17 +306,16 @@ class _Search:
         return witness
 
     def feasible(self, k: int, second_after: int | None = None) -> EdgeColoring | None:
-        """A coloring using at most k colors, or None if there is none: the
-        greedy coloring if a draw during the search fits in k colors, and on
-        a budget hit the best greedy coloring once the orders left are drawn.
+        """A coloring using at most k colors, or None if there is none; on a
+        budget hit, the best greedy coloring once the orders left are drawn.
 
         The first-fit search runs alone until, given ``second_after``, it
         has spent that many nodes.  There the degree-order search starts,
         highest color first, and the two take turns, one per stretch up to
         the next checkpoint, until either ends; ``second`` counts the
         degree-order search's nodes.  The checkpoints are where the budget
-        is tested: every multiple of 4096 nodes, which also draws a greedy
-        order, the start of the second search and the node budget.
+        is tested: every multiple of CHECKPOINT_NODES, the start of the
+        second search and the node budget.
         """
         budget_nodes = self.budget.max_nodes
         budget_secs = self.budget.max_seconds
@@ -322,9 +325,9 @@ class _Search:
         turn = 0
         while True:
             nodes = self.nodes
-            draw_at = nodes - nodes % 4096 + 4096
+            checkpoint = nodes - nodes % CHECKPOINT_NODES + CHECKPOINT_NODES
             try:
-                searches[turn].send(min(budget_nodes, draw_at, second_at))
+                searches[turn].send(min(budget_nodes, checkpoint, second_at))
             except StopIteration as end:
                 return end.value
             finally:
@@ -332,13 +335,8 @@ class _Search:
                     self.second += self.nodes - nodes
             nodes = self.nodes
             if nodes >= budget_nodes or self.elapsed() > budget_secs:
-                while self.seeds < GREEDY_SEEDS:
-                    self.draw()
+                self.draw(GREEDY_SEEDS)
                 return self.greedy
-            if nodes >= draw_at and self.seeds < GREEDY_SEEDS:
-                self.draw()
-                if self.greedy.palette_size() <= k:
-                    return self.greedy
             if nodes >= second_at:
                 second_at = budget_nodes
                 searches.append(self._descend(k, self.degree_order(), True))
@@ -430,9 +428,9 @@ def greedy_star_upper(g: Graph, order_seed: int = 0) -> EdgeColoring:
         rng.shuffle(ns)
     starts = list(range(g.n))
     rng.shuffle(starts)
-    # a slot tries at most m colors, so the descent never meets this budget
+    # a slot tries at most m colors, so the descent never meets this
+    # budget, and a search outside a round draws orders only on a hit
     search = _Search(g, Budget(g.m * g.m + 1, float("inf")), bfs_edge_order(g, starts, nbrs))
-    search.seeds = GREEDY_SEEDS  # it draws no greedy orders of its own
     return search.feasible(g.m)
 
 

@@ -15,6 +15,8 @@ from starchrome.graph import from_edges, relabel
 from starchrome.graph6 import graph6_decode
 from starchrome.outerplanar import enumerate_dissections, enumerate_mops
 from starchrome.solver import (
+    CHECKPOINT_NODES,
+    GREEDY_SEEDS,
     Budget,
     brute_force_chi_star,
     exact_chi_star,
@@ -458,9 +460,9 @@ def test_budget_hit_stops_at_the_node_budget():
 
 
 def test_budget_hit_reports_the_best_of_64_greedy_orders():
-    # greedy seed 0 alone gives 13 and 12; a 5-node budget draws no order
-    # during the search, so the hit draws all 64 (h2 delta=9 is settled
-    # within 500 000 nodes)
+    # greedy seed 0 alone gives 13 and 12; a 5-node budget earns no order
+    # before the hit, which draws all 64 (h2 delta=9 is settled within
+    # 500 000 nodes)
     for name, upper, budgets in (("h_prime-d8", 11, (Budget(500_000, 1e9), Budget(5, 1e9))),
                                  ("h2-d9", 10, (Budget(5, 1e9),))):
         for budget in budgets:
@@ -470,8 +472,8 @@ def test_budget_hit_reports_the_best_of_64_greedy_orders():
 
 
 def test_greedy_order_settles_h_case1_d7_after_its_refutation():
-    # seed 24, drawn in the k=8 refutation at 102 400 nodes, colors h_case1
-    # delta=7 with 9, so round 9 ends before its search
+    # seed 24, one of the 64 orders that the k=8 refutation's nodes earn,
+    # colors h_case1 delta=7 with 9, so round 9 ends before its search
     result = exact_chi_star(_hard("h_case1-d7"))
     assert result.chi == 9 and result.nodes_expanded == 279_459
     assert [(r.k, r.outcome) for r in result.rounds] == [
@@ -487,36 +489,85 @@ def test_greedy_orders_are_drawn_only_past_4096_nodes(monkeypatch, tmp_path):
     monkeypatch.setattr(solver, "greedy_star_upper", lambda g, seed: calls.append(seed) or draw(g, seed))
     run_sweep(9, ResultCache(tmp_path / "c.jsonl"))
     assert calls == []  # no sweep solve to n=9 reaches 4096 nodes
+    # one order per 4096 nodes spent before the last round: h_prime-d7's
+    # refutations take 31 664 nodes, h2-d8's 10 080, h2-d9's 68 388 and
+    # h_case1-d7's past 64 orders' worth; h_prime-d8 hits its budget
+    drawn = {"h_prime-d7": 7, "h_case1-d7": 64, "h2-d8": 2, "h_prime-d8": 64, "h2-d9": 16}
     for name, (_, delta) in HARD.items():
         calls.clear()
         budget = Budget(500_000, 1e9) if delta >= 8 else Budget()
         try:
             result = exact_chi_star(_hard(name), budget)
         except BudgetExhausted:
-            assert calls == list(range(solver.GREEDY_SEEDS)), name
+            assert name == "h_prime-d8" and calls == list(range(GREEDY_SEEDS))
             continue
-        assert calls == list(range(len(calls))) and len(calls) <= solver.GREEDY_SEEDS, name
+        assert calls == list(range(drawn[name])), name
         assert (result.rounds[-1].outcome == "greedy") == (name in ("h_case1-d7", "h2-d9")), name
         assert star_violations(result.witness) == [], name
         assert result.witness.palette_size() == result.chi, name
 
 
-@pytest.mark.parametrize(
-    "g,rounds",
-    [
-        (cycle_graph(5000), [(2, 4, "refuted"), (3, 4092, "greedy")]),
-        (path_graph(5000), [(2, 4, "refuted"), (3, 4092, "greedy")]),
-    ],
-    ids=["cycle-5000", "path-5000"],
-)
-def test_a_draw_during_the_search_ends_its_round(g, rounds):
-    # each round stops at the draw that fits, at a multiple of 4096 nodes,
-    # not at the end of its search
+def _draw_log(monkeypatch):
+    """One entry per palette round run from here on: ``start``, the
+    solve's nodes before the round, and ``draws``, the greedy seeds drawn
+    in it, each as (seed, nodes the round had spent at that draw)."""
+    log = []
+    greedy, round_ = solver.greedy_star_upper, solver._Search.round
+
+    def spy_round(self, k, lower):
+        log.append({"search": self, "start": self.nodes, "draws": []})
+        return round_(self, k, lower)
+
+    def spy_greedy(g, seed):
+        entry = log[-1]
+        entry["draws"].append((seed, entry["search"].nodes - entry["start"]))
+        return greedy(g, seed)
+
+    monkeypatch.setattr(solver._Search, "round", spy_round)
+    monkeypatch.setattr(solver, "greedy_star_upper", spy_greedy)
+    return log
+
+
+def test_orders_are_drawn_before_a_rounds_search_or_at_its_budget_hit(monkeypatch):
+    # a round first draws the orders earned so far, one per 4096 nodes the
+    # solve has spent; then only a budget hit draws, and a greedy round
+    # that no hit ends spends no nodes
+    log = _draw_log(monkeypatch)
+    solves = [(fan_graph(9), Budget(5)), (_hard("h_case1-d7"), Budget()),
+              (_hard("h2-d9"), Budget()), (_hard("h_prime-d8"), Budget(500_000, 1e9))]
+    outcomes = set()
+    for g, budget in solves:
+        log.clear()
+        try:
+            rounds = exact_chi_star(g, budget).rounds
+        except BudgetExhausted as exc:
+            rounds = exc.rounds
+        drawn = 0
+        for entry, r in zip(log, rounds, strict=True):
+            hit = entry["start"] + r.nodes >= budget.max_nodes
+            earned = min(GREEDY_SEEDS, entry["start"] // CHECKPOINT_NODES)
+            draws = [(seed, 0) for seed in range(drawn, earned)]
+            if hit:
+                draws += [(seed, r.nodes) for seed in range(earned, GREEDY_SEEDS)]
+            assert entry["draws"] == draws, (g, r)
+            if r.outcome == "greedy" and not hit:
+                assert r.nodes == 0, (g, r)
+            outcomes.add((r.outcome, hit))
+            drawn += len(draws)
+    assert outcomes == {("refuted", False), ("greedy", False), ("greedy", True), ("budget", True)}
+
+
+@pytest.mark.parametrize("g,nodes", [(cycle_graph(5000), 6250), (path_graph(5000), 6248)],
+                         ids=["cycle-5000", "path-5000"])
+def test_a_round_past_a_checkpoint_ends_by_its_search(monkeypatch, g, nodes):
+    # the k=2 refutation earns no order and a round draws none inside its
+    # search, so k=3 is searched to its witness past the 4096-node checkpoint
+    log = _draw_log(monkeypatch)
     result = exact_chi_star(g)
-    assert [(r.k, r.nodes, r.outcome) for r in result.rounds] == rounds
-    assert result.nodes_expanded % 4096 == 0
-    assert star_violations(result.witness) == []
-    assert result.witness.palette_size() == result.chi == rounds[-1][0]
+    assert [(r.k, r.nodes, r.outcome) for r in result.rounds] == [
+        (2, 4, "refuted"), (3, nodes, "feasible")]
+    assert [entry["draws"] for entry in log] == [[], []]
+    assert star_violations(result.witness) == [] and result.witness.palette_size() == 3
 
 
 def test_budget_hit_settled_by_a_greedy_order():
@@ -583,7 +634,7 @@ def _turns(start, restart, first_fit, degree):
         return first_fit, 0
     spent, turn, nodes = [restart, 0], 1, start + restart
     while True:
-        stretch = 4096 - nodes % 4096
+        stretch = CHECKPOINT_NODES - nodes % CHECKPOINT_NODES
         need = (first_fit, degree)[turn] - spent[turn]
         if need < stretch:
             spent[turn] += need
@@ -617,15 +668,16 @@ def test_a_refuted_round_costs_at_most_twice_the_better_order(monkeypatch):
                 assert (r.nodes, r.second) == _turns(start, restart, first_fit, degree), (g, r)
                 if first_fit >= restart:
                     long_rounds += 1
-                    assert r.nodes <= restart + 2 * min(first_fit - restart, degree) + 4096
+                    assert r.nodes <= restart + 2 * min(first_fit - restart, degree) + CHECKPOINT_NODES
             start += r.nodes
     assert long_rounds > 100
 
 
-def test_the_top_down_pass_finds_the_h_prime_d8_witness(monkeypatch):
+def test_the_degree_order_finds_the_h_prime_d8_witness(monkeypatch):
     # first fit ran past 96 M nodes in this round without a witness; the
-    # degree order, searched top-down from 16 384 nodes on, finds a
-    # 10-coloring after 88 550 of its own nodes, 190 950 in all
+    # degree-order search, highest color first, taking turns with first
+    # fit from 16 384 nodes on, finds a 10-coloring after 88 550 of its own
+    # nodes, 190 950 in all
     g = _hard("h_prime-d8")
     coloring = star_palette_feasible(g, 10, Budget(200_000))
     assert star_violations(coloring) == [] and coloring.palette_size() == 10
