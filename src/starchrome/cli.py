@@ -31,12 +31,14 @@ def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _input_graph(args: argparse.Namespace):
+    flags = {name: getattr(args, name) for name in ("family", "n", "delta", "blocks")}
+    given = {name: value for name, value in flags.items() if value is not None}
     if args.g6:
+        if given:
+            raise StarchromeError(f"--g6 takes no {', '.join('--' + name for name in given)}")
         return graph6_decode(args.g6)
     if args.family:
-        flags = {name: getattr(args, name) for name in ("n", "delta", "blocks")}
-        params = {name: value for name, value in flags.items() if value is not None}
-        return build_family(args.family, **params).graph
+        return build_family(given.pop("family"), **given).graph
     raise StarchromeError("provide --g6 or --family")
 
 

@@ -2,12 +2,13 @@
 
 Each builder returns role edges, hub degrees and the facts the family
 is defined by (size, maximum degree, diameter, 2-connectivity, and the
-outerplanar or maximal outerplanar class it stands for).  build_family
-alone checks the parameter against its least value and step in
-_BUILDERS, rejects any other keyword, maps the roles onto dense ids and
-checks every declared fact instead of silently repairing it.  ``h_prime``
-has 2n edges, over the outerplanar bound of 2n-3, so it declares no
-class.  Closed-form colorings (formula_coloring) and the figure tables
+outerplanar or maximal outerplanar class it stands for).  The
+hub-and-fan families h_prime, h_case1 and h2 share one builder: their
+cores, facts, hubs and chain ends are rows of _FAN_FAMILIES.
+build_family alone checks the parameter against its least value and step
+in _BUILDERS, rejects any other keyword, maps the roles onto dense ids
+and checks every declared fact instead of silently repairing it.
+Closed-form colorings (formula_coloring) and the figure tables
 (versioned text files loaded by figure_coloring) are kept apart, and
 family_coloring picks between them by delta.  None asserts validity;
 running the validator is the caller's job.
@@ -16,6 +17,7 @@ running the validator is the caller's job.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
 from .coloring import EdgeColoring
@@ -78,6 +80,11 @@ _G61_EDGES = [
 _G62_EDGES = [
     ("v0", "v1"), ("v1", "v2"), ("v0", "v2"), ("v0", "v3"), ("v0", "v4"),
     ("v2", "v3"), ("v3", "v4"), ("v3", "v5"), ("v4", "v5"),
+]
+_H2_EDGES = [
+    ("v0", "v1"), ("v0", "v2"), ("v0", "v3"), ("v0", "v4"),
+    ("v1", "v2"), ("v2", "v3"), ("v3", "v4"),
+    ("v1", "v5"), ("v2", "v5"), ("v3", "v6"), ("v4", "v6"),
 ]
 
 _MOP = {"two_connected": True, "maximal": True}
@@ -147,47 +154,27 @@ def _build_g_delta(delta: int):
     return edges, dict.fromkeys(hubs, delta), facts
 
 
-def _build_h_prime(delta: int):
-    """The pendant family with each hub's leaves chained into a fan.
-
-    The leaf chains run v1..v4 around v0, v1..v5 around v2 and v5..v4
-    around v3.  With m = 2n it is not outerplanar at any delta, so it
-    declares no class.
-    """
-    k = delta - 4
-    edges = list(_G61_EDGES)
-    edges += _hub_fan_edges("v0", k, "v1", "v4")
-    edges += _hub_fan_edges("v2", k, "v1", "v5")
-    edges += _hub_fan_edges("v3", k, "v5", "v4")
-    degrees = dict.fromkeys(("v0", "v2", "v3"), delta)
-    return edges, degrees, {"diameter": 3, "two_connected": True}
+#: family id -> (core edges, declared facts, fans).  A fan is (hub, leaves
+#: beyond delta-4, chain start, chain end); every hub has degree delta.
+_FAN_FAMILIES = {
+    # m = 2n, over the outerplanar bound at every delta: it declares no class
+    "h_prime": (_G61_EDGES, {"diameter": 3, "two_connected": True},
+                (("v0", 0, "v1", "v4"), ("v2", 0, "v1", "v5"), ("v3", 0, "v5", "v4"))),
+    "h_case1": (_G62_EDGES, {"diameter": 3, **_MOP},
+                (("v0", 0, None, "v1"), ("v3", 0, None, "v5"), ("v4", 1, "v5", None))),
+    # the v2 chain starts at apex v5 and the v3 chain ends at apex v6,
+    # the orientation _h2_coloring expects
+    "h2": (_H2_EDGES, {"diameter": 3, **_MOP}, (("v2", 0, "v5", None), ("v3", 0, None, "v6"))),
+}
 
 
-def _build_h_case1(delta: int):
-    """The g62 core with fans at v0 (to v1), v3 (to v5) and v4 (from v5)."""
-    k = delta - 4
-    edges = list(_G62_EDGES)
-    edges += _hub_fan_edges("v0", k, end="v1")
-    edges += _hub_fan_edges("v3", k, end="v5")
-    edges += _hub_fan_edges("v4", k + 1, start="v5")
-    return edges, dict.fromkeys(("v0", "v3", "v4"), delta), {"diameter": 3, **_MOP}
-
-
-def _build_h2(delta: int):
-    """Double-apex core with leaf fans at v2 and v3.
-
-    The v2 chain starts at apex v5 and the v3 chain ends at apex v6,
-    the orientation the coloring function expects.
-    """
-    k = delta - 4
-    edges = [
-        ("v0", "v1"), ("v0", "v2"), ("v0", "v3"), ("v0", "v4"),
-        ("v1", "v2"), ("v2", "v3"), ("v3", "v4"),
-        ("v1", "v5"), ("v2", "v5"), ("v3", "v6"), ("v4", "v6"),
-    ]
-    edges += _hub_fan_edges("v2", k, start="v5")
-    edges += _hub_fan_edges("v3", k, end="v6")
-    return edges, dict.fromkeys(("v2", "v3"), delta), {"diameter": 3, **_MOP}
+def _build_fans(family_id: str, delta: int):
+    """A row of _FAN_FAMILIES: its core plus one leaf fan per hub."""
+    core, facts, fans = _FAN_FAMILIES[family_id]
+    edges = list(core)
+    for hub, extra, start, end in fans:
+        edges += _hub_fan_edges(hub, delta - 4 + extra, start, end)
+    return edges, {hub: delta for hub, *_ in fans}, facts
 
 
 # --- the max-degree-5 strip -------------------------------------------
@@ -268,9 +255,9 @@ _BUILDERS = {
     "g61_prime": (_build_g61_prime, None, 0, 1),
     "g62": (_build_g62, None, 0, 1),
     "g_delta": (_build_g_delta, "delta", 5, 1),
-    "h_prime": (_build_h_prime, "delta", 5, 1),
-    "h_case1": (_build_h_case1, "delta", 4, 1),
-    "h2": (_build_h2, "delta", 4, 1),
+    "h_prime": (partial(_build_fans, "h_prime"), "delta", 5, 1),
+    "h_case1": (partial(_build_fans, "h_case1"), "delta", 4, 1),
+    "h2": (partial(_build_fans, "h2"), "delta", 4, 1),
     "delta5_strip": (_build_delta5_strip, "blocks", STRIP_FIGURE_BLOCKS, STRIP_PERIOD),
 }
 
@@ -394,7 +381,7 @@ def _h2_coloring(delta: int) -> dict[tuple[str, str], int]:
     for q in range(1, d - 5):
         c[(_leaf("v3", q), _leaf("v3", q + 1))] = q + 3
     c[(_leaf("v3", d - 5), _leaf("v3", d - 4))] = 1
-    # chain terminus: the v3 fan ends at apex v6 (see _build_h2)
+    # chain terminus: the v3 fan ends at apex v6 (see _FAN_FAMILIES)
     c[(_leaf("v3", d - 4), "v6")] = 2
     return c
 

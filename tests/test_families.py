@@ -108,6 +108,24 @@ def test_roles_are_bijections():
         assert sorted(inst.roles.values()) == list(range(inst.graph.n))
 
 
+def test_fan_families_keep_their_labels():
+    # The closed forms and the figure tables address vertices by role name,
+    # and the solver's node counts follow the dense ids the role order sets;
+    # one digest pins the graph and every role id at each delta up to 20.
+    import hashlib
+    import json
+
+    from starchrome.graph6 import graph6_encode
+
+    lines = []
+    for fid, least in (("h_prime", 5), ("h_case1", 4), ("h2", 4), ("g_delta", 5)):
+        for delta in range(least, 21):
+            inst = build_family(fid, delta=delta)
+            lines.append(f"{fid} {delta} {graph6_encode(inst.graph)} {json.dumps(inst.roles)}")
+    digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (66, "201aa5b823d5c7b98e7209f7a870600931cdbf7d")
+
+
 def test_formula_coloring_ranges():
     with pytest.raises(OutOfRange):
         formula_coloring("h_prime", 8)

@@ -445,6 +445,11 @@ def test_cli_malformed_arguments_exit_1(capsys):
     assert capsys.readouterr().err == "error: g61 takes no blocks, delta\n"
     assert main(["solve", "--family", "h2", "--delta", "9", "--budget-nodes", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: a budget needs max_nodes >= 1")
+    # a graph6 input takes no family flags; they were once dropped silently
+    assert main(["solve", "--g6", "Bw", "--family", "h2", "--delta", "9"]) == 1
+    assert capsys.readouterr().err == "error: --g6 takes no --family, --delta\n"
+    assert main(["solve", "--g6", "Bw", "--delta", "9"]) == 1
+    assert capsys.readouterr().err == "error: --g6 takes no --delta\n"
 
 
 def test_cli_sweep_rejects_a_schema_1_cache(tmp_path, capsys):

@@ -184,12 +184,22 @@ def test_extremal_family_exact_values():
         ("h2", 5): 7,
         ("h2", 6): 8,
         ("h2", 7): 8,            # delta+1: beats the delta+3 reference coloring
+        ("h_case1", 9): 10,      # delta+1, three under the delta+4 closed form
+        ("h2", 10): 11,          # delta+1, one under the delta+2 closed form
+    }
+    # (k, nodes, outcome) per round: the counts follow the builders' labels
+    rounds = {
+        ("h_case1", 9): [(9, 74236, "refuted"), (10, 958605, "feasible")],
+        ("h2", 10): [(10, 452710, "refuted"), (11, 0, "greedy")],
     }
     for (family, delta), chi in expected.items():
         g = build_family(family, delta=delta).graph
         result = exact_chi_star(g)
         assert result.chi == chi, (family, delta, result.chi)
         assert star_violations(result.witness) == []
+        if (family, delta) in rounds:
+            got = [(r.k, r.nodes, r.outcome) for r in result.rounds]
+            assert got == rounds[family, delta], (family, delta)
 
 
 # The five hard instances of the solver benchmark: (family, delta).
