@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import OutOfRange, TooLarge
-from .graph import Graph, _block_edges, _normalized, is_two_connected, relabel
-from .graph6 import GRAPH6_MAX_N, graph6_encode
+from .graph import Graph, _block_edges, _normalized, is_two_connected
+from .graph6 import GRAPH6_MAX_N, _encode_pairs
 
 
 def _chords_cross(spans: list[tuple[int, int]]) -> bool:
@@ -173,10 +173,10 @@ class MopCatalog(Catalog):
     rooted_count: int
 
 
-def _dihedral_key(seq: bytearray) -> bytes:
+def _dihedral_key(seq: bytes | bytearray) -> bytes:
     """Least rotation or reflection of a cyclic sequence; it starts at a least entry."""
     n, low = len(seq), min(seq)
-    return bytes(min((s + s)[i : i + n] for s in (seq, seq[::-1]) for i in range(n) if s[i] == low))
+    return bytes(min(d[i : i + n] for d in (seq * 2, seq[::-1] * 2) for i in range(n) if d[i] == low))
 
 
 def polygon_key(g: Graph) -> str:
@@ -201,29 +201,34 @@ def _cycle_key(g: Graph, cycle: Sequence[int]) -> str:
     numbering depends only on the isomorphism class, up to automorphisms.
     """
     n, degs, nbrs = g.n, g.degrees(), g.neighbors()
-    least = _dihedral_key(bytearray(degs[v] for v in cycle))
-    numberings = []  # (edges as sorted position pairs, position of each vertex)
-    for way in (list(cycle), list(cycle)[::-1]):
-        doubled = bytes(degs[v] for v in way) * 2
-        for i in range(n):
-            if doubled[i : i + n] == least:
-                pos = [0] * n
-                for p, v in enumerate(way[i:] + way[:i]):
-                    pos[v] = p
-                numberings.append((sorted(tuple(sorted((pos[u], pos[v]))) for u, v in g.edges), pos))
-    pos = min(numberings)[1]
+    word = bytes(degs[v] for v in cycle)
+    least = _dihedral_key(word)
+    orders = [  # each numbering with the least degree word, as its vertices in position order
+        way[i:] + way[:i]
+        for way, d in ((cycle, word * 2), (cycle[::-1], word[::-1] * 2))
+        for i in range(n)
+        if d[i] == least[0] and d.startswith(least, i)
+    ]
+
+    def numbering(way: Sequence[int]) -> tuple[list[int], list[int]]:
+        """Edges as sorted position pairs, (a, b) as a*n + b, which sorts alike; then positions."""
+        pos = sorted(range(n), key=way.__getitem__)  # the inverse of way
+        pairs = ((pos[u], pos[v]) for u, v in g.edges)
+        return sorted(a * n + b if a < b else b * n + a for a, b in pairs), pos
+
+    order = min(orders, key=numbering) if len(orders) > 1 else orders[0]
     # Labels follow (degree, sorted neighbour degrees, position), not the
     # position alone, because the solver's search order follows the labels:
     # its fail-first order breaks ties by BFS rank, and that BFS starts at
     # the max-degree vertex with the smallest id and scans neighbours by
     # ascending id.  The 1091 MOPs with n <= 12, each solved from k = D,
     # take 1 264 649 solver nodes under position labels and 1 102 032 under
-    # this order.
-    ranked = sorted(range(n), key=lambda v: (degs[v], sorted(degs[w] for w in nbrs[v]), pos[v]))
-    perm = [0] * n
-    for label, v in enumerate(ranked):
-        perm[v] = label
-    return graph6_encode(relabel(g, perm))
+    # this order.  The sort is stable, so ties keep position order.
+    profile = [bytes((degs[v], *sorted([degs[w] for w in nbrs[v]]))) for v in range(n)]
+    label = [0] * n
+    for rank, v in enumerate(sorted(order, key=profile.__getitem__)):
+        label[v] = rank
+    return _encode_pairs(n, [(label[u], label[v]) for u, v in g.edges])
 
 
 def _grow(below: Catalog, subdivide: bool) -> tuple[dict, dict, dict]:

@@ -31,7 +31,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -115,7 +115,8 @@ class SweepRecord:
         return self.max_degree <= 3
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        # every field is a scalar, so asdict's deep copy would only add time
+        return json.dumps({name: getattr(self, name) for name in _FIELDS})
 
     @staticmethod
     def from_json(line: str | dict) -> "SweepRecord":
@@ -124,12 +125,12 @@ class SweepRecord:
         Raises ValueError for anything else, such as a JSON array or number.
         """
         data = json.loads(line) if isinstance(line, str) else line
-        if not isinstance(data, dict) or data.keys() != _FIELDS:
+        if not isinstance(data, dict) or data.keys() != _FIELDS.keys():
             raise ValueError(f"not a sweep record: {json.dumps(data)[:60]}")
         return SweepRecord(**data)
 
 
-_FIELDS = {f.name for f in fields(SweepRecord)}
+_FIELDS = dict.fromkeys(f.name for f in fields(SweepRecord))  # the field names, in order
 
 
 def default_cache_path() -> Path:

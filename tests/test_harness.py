@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -62,6 +62,15 @@ def test_sweep_cache_roundtrip(tmp_path):
     assert again.solved == 0 and again.from_cache == len(summary.records)
     assert path.read_text() == text  # append-only log untouched by a no-op run
     assert [r.to_json() for r in again.records] == [r.to_json() for r in summary.records]
+
+
+def test_sweep_record_json_is_the_dataclass_dump(tmp_path):
+    records = run_sweep(6, ResultCache(tmp_path / "c.jsonl"), budget=Budget(max_nodes=8)).records
+    ok = next(r for r in records if r.status == "ok")  # no budget fields
+    cut = next(r for r in records if r.status == "budget_exhausted")  # no chi_star
+    assert ok.budget_nodes is ok.budget_secs is cut.chi_star is None
+    for rec in (ok, cut):
+        assert rec.to_json() == json.dumps(asdict(rec))
 
 
 def test_sweep_record_json_roundtrip(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -256,6 +257,46 @@ def test_polygon_key_partition_matches_oracle():
             assert polygon_key(h) == key and canonical_key(h) == oracle
     assert _same_partition(pairs)
     assert len(set(pairs)) == 1092 + 371 - 48  # classes: MOPs, and the non-MOPs to n=9
+
+
+def _catalog_digest(grow, n_max: int) -> str:
+    """sha1 over every level's members in order: key, edges, ring, sorted children."""
+    digest, catalog = hashlib.sha1(), None
+    for n in range(3, n_max + 1):
+        catalog = grow(n, catalog)
+        for key, g in catalog.members.items():
+            line = f"{key} {g.edges} {catalog.rings[key]} {sorted(catalog.children[key])}\n"
+            digest.update(line.encode())
+    return digest.hexdigest()
+
+
+def test_catalogs_keep_their_keys_labels_rings_and_children():
+    # Cache records and every pinned node count follow these labels, so a
+    # faster key must give the same bytes.  Digests computed before the
+    # keys and the graph6 codec were rewritten.
+    assert _catalog_digest(enumerate_mops, 12) == "3547ca7726c733ff0ea6de84a7dcf6430663eddf"
+    assert _catalog_digest(enumerate_dissections, 10) == "e5c6120d0d9e26e5bef59f2a1c9515d8d3c3e1dc"
+
+
+def _random_polygon(rng: random.Random, n: int, keep: float):
+    """An n-gon with random non-crossing chords, each kept with chance ``keep``."""
+    pairs = [(x, y) for x in range(n) for y in range(x + 2, n) if (x, y) != (0, n - 1)]
+    rng.shuffle(pairs)
+    chords: list[tuple[int, int]] = []
+    for x, y in pairs:
+        if rng.random() < keep and not any(a < x < b < y or x < a < y < b for a, b in chords):
+            chords.append((x, y))
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)] + chords)
+
+
+def test_polygon_key_survives_random_relabelings():
+    rng = random.Random(23)
+    # bare cycles and triangulations hit the most tied numberings
+    for n, keep in [(3, 1), (4, 0), (6, 1), (9, 0.5), (12, 0.3), (17, 1), (23, 0.6), (30, 0), (30, 0.5), (30, 1)]:
+        g = _random_polygon(rng, n, keep)
+        key = polygon_key(g)
+        for _ in range(100):
+            assert polygon_key(relabel(g, rng.sample(range(n), n))) == key
 
 
 def test_polygon_key_needs_an_outer_cycle():
