@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: solve, verify-figures, family-check, sweep, encode, decode.
-Exit codes: 0 success, 1 input/parse/data errors or an output pipe closed
+Exit codes: 0 success, 1 input/parse/data/file errors or an output pipe closed
 early, 2 solver budget exhausted (bounds printed), 3 sweep found a
 proven-bound violation.
 """
@@ -216,13 +216,13 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
-    except StarchromeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it goes first
         # the reader left early (| head): send what is left, and the flush
         # at exit, to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (StarchromeError, OSError) as exc:  # OSError: an --out or --cache file it cannot write
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

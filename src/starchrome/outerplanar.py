@@ -8,7 +8,8 @@ graphs", IPL 9(5), 1979): a 2-connected outerplanar graph always has a
 degree-2 vertex, and suppressing it keeps the graph 2-connected and
 outerplanar.  Replaying the suppressions in reverse rebuilds the block's
 Hamiltonian cycle, and the block is accepted only if no two of its edges
-cross on that cycle, so every "yes" carries a certificate.
+cross on that cycle, so every "yes" carries a certificate.  ``classify``
+decides all three classes from one block search; the predicates read it.
 
 That Hamiltonian cycle is unique, so a 2-connected outerplanar graph is
 its chord diagram up to the 2n rotations and reflections of the cycle.
@@ -106,41 +107,42 @@ def _outer_cycle(block: Graph) -> list[int] | None:
     return None if _chords_cross(spans) else cycle
 
 
-def _biconnected_blocks(g: Graph, edge_blocks=None) -> list[Graph]:
-    """Edge-partition into biconnected blocks, each with compacted ids.
+@dataclass(frozen=True)
+class Classification:
+    two_connected: bool
+    outerplanar: bool
+    maximal: bool
 
-    ``edge_blocks``, if given, are the blocks ``_block_edges(g)`` yields.
+
+def classify(g: Graph) -> Classification:
+    """What recognition decides about g: 2-connected, outerplanar, maximal.
+
+    One block search gives 2-connectivity (as in ``is_two_connected``:
+    n >= 3, no isolated vertex, one block) and the blocks, each recognized
+    on its own; maximality is outerplanarity plus 2n-3 edges at n >= 3.
     """
-    blocks = list(_block_edges(g) if edge_blocks is None else edge_blocks)
-    if len(blocks) == 1 and 0 not in g.degrees():
-        return [g]  # g is its own block, ids already compact
-    out = []
-    for block in blocks:
-        ids = sorted({x for e in block for x in e})
-        remap = {x: i for i, x in enumerate(ids)}
-        out.append(_normalized(len(ids), [(remap[a], remap[b]) for a, b in block]))
-    return out
+    edge_blocks = list(_block_edges(g))
+    two_connected = g.n >= 3 and 0 not in g.degrees() and len(edge_blocks) == 1
+    outer = g.n < 2 or g.m <= 2 * g.n - 3  # the whole-graph edge bound, before any block
+    for edges in edge_blocks if outer else ():
+        if two_connected:
+            block = g  # g is its own block, ids already compact
+        else:
+            remap = {x: i for i, x in enumerate(sorted({x for e in edges for x in e}))}
+            block = _normalized(len(remap), [(remap[a], remap[b]) for a, b in edges])
+        if block.m > 2 * block.n - 3 or (block.n > 3 and _outer_cycle(block) is None):
+            outer = False
+            break
+    return Classification(two_connected, outer, outer and g.n >= 3 and g.m == 2 * g.n - 3)
 
 
-def is_outerplanar(g: Graph, edge_blocks=None) -> bool:
+def is_outerplanar(g: Graph) -> bool:
     """True iff g has a drawing with every vertex on the outer face.
 
     Outerplanarity holds iff it holds in every biconnected block, so each
     block with four or more vertices gets its own ear-removal certificate.
-    ``edge_blocks``, if given, are the blocks ``_block_edges(g)`` yields.
     """
-    if g.n >= 2 and g.m > 2 * g.n - 3:
-        return False  # over the outerplanar edge bound
-    for block in _biconnected_blocks(g, edge_blocks):
-        if block.m > 2 * block.n - 3:
-            return False
-        if block.n > 3 and _outer_cycle(block) is None:
-            return False
-    return True
-
-
-def _maximal_edge_count(g: Graph) -> bool:
-    return g.n >= 3 and g.m == 2 * g.n - 3
+    return classify(g).outerplanar
 
 
 def is_maximal_outerplanar(g: Graph) -> bool:
@@ -150,7 +152,7 @@ def is_maximal_outerplanar(g: Graph) -> bool:
     non-adjacent vertices destroys outerplanarity): an outerplanar graph
     has at most 2n-3 edges, with equality exactly at maximality.
     """
-    return _maximal_edge_count(g) and is_outerplanar(g)
+    return classify(g).maximal
 
 
 @dataclass(frozen=True)
@@ -185,7 +187,7 @@ def polygon_key(g: Graph) -> str:
 
     Raises OutOfRange if g is not 2-connected and outerplanar.
     """
-    if g.n > GRAPH6_MAX_N:
+    if g.n > GRAPH6_MAX_N:  # checked here: past degree 255, _cycle_key's bytes raise ValueError
         raise TooLarge(f"polygon_key supports n <= {GRAPH6_MAX_N}, got {g.n}")
     if not is_two_connected(g) or (cycle := _outer_cycle(g)) is None:
         raise OutOfRange("polygon_key needs a 2-connected outerplanar graph")
@@ -254,7 +256,7 @@ def _grow(below: Catalog, subdivide: bool) -> tuple[dict, dict, dict]:
 
     for parent, g in below.members.items():
         boundary, degs = below.rings[parent], g.degrees()
-        around = bytes(degs[v] for v in boundary) if _maximal_edge_count(g) else None
+        around = bytes(degs[v] for v in boundary) if g.m == 2 * size - 3 else None
         for i in range(size):
             entry = shape = None
             if around is not None:  # the ear raises u and v by one and adds a 2
@@ -326,25 +328,3 @@ def enumerate_dissections(n: int, below: Catalog | None = None) -> Catalog:
     level; without it, every level from the triangle.
     """
     return Catalog(n, *_level(enumerate_dissections, n, below, subdivide=True))
-
-
-@dataclass(frozen=True)
-class Classification:
-    two_connected: bool
-    outerplanar: bool
-    maximal: bool
-
-
-def classify(g: Graph) -> Classification:
-    """What recognition decides about g: 2-connected, outerplanar, maximal.
-
-    One block search gives both 2-connectivity (as in ``is_two_connected``:
-    n >= 3, no isolated vertex, one block) and the blocks to recognize.
-    """
-    edge_blocks = list(_block_edges(g))
-    outer = is_outerplanar(g, edge_blocks)
-    return Classification(
-        two_connected=g.n >= 3 and 0 not in g.degrees() and len(edge_blocks) == 1,
-        outerplanar=outer,
-        maximal=outer and _maximal_edge_count(g),
-    )

@@ -22,7 +22,7 @@ import itertools
 from starchrome.errors import TooLarge
 from starchrome.graph import Graph, from_edges, is_two_connected, relabel
 from starchrome.graph6 import GRAPH6_MAX_N, graph6_encode
-from starchrome.outerplanar import _maximal_edge_count, _outer_cycle
+from starchrome.outerplanar import _outer_cycle
 
 #: Order ceiling of the permutation-based canonical form.
 CANONICAL_LIMIT = 16
@@ -121,7 +121,7 @@ def two_connected_spanning_subgraphs(h: Graph) -> list[Graph]:
     """
     if h.n > GRAPH6_MAX_N:
         raise TooLarge(f"two_connected_spanning_subgraphs supports n <= {GRAPH6_MAX_N}")
-    cycle = _outer_cycle(h) if _maximal_edge_count(h) and is_two_connected(h) else None
+    cycle = _outer_cycle(h) if h.n >= 3 and h.m == 2 * h.n - 3 and is_two_connected(h) else None
     if cycle is None:
         raise ValueError("chord-deletion closure needs a maximal outerplanar graph")
     pos = [0] * h.n

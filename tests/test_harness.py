@@ -494,6 +494,27 @@ def test_cli_sweep_reports_unreadable_cache(tmp_path, capsys):
         assert "cache error: not a sweep record" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["verify-figures", "--out", "{missing}/figures.jsonl"],
+    ["family-check", "h2", "9", "--out", "{missing}/h2.jsonl"],
+    ["sweep", "--n-max", "4", "--cache", "{tmp}/cache.jsonl", "--out", "{missing}/sweep.jsonl"],
+    ["sweep", "--n-max", "4", "--cache", "{missing}/cache.jsonl"],  # fails at the first append
+])
+def test_cli_unwritable_path_exits_1_with_an_error_line(tmp_path, args):
+    import subprocess
+    import sys
+
+    import starchrome
+
+    args = [a.format(tmp=tmp_path, missing=tmp_path / "missing") for a in args]
+    env = {**os.environ, "PYTHONPATH": str(Path(starchrome.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-m", "starchrome.cli", *args],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 1, run.stderr
+    assert run.stderr.startswith("error: ") and "No such file or directory" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def test_cli_family_check_figure_backed_delta(capsys):
     assert main(["family-check", "H-prime", "5", "--exact"]) == 0
     out = capsys.readouterr().out

@@ -133,14 +133,24 @@ def test_polygon_check_rejects_triangle_book():
     assert not is_maximal_outerplanar(book)
 
 
-def test_classify_maximal_matches_is_maximal_outerplanar():
-    tiny = [from_edges(1, []), from_edges(2, []), from_edges(2, [(0, 1)])]
-    tiny += [from_edges(3, [(0, 1)]), from_edges(4, [(0, 1), (1, 2), (0, 2)])]  # isolated vertices
-    for g in tiny + _oracle_graphs():
+def test_classify_matches_independent_references():
+    rng = random.Random(5)
+    draws = _oracle_graphs()
+    inputs = [from_edges(0, []), from_edges(1, []), from_edges(2, []), from_edges(2, [(0, 1)])]
+    inputs += [from_edges(3, [(0, 1)]), from_edges(4, [(0, 1), (1, 2), (0, 2)])]  # isolated vertices
+    for _ in range(200):  # several components, their ids interleaved
+        a, b = rng.sample(draws, 2)
+        union = from_edges(a.n + b.n, a.edges + tuple((u + a.n, v + a.n) for u, v in b.edges))
+        inputs.append(relabel(union, rng.sample(range(union.n), union.n)))
+    for g in rng.sample(draws, 200):  # isolated vertices added
+        n = g.n + rng.randint(1, 3)
+        inputs.append(relabel(from_edges(n, g.edges), rng.sample(range(n), n)))
+    for g in draws + inputs:
         c = classify(g)
-        assert c.maximal == is_maximal_outerplanar(g), g.edges
+        outer = _nx_outerplanar(g)
+        assert c.outerplanar == outer, g.edges
+        assert c.maximal == (outer and g.n >= 3 and g.m == 2 * g.n - 3), g.edges
         assert c.two_connected == is_two_connected(g), g.edges
-        assert c.outerplanar == is_outerplanar(g), g.edges
 
 
 def test_rooted_counts_are_catalan():
@@ -499,10 +509,10 @@ def test_polygon_structure_boundary_and_chords():
 
 def test_biconnected_blocks_of_pendant_family():
     from starchrome.families import build_family
-    from starchrome.outerplanar import _biconnected_blocks
+    from starchrome.graph import _block_edges
 
     inst = build_family("g_delta", delta=6)
-    blocks = sorted((b.n, b.m) for b in _biconnected_blocks(inst.graph))
+    blocks = sorted((len({x for e in b for x in e}), len(b)) for b in _block_edges(inst.graph))
     assert blocks == [(2, 1)] * 6 + [(6, 9)]  # six pendant edges plus the core
 
 
@@ -519,13 +529,14 @@ def test_pendant_family_classifies_quickly():
 
 
 def test_blocks_cover_edges_and_are_two_connected_or_trivial():
-    from starchrome.outerplanar import _biconnected_blocks
-    from starchrome.graph import is_two_connected
+    from starchrome.graph import _block_edges
 
     rng = random.Random(17)
     for _ in range(60):
         g = random_connected_graph(rng, max_edges=12, max_n=9)
-        blocks = _biconnected_blocks(g)
-        assert sum(b.m for b in blocks) == g.m
+        blocks = list(_block_edges(g))
+        assert sorted(tuple(sorted(e)) for b in blocks for e in b) == list(g.edges)  # a partition
         for b in blocks:
-            assert b.m == 1 or is_two_connected(b)
+            ids = sorted({x for e in b for x in e})
+            block = from_edges(len(ids), [(ids.index(u), ids.index(v)) for u, v in b])
+            assert block.m == 1 or is_two_connected(block)
