@@ -17,7 +17,7 @@ from .families import FAMILY_IDS, build_family
 from .graph6 import graph6_decode, graph6_encode
 from .graph import from_edges
 from .harness import ColoringReport, family_check, verify_figures
-from .solver import Budget, exact_chi_star
+from .solver import Budget, common_neighbour_bound, exact_chi_star
 from .sweep import ResultCache, default_cache_path, run_sweep
 
 
@@ -48,18 +48,30 @@ def _print_rounds(rounds) -> None:
               f"outcome={r.outcome}")
 
 
+def _print_bound(g) -> None:
+    """The common-neighbour bound's certificate, if it is above the maximum degree."""
+    bound, certificate = common_neighbour_bound(g, g.max_degree())
+    if bound > g.max_degree():
+        u, v, t = certificate
+        degs = g.degrees()
+        print(f"bound: chi_star >= {bound}: vertices {u} and {v} (degrees {degs[u]}, {degs[v]}) "
+              f"share {t} neighbour{'s' if t != 1 else ''}")
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     g = _input_graph(args)
     try:
         result = exact_chi_star(g, _budget(args))
     except BudgetExhausted as exc:
         print(f"budget exhausted: chi_star in [{exc.lower_bound}, {exc.upper_bound}]")
+        _print_bound(g)
         _print_rounds(exc.rounds)
         print(f"nodes={exc.nodes} elapsed={exc.elapsed:.2f}s")
         return 2
     print(f"chi_star = {result.chi}")
     for (u, v), color in result.witness.as_mapping().items():
         print(f"  {u}-{v}: {color}")
+    _print_bound(g)
     _print_rounds(result.rounds)
     print(f"nodes={result.nodes_expanded} elapsed={result.elapsed:.3f}s")
     return 0

@@ -11,6 +11,23 @@ max-used+1.  Partial colorings stay proper.  The search is one loop over
 its own stack, one entry per colored slot, so the graph's size sets no
 Python recursion limit.
 
+No palette below the common-neighbour bound is searched.  Let u != v
+share t >= 1 neighbours, and take a star k-edge-coloring.  For a common
+neighbour w let a = c(uw) and b = c(vw).  If u has a b-edge ux and v an
+a-edge vy, then x-u-w-v-y is colored b,a,b,a; properness gives x not in
+{v, w} and y not in {u, w}, so it is a path, or a 4-cycle when x = y,
+and the coloring is not star.  So for each w, c(vw) is missing at u or
+c(uw) is missing at v.  Both maps w -> c(vw) and w -> c(uw) are
+injective, hence t <= (k - d(u)) + (k - d(v)) and k >= ceil((d(u) + d(v)
++ t) / 2).  B is the largest such bound over all pairs
+(common_neighbour_bound); two vertices of degree k with a common
+neighbour (t = 1) are the two-hub case.  An outerplanar graph has no
+K_{2,3}, so there t <= 2 and B <= D + 1.  A solve finds B on its first
+round, and every round k < B ends at 0 nodes, before any greedy draw,
+with the outcome "bound".  That is the k=D round of every hub-and-fan
+family instance; the search alone spends 39.5 M nodes (49 s) refuting
+h2 delta=12 at k=12.
+
 The order is fixed, so at depth i exactly the slots before i are colored.
 A _Search builds its order and slot tables in one pass per graph: for
 each slot, the earlier slots at either endpoint.  Colors are bits: each
@@ -38,16 +55,16 @@ generator that runs to the node count it is sent, and feasible alone
 handles the budget and the turns, so the per-node loop tests one counter.
 
 A refuted round below the cutoff costs its first-fit count A, as before;
-a longer one at most R + 2*min(A - R, B) + 4096, where R is the cutoff and
-B the degree order's own count.  The hub-and-fan families gain most:
-h2 delta=9's k=9 refutation takes 68 388 nodes (1 729 449 first fit
-alone), and h_case1 delta=8 is settled in 48 969 (first fit and one
-top-down restart took 61 M).  Where the degree order is no better a
-round costs up to about twice as much: g_delta delta=8's k=9 refutation
-takes 1 158 662 nodes, against 587 920 first fit alone.  No sweep round
-to n=12 reaches the cutoff (the largest takes 9 714 nodes), so the sweep
-runs node for node as first fit alone.  The degree order's tables are
-built only when a round reaches the cutoff.
+a longer one at most R + 2*min(A - R, C) + 4096, where R is the cutoff and
+C the degree order's own count.  The hub-and-fan families gain most: the
+search alone refutes h2 delta=9's k=9 in 68 388 nodes (1 729 449 first
+fit alone), and h_case1 delta=8's k=9 witness takes 43 085 (first fit
+and one top-down restart took 61 M).  Where the degree order is no
+better a round costs up to about twice as much: g_delta delta=8's k=9
+refutation takes 1 161 360 nodes, against 587 920 first fit alone.  No
+sweep round to n=12 reaches the cutoff (the largest takes 9 714 nodes),
+so the sweep runs node for node as first fit alone.  The degree order's
+tables are built only when a round reaches the cutoff.
 
 The greedy upper bound is the same search over the BFS order with
 shuffled roots and neighbors, with every color open: its first descent
@@ -100,7 +117,9 @@ class Round:
     nodes: int
     seconds: float
     second: int  # nodes the degree-order search spent, 0 if the round ended before it
-    outcome: str  # "refuted", "feasible", "budget" or "greedy" (drawn before the search or on a hit)
+    # "bound" (below the common-neighbour bound, not searched), "refuted",
+    # "feasible", "budget" or "greedy" (drawn before the search or on a hit)
+    outcome: str
 
 
 @dataclass(frozen=True)
@@ -139,6 +158,44 @@ def bfs_edge_order(g: Graph, starts: Iterable[int], nbrs: Sequence[Sequence[int]
         pu, pv = pos[u], pos[v]
         keys.append(pu * n + pv if pu > pv else pv * n + pu)
     return sorted(range(g.m), key=keys.__getitem__)
+
+
+def common_neighbour_bound(g: Graph, above: int = 0) -> tuple[int, tuple[int, int, int] | None]:
+    """The common-neighbour lower bound B on the star chromatic index and
+    its certificate (u, v, t): the largest ceil((d(u) + d(v) + t) / 2) over
+    vertex pairs u < v with t >= 1 common neighbours, the first such pair
+    in (u, v) order.  (0, None) if no two vertices share a neighbour.
+
+    Only the pairs that could beat ``above`` are looked at (t is at most
+    the smaller degree), so B is exact whenever it exceeds ``above``.
+    """
+    degs = g.degrees()
+    top = max(degs, default=0)
+    kept = [u for u, d in enumerate(degs) if 2 * d + top > 2 * above]
+    nbrs = g.neighbors()
+    near = [0] * g.n  # the kept neighbours of each vertex, as a mask
+    own = [0] * g.n  # each kept vertex's neighbours, as a mask
+    for u in kept:
+        bit = 1 << u
+        for w in nbrs[u]:
+            near[w] |= bit
+            own[u] |= 1 << w
+    best, certificate = 0, None
+    for u in kept:
+        reach = 0  # the kept vertices above u that share a neighbour with it
+        for w in nbrs[u]:
+            reach |= near[w]
+        reach >>= u + 1
+        v, du, mine = u, degs[u], own[u]
+        while reach:
+            step = (reach & -reach).bit_length()
+            v += step
+            reach >>= step
+            t = (mine & own[v]).bit_count()
+            bound = (du + degs[v] + t + 1) // 2
+            if bound > best:
+                best, certificate = bound, (u, v, t)
+    return best, certificate
 
 
 def _bad_colors(earlier, bits, vmask, at, free) -> int:
@@ -259,6 +316,7 @@ class _Search:
         self.started = time.monotonic()
         self.seeds = 0  # greedy orders drawn
         self.greedy: EdgeColoring | None = None  # the best of them
+        self.bound: int | None = None  # the common-neighbour bound, set by the first round
         if order is None:
             self.order, self.edges, self.earlier = _slot_order(g, _max_degree_bfs(g), [0] * g.m)
         else:
@@ -287,10 +345,17 @@ class _Search:
 
     def round(self, k: int, lower: int) -> EdgeColoring | None:
         """Palette round k, appended to ``rounds``: a coloring with at most
-        k colors, or None if k is refuted.  The orders earned so far are
-        drawn first, and the best greedy coloring ends the round if it fits;
-        a hit it does not settle raises BudgetExhausted with [lower, best palette]."""
+        k colors, or None if k is refuted.  A k below the common-neighbour
+        bound, computed on the first round, is refuted at 0 nodes.  Otherwise
+        the orders earned so far are drawn first, and the best greedy
+        coloring ends the round if it fits; a hit it does not settle raises
+        BudgetExhausted with [lower, best palette]."""
         nodes, started = self.nodes, time.monotonic()
+        if self.bound is None:
+            self.bound = common_neighbour_bound(self.g, k)[0]
+        if k < self.bound:
+            self.rounds.append(Round(k, 0, time.monotonic() - started, 0, "bound"))
+            return None
         self.draw(min(GREEDY_SEEDS, nodes // CHECKPOINT_NODES))
         witness = self.greedy
         self.second = 0

@@ -155,7 +155,8 @@ class ResultCache:
         self.torn_lines = 0
         self._cut: int | None = None  # where the next append cuts the log
         if not self.path.exists():
-            return
+            with open(self.path, "a"):  # a path that cannot be written fails here, before any solve
+                return
         pos = end = 0  # bytes read; end of the last good line's text
         line, torn = "\n", None
         # ASCII with one character per byte, so lengths are byte offsets

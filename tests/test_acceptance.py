@@ -19,7 +19,13 @@ from starchrome.graph import Graph, from_edges
 from starchrome.graph6 import graph6_decode
 from starchrome.harness import verify_figures
 from starchrome.outerplanar import enumerate_mops, is_maximal_outerplanar
-from starchrome.solver import Budget, brute_force_chi_star, exact_chi_star, star_palette_feasible
+from starchrome.solver import (
+    Budget,
+    brute_force_chi_star,
+    common_neighbour_bound,
+    exact_chi_star,
+    star_palette_feasible,
+)
 from starchrome.sweep import _BOUND, ResultCache, proven_bound_violations, run_sweep
 
 from conftest import cycle_graph, fan_graph, g61, g61_prime, path_graph, random_connected_graph
@@ -184,15 +190,17 @@ def test_criterion_8_oracle_equivalence():
     start = time.monotonic()
     graphs = _all_connected_graphs_up_to(8)
     assert len(graphs) == 1 + 1 + 3 + 5 + 12 + 30 + 79 + 227  # A002905 partial sums
+    graphs += [random_connected_graph(random.Random(seed), max_edges=9, max_n=9)
+               for seed in range(200)]
     for g in graphs:
-        assert exact_chi_star(g).chi == brute_force_chi_star(g)
-    for seed in range(200):
-        rng = random.Random(seed)
-        g = random_connected_graph(rng, max_edges=9, max_n=9)
-        assert exact_chi_star(g).chi == brute_force_chi_star(g)
+        chi = brute_force_chi_star(g)
+        assert exact_chi_star(g).chi == chi
+        # the common-neighbour bound, checked apart from the solver's use of it
+        assert common_neighbour_bound(g)[0] <= chi, g
     elapsed = time.monotonic() - start
     assert elapsed < 600
-    _report("8 (solver agrees with the brute-force oracle)", elapsed, f"{len(graphs)} + 200 graphs")
+    _report("8 (solver agrees with the brute-force oracle)", elapsed,
+            f"{len(graphs) - 200} + 200 graphs")
 
 
 def test_criterion_9_sweep_soundness(tmp_path):

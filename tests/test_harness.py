@@ -389,12 +389,27 @@ def test_cli_solve_cycle(capsys):
 
 
 def test_cli_solve_budget_exhausted(capsys):
-    # h2 delta=9: chi' = 10, and the best of the 64 greedy orders gives 10
-    rc = main(["solve", "--family", "h2", "--delta", "9", "--budget-nodes", "5"])
+    # h_prime delta=8: chi' = 10, k=8 is below the common-neighbour bound,
+    # and the best of the 64 greedy orders gives 11
+    rc = main(["solve", "--family", "h_prime", "--delta", "8", "--budget-nodes", "5"])
     assert rc == 2
     out = capsys.readouterr().out
-    assert "chi_star in [9, 10]" in out
+    assert "chi_star in [9, 11]" in out
+    assert "round k=8 nodes=0 seconds=" in out and "outcome=bound" in out
     assert "round k=9 nodes=5 seconds=" in out and "outcome=budget" in out
+
+
+def test_cli_solve_prints_the_common_neighbour_bound(capsys):
+    # h2's two degree-9 hubs share a neighbour, so no star 9-edge-coloring
+    assert main(["solve", "--family", "h2", "--delta", "9"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("bound:")] == [
+        "bound: chi_star >= 10: vertices 2 and 3 (degrees 9, 9) share 1 neighbour"]
+    assert "chi_star = 10" in lines
+    # a 4-vertex path: the bound, 2, is no more than D
+    assert main(["solve", "--family", "path", "--n", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "chi_star = 2" in out and "bound:" not in out
 
 
 def test_cli_solve_budget_hit_settled_by_a_greedy_order(capsys):
@@ -403,8 +418,9 @@ def test_cli_solve_budget_hit_settled_by_a_greedy_order(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "chi_star = 9"
     rounds = [(f[1], f[2], f[-2], f[-1]) for f in map(str.split, lines) if f[0] == "round"]
-    # k=8 runs past 16 384 nodes, so its degree-order search takes turns
-    assert rounds == [("k=7", "nodes=487", "second=0", "outcome=refuted"),
+    # k=7 is below the common-neighbour bound; k=8 runs past 16 384 nodes,
+    # so its degree-order search takes turns
+    assert rounds == [("k=7", "nodes=0", "second=0", "outcome=bound"),
                       ("k=8", "nodes=278972", "second=131516", "outcome=refuted"),
                       ("k=9", "nodes=0", "second=0", "outcome=greedy")]
 
@@ -498,7 +514,7 @@ def test_cli_sweep_reports_unreadable_cache(tmp_path, capsys):
     ["verify-figures", "--out", "{missing}/figures.jsonl"],
     ["family-check", "h2", "9", "--out", "{missing}/h2.jsonl"],
     ["sweep", "--n-max", "4", "--cache", "{tmp}/cache.jsonl", "--out", "{missing}/sweep.jsonl"],
-    ["sweep", "--n-max", "4", "--cache", "{missing}/cache.jsonl"],  # fails at the first append
+    ["sweep", "--n-max", "4", "--cache", "{missing}/cache.jsonl"],  # fails before any solve
 ])
 def test_cli_unwritable_path_exits_1_with_an_error_line(tmp_path, args):
     import subprocess
@@ -506,13 +522,28 @@ def test_cli_unwritable_path_exits_1_with_an_error_line(tmp_path, args):
 
     import starchrome
 
+    prefix = "cache error: " if "{missing}/cache.jsonl" in args else "error: "
     args = [a.format(tmp=tmp_path, missing=tmp_path / "missing") for a in args]
     env = {**os.environ, "PYTHONPATH": str(Path(starchrome.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-m", "starchrome.cli", *args],
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 1, run.stderr
-    assert run.stderr.startswith("error: ") and "No such file or directory" in run.stderr
+    assert run.stderr.startswith(prefix) and "No such file or directory" in run.stderr
     assert "Traceback" not in run.stderr
+
+
+def test_a_cache_in_a_missing_directory_fails_before_any_solve(tmp_path, monkeypatch, capsys):
+    import starchrome.sweep
+
+    def refuse(*args):
+        raise AssertionError("solved before the cache was opened")
+
+    monkeypatch.setattr(starchrome.sweep, "solve_record", refuse)
+    path = tmp_path / "missing" / "cache.jsonl"
+    with pytest.raises(FileNotFoundError):
+        ResultCache(path)
+    assert main(["sweep", "--n-max", "4", "--cache", str(path)]) == 1
+    assert "cache error: [Errno 2] No such file or directory" in capsys.readouterr().err
 
 
 def test_cli_family_check_figure_backed_delta(capsys):

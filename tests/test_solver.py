@@ -17,8 +17,10 @@ from starchrome.outerplanar import enumerate_dissections, enumerate_mops
 from starchrome.solver import (
     CHECKPOINT_NODES,
     GREEDY_SEEDS,
+    RESTART_NODES,
     Budget,
     brute_force_chi_star,
+    common_neighbour_bound,
     exact_chi_star,
     greedy_star_upper,
     star_palette_feasible,
@@ -138,9 +140,10 @@ def test_greedy_on_trivial_graphs():
 
 
 def test_budget_exhaustion_carries_bounds():
-    # h2 delta=9: chi' = 10 above D = 9, and no greedy order of the 64 fits 9
+    # h_prime delta=8: chi' = 10, two above D = 8, and no greedy order of the
+    # 64 fits 9, the first palette at or above the common-neighbour bound
     with pytest.raises(BudgetExhausted) as exc_info:
-        exact_chi_star(_hard("h2-d9"), Budget(max_nodes=5, max_seconds=60.0))
+        exact_chi_star(_hard("h_prime-d8"), Budget(max_nodes=5, max_seconds=60.0))
     exc = exc_info.value
     assert exc.lower_bound <= 10 <= exc.upper_bound
     assert exc.nodes >= 5
@@ -189,8 +192,8 @@ def test_extremal_family_exact_values():
     }
     # (k, nodes, outcome) per round: the counts follow the builders' labels
     rounds = {
-        ("h_case1", 9): [(9, 74236, "refuted"), (10, 958605, "feasible")],
-        ("h2", 10): [(10, 452710, "refuted"), (11, 0, "greedy")],
+        ("h_case1", 9): [(9, 0, "bound"), (10, 958605, "feasible")],
+        ("h2", 10): [(10, 0, "bound"), (11, 125329, "feasible")],
     }
     for (family, delta), chi in expected.items():
         g = build_family(family, delta=delta).graph
@@ -200,6 +203,80 @@ def test_extremal_family_exact_values():
         if (family, delta) in rounds:
             got = [(r.k, r.nodes, r.outcome) for r in result.rounds]
             assert got == rounds[family, delta], (family, delta)
+
+
+def _naive_bound(g):
+    """The common-neighbour bound over every vertex pair, by sets."""
+    nbrs, degs = [set(ns) for ns in g.neighbors()], g.degrees()
+    best = (0, None)
+    for u, v in itertools.combinations(range(g.n), 2):
+        t = len(nbrs[u] & nbrs[v])
+        if t and (degs[u] + degs[v] + t + 1) // 2 > best[0]:
+            best = ((degs[u] + degs[v] + t + 1) // 2, (u, v, t))
+    return best
+
+
+def test_common_neighbour_bound_examples():
+    assert common_neighbour_bound(from_edges(2, [(0, 1)])) == (0, None)
+    # the middle vertices of a path share a neighbour: ceil((2 + 2 + 1) / 2)
+    assert common_neighbour_bound(path_graph(5)) == (3, (1, 3, 1))
+    assert common_neighbour_bound(k4()) == (4, (0, 1, 2))
+    # h2's two degree-9 hubs share one neighbour: the two-hub case
+    assert common_neighbour_bound(_hard("h2-d9")) == (10, (2, 3, 1))
+
+
+def _soundness_set():
+    """Every MOP to n=12, every polygon dissection to n=10, and the
+    hub-and-fan families and g_delta at delta <= 8."""
+    graphs, mops, dissections = [], None, None
+    for n in range(3, 13):
+        mops = enumerate_mops(n, mops)
+        graphs += mops.members.values()
+    for n in range(3, 11):
+        dissections = enumerate_dissections(n, dissections)
+        graphs += dissections.members.values()
+    for family, least in (("h2", 4), ("h_case1", 4), ("h_prime", 5), ("g_delta", 5)):
+        graphs += [build_family(family, delta=delta).graph for delta in range(least, 9)]
+    return graphs
+
+
+def test_the_search_alone_refutes_every_palette_below_the_bound():
+    # independent of the solver's use of the bound: a fresh search, which
+    # never reads it, refutes every k from D up to B - 1
+    refuted = 0
+    for g in _soundness_set():
+        bound = common_neighbour_bound(g)
+        assert bound == _naive_bound(g), g
+        for above in (g.max_degree(), g.max_degree() + 1):
+            cut = common_neighbour_bound(g, above)
+            assert cut == bound if bound[0] > above else cut[0] <= above, (g, above)
+        for k in range(g.max_degree(), bound[0]):
+            assert solver._Search(g, Budget()).feasible(k, RESTART_NODES) is None, (g, k)
+            refuted += 1
+    assert refuted == 1653
+
+
+def test_a_round_below_the_bound_spends_no_node_and_draws_no_order(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("searched or drew below the bound")
+
+    g = _hard("h2-d9")
+    monkeypatch.setattr(solver._Search, "feasible", refuse)
+    monkeypatch.setattr(solver, "greedy_star_upper", refuse)
+    assert star_palette_feasible(g, 9) is None
+    search = solver._Search(g, Budget())
+    assert search.round(9, 9) is None
+    [r] = search.rounds
+    assert (r.k, r.nodes, r.second, r.outcome) == (9, 0, 0, "bound")
+    assert search.nodes == 0 and search.seeds == 0
+
+
+def test_the_search_alone_refutes_h2_d9_at_k9():
+    # a solve ends this round by the common-neighbour bound; the search
+    # alone still refutes it (first fit alone: 1 729 449 nodes)
+    search = solver._Search(_hard("h2-d9"), Budget())
+    assert search.feasible(9, RESTART_NODES) is None
+    assert (search.nodes, search.second) == (68_388, 27_428)
 
 
 # The five hard instances of the solver benchmark: (family, delta).
@@ -222,7 +299,7 @@ def test_search_tree_is_pinned_on_mops():
     # form of the tests' oracle.  The totals pin the edge order and the node
     # accounting: a kernel that prunes differently, or counts a node
     # elsewhere, moves them.
-    expected = {4: 11, 5: 42, 6: 143, 7: 229, 8: 1076, 9: 5243, 10: 39407}
+    expected = {4: 6, 5: 33, 6: 124, 7: 176, 8: 919, 9: 4527, 10: 36521}
     for n, total in expected.items():
         nodes = 0
         for mop in enumerate_mops(n).members.values():
@@ -236,7 +313,7 @@ def test_search_tree_is_pinned_on_mops():
 def test_search_tree_is_pinned_on_mops_as_the_sweep_solves_them():
     # The sweep solves each MOP under the labels of its polygon_key, the
     # graph6 cache key; these totals move if that labelling does.
-    expected = {4: 11, 5: 42, 6: 136, 7: 230, 8: 1080, 9: 5292, 10: 39603}
+    expected = {4: 6, 5: 33, 6: 118, 7: 177, 8: 923, 9: 4582, 10: 36712}
     for n, total in expected.items():
         nodes = sum(
             exact_chi_star(graph6_decode(key)).nodes_expanded for key in enumerate_mops(n).members
@@ -247,14 +324,15 @@ def test_search_tree_is_pinned_on_mops_as_the_sweep_solves_them():
 def test_search_tree_is_pinned_on_the_sweep_with_inherited_bounds(tmp_path):
     # Each sweep solve starts at the largest chi' of its ear-deleted
     # children, so only the rounds from there on count; the same MOPs take
-    # 46 394 nodes from k = D (the totals above).
-    expected = {4: 11, 5: 42, 6: 52, 7: 153, 8: 671, 9: 4171, 10: 25659}
+    # 42 551 nodes from k = D (the totals above).  Only n = 4 and 5 start
+    # below the common-neighbour bound.
+    expected = {4: 6, 5: 33, 6: 52, 7: 153, 8: 671, 9: 4171, 10: 25659}
     summary = run_sweep(10, ResultCache(tmp_path / "c.jsonl"))
     nodes = Counter()
     for rec in summary.records:
         nodes[rec.n] += rec.solver_nodes
     assert dict(nodes) == expected
-    assert sum(nodes.values()) == 30_759
+    assert sum(nodes.values()) == 30_745
 
 
 def test_lower_bound_skips_the_rounds_below_it():
@@ -464,17 +542,17 @@ def test_budget_hit_stops_at_the_node_budget():
     exc = exc_info.value
     assert exc.nodes == 50_000
     assert exc.lower_bound <= 10 <= exc.upper_bound
-    assert [(r.k, r.outcome) for r in exc.rounds] == [(8, "refuted"), (9, "budget")]
+    assert [(r.k, r.outcome) for r in exc.rounds] == [(8, "bound"), (9, "budget")]
     assert sum(r.nodes for r in exc.rounds) == exc.nodes
     assert exc.rounds[-1].k == exc.lower_bound
 
 
 def test_budget_hit_reports_the_best_of_64_greedy_orders():
-    # greedy seed 0 alone gives 13 and 12; a 5-node budget earns no order
-    # before the hit, which draws all 64 (h2 delta=9 is settled within
-    # 500 000 nodes)
+    # greedy seed 0 alone gives 13 and 11; a 5-node budget earns no order
+    # before the hit, which draws all 64 (h_case1 delta=7 is settled within
+    # 500 000 nodes, by seed 24's 9-coloring)
     for name, upper, budgets in (("h_prime-d8", 11, (Budget(500_000, 1e9), Budget(5, 1e9))),
-                                 ("h2-d9", 10, (Budget(5, 1e9),))):
+                                 ("h_case1-d7", 9, (Budget(5, 1e9),))):
         for budget in budgets:
             with pytest.raises(BudgetExhausted) as exc_info:
                 exact_chi_star(_hard(name), budget)
@@ -485,10 +563,10 @@ def test_greedy_order_settles_h_case1_d7_after_its_refutation():
     # seed 24, one of the 64 orders that the k=8 refutation's nodes earn,
     # colors h_case1 delta=7 with 9, so round 9 ends before its search
     result = exact_chi_star(_hard("h_case1-d7"))
-    assert result.chi == 9 and result.nodes_expanded == 279_459
+    assert result.chi == 9 and result.nodes_expanded == 278_972
     assert [(r.k, r.outcome) for r in result.rounds] == [
-        (7, "refuted"), (8, "refuted"), (9, "greedy")]
-    assert [r.nodes for r in result.rounds] == [487, 278_972, 0]
+        (7, "bound"), (8, "refuted"), (9, "greedy")]
+    assert [r.nodes for r in result.rounds] == [0, 278_972, 0]
     assert star_violations(result.witness) == []
     assert result.witness.palette_size() == 9
 
@@ -500,9 +578,10 @@ def test_greedy_orders_are_drawn_only_past_4096_nodes(monkeypatch, tmp_path):
     run_sweep(9, ResultCache(tmp_path / "c.jsonl"))
     assert calls == []  # no sweep solve to n=9 reaches 4096 nodes
     # one order per 4096 nodes spent before the last round: h_prime-d7's
-    # refutations take 31 664 nodes, h2-d8's 10 080, h2-d9's 68 388 and
-    # h_case1-d7's past 64 orders' worth; h_prime-d8 hits its budget
-    drawn = {"h_prime-d7": 7, "h_case1-d7": 64, "h2-d8": 2, "h_prime-d8": 64, "h2-d9": 16}
+    # refutation takes 31 664 nodes and h_case1-d7's past 64 orders' worth;
+    # h2-d8 and h2-d9 refute only below the common-neighbour bound, at 0
+    # nodes, and h_prime-d8 hits its budget
+    drawn = {"h_prime-d7": 7, "h_case1-d7": 64, "h2-d8": 0, "h_prime-d8": 64, "h2-d9": 0}
     for name, (_, delta) in HARD.items():
         calls.clear()
         budget = Budget(500_000, 1e9) if delta >= 8 else Budget()
@@ -512,7 +591,7 @@ def test_greedy_orders_are_drawn_only_past_4096_nodes(monkeypatch, tmp_path):
             assert name == "h_prime-d8" and calls == list(range(GREEDY_SEEDS))
             continue
         assert calls == list(range(drawn[name])), name
-        assert (result.rounds[-1].outcome == "greedy") == (name in ("h_case1-d7", "h2-d9")), name
+        assert (result.rounds[-1].outcome == "greedy") == (name == "h_case1-d7"), name
         assert star_violations(result.witness) == [], name
         assert result.witness.palette_size() == result.chi, name
 
@@ -541,7 +620,7 @@ def _draw_log(monkeypatch):
 def test_orders_are_drawn_before_a_rounds_search_or_at_its_budget_hit(monkeypatch):
     # a round first draws the orders earned so far, one per 4096 nodes the
     # solve has spent; then only a budget hit draws, and a greedy round
-    # that no hit ends spends no nodes
+    # that no hit ends spends no nodes, nor does a round below the bound
     log = _draw_log(monkeypatch)
     solves = [(fan_graph(9), Budget(5)), (_hard("h_case1-d7"), Budget()),
               (_hard("h2-d9"), Budget()), (_hard("h_prime-d8"), Budget(500_000, 1e9))]
@@ -560,22 +639,24 @@ def test_orders_are_drawn_before_a_rounds_search_or_at_its_budget_hit(monkeypatc
             if hit:
                 draws += [(seed, r.nodes) for seed in range(earned, GREEDY_SEEDS)]
             assert entry["draws"] == draws, (g, r)
-            if r.outcome == "greedy" and not hit:
+            if r.outcome in ("greedy", "bound") and not hit:
                 assert r.nodes == 0, (g, r)
             outcomes.add((r.outcome, hit))
             drawn += len(draws)
-    assert outcomes == {("refuted", False), ("greedy", False), ("greedy", True), ("budget", True)}
+    assert outcomes == {("bound", False), ("refuted", False), ("feasible", False),
+                        ("greedy", False), ("greedy", True), ("budget", True)}
 
 
 @pytest.mark.parametrize("g,nodes", [(cycle_graph(5000), 6250), (path_graph(5000), 6248)],
                          ids=["cycle-5000", "path-5000"])
 def test_a_round_past_a_checkpoint_ends_by_its_search(monkeypatch, g, nodes):
-    # the k=2 refutation earns no order and a round draws none inside its
-    # search, so k=3 is searched to its witness past the 4096-node checkpoint
+    # k=2 is below the common-neighbour bound, 3, so it earns no order, and a
+    # round draws none inside its search, so k=3 is searched to its witness
+    # past the 4096-node checkpoint
     log = _draw_log(monkeypatch)
     result = exact_chi_star(g)
     assert [(r.k, r.nodes, r.outcome) for r in result.rounds] == [
-        (2, 4, "refuted"), (3, nodes, "feasible")]
+        (2, 0, "bound"), (3, nodes, "feasible")]
     assert [entry["draws"] for entry in log] == [[], []]
     assert star_violations(result.witness) == [] and result.witness.palette_size() == 3
 
@@ -612,7 +693,10 @@ def test_rounds_account_for_every_node():
         result = exact_chi_star(g)
         ks = [r.k for r in result.rounds]
         assert ks == list(range(max(g.max_degree(), 1), result.chi + 1))
-        assert [r.outcome for r in result.rounds] == ["refuted"] * (len(ks) - 1) + ["feasible"]
+        bound = common_neighbour_bound(g)[0]
+        assert [r.outcome for r in result.rounds] == [
+            "bound" if k < bound else "refuted" for k in ks[:-1]] + ["feasible"]
+        assert all(r.nodes == 0 for r in result.rounds if r.outcome == "bound")
         assert sum(r.nodes for r in result.rounds) == result.nodes_expanded
         assert all(r.seconds >= 0 for r in result.rounds)
     assert exact_chi_star(from_edges(1, [])).rounds == ()
@@ -623,9 +707,10 @@ def test_search_depth_is_not_bound_by_the_recursion_limit():
     g = path_graph(sys.getrecursionlimit() + 200)
     result = exact_chi_star(g)
     assert result.chi == 3
-    assert [(r.k, r.outcome) for r in result.rounds] == [(2, "refuted"), (3, "feasible")]
+    assert [(r.k, r.outcome) for r in result.rounds] == [(2, "bound"), (3, "feasible")]
     assert star_violations(result.witness) == []
     assert star_palette_feasible(g, 2) is None
+    assert solver._Search(g, Budget()).feasible(2) is None  # the search alone
 
 
 def _alone(g, k, order=None):
@@ -724,26 +809,26 @@ def test_greedy_never_restarts(monkeypatch):
     assert search.nodes == 24_999 > solver.RESTART_NODES
 
 
-@pytest.mark.parametrize("blocks,last", [(10, 422), (16, 653), (22, 1101), (124, 20_219)])
+@pytest.mark.parametrize("blocks,last", [(10, 422), (16, 653), (22, 1101), (124, 20_243)])
 def test_delta5_strip_takes_one_color_under_its_drawing(blocks, last):
     # the README finding: chi' = 8 where the periodic drawing uses 9; at 124
     # blocks (993 edges) the search is deeper than the default recursion
     # limit, and its k=8 round passes 16 384 nodes: the degree order takes
-    # one 843-node turn, and first fit finds the witness at 19 376 of its own
+    # one 867-node turn, and first fit finds the witness at 19 376 of its own
     g = build_family("delta5_strip", blocks=blocks).graph
     result = exact_chi_star(g)
     assert [(r.k, r.nodes, r.outcome) for r in result.rounds] == [
-        (5, 24, "refuted"), (6, 125, "refuted"), (7, 3104, "refuted"), (8, last, "feasible")]
+        (5, 0, "bound"), (6, 125, "refuted"), (7, 3104, "refuted"), (8, last, "feasible")]
     assert star_violations(result.witness) == [] and result.witness.palette_size() == 8
 
 
 def test_palette_feasible_reports_its_round_on_budget():
     with pytest.raises(BudgetExhausted) as exc_info:
-        star_palette_feasible(_hard("h2-d9"), 9, Budget(max_nodes=5))
+        star_palette_feasible(_hard("h_prime-d8"), 9, Budget(max_nodes=5))
     (only,) = exc_info.value.rounds
     assert (only.k, only.nodes, only.outcome) == (9, 5, "budget")
-    # the interval starts at D = 9 and ends at the best of the 64 greedy orders
-    assert (exc_info.value.lower_bound, exc_info.value.upper_bound) == (9, 10)
+    # the interval starts at D = 8 and ends at the best of the 64 greedy orders
+    assert (exc_info.value.lower_bound, exc_info.value.upper_bound) == (8, 11)
 
 
 @pytest.mark.parametrize(
@@ -773,7 +858,7 @@ def test_budget_exhausted_survives_pickling():
     import pickle
 
     with pytest.raises(BudgetExhausted) as exc_info:
-        exact_chi_star(_hard("h2-d9"), Budget(max_nodes=5))
+        exact_chi_star(_hard("h_prime-d8"), Budget(max_nodes=5))
     exc = exc_info.value
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is BudgetExhausted and str(back) == str(exc)
