@@ -503,11 +503,14 @@ def star_palette_feasible(g: Graph, k: int, budget: Budget | None = None) -> Edg
     """A star edge coloring of g with at most k colors, or None if impossible.
 
     Raises BudgetExhausted if the search cannot be completed in budget and
-    no greedy order fits in k colors, and OutOfRange if k is negative.
+    no greedy order fits in k colors, with an interval that starts at
+    max(D, 1, B), and OutOfRange if k is negative.
     """
     if k < 0:
         raise OutOfRange(f"palette size must be >= 0, got {k}")
-    return _Search(g, budget or Budget()).round(k, max(g.max_degree(), 1))
+    lower = max(g.max_degree(), 1)
+    lower = max(lower, common_neighbour_bound(g, lower)[0])  # B is exact when above lower
+    return _Search(g, budget or Budget()).round(k, lower)
 
 
 def exact_chi_star(g: Graph, budget: Budget | None = None, lower: int = 0) -> SolveResult:

@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator, TextIO
 
 from .errors import BudgetExhausted
 from .graph import diameter
@@ -146,7 +145,8 @@ class ResultCache:
     The last line for a key wins, so a re-solved record supersedes the one
     before it without rewriting the log.  A last line that does not parse
     (a torn write) is dropped, counted in ``torn_lines`` and cut off by the
-    next append; other bad lines raise.
+    next append; other bad lines raise.  Each append opens the log, unless
+    a ``writing()`` block holds it open.
     """
 
     def __init__(self, path: Path):
@@ -154,6 +154,8 @@ class ResultCache:
         self.records: dict[str, SweepRecord] = {}
         self.torn_lines = 0
         self._cut: int | None = None  # where the next append cuts the log
+        self._held = False  # inside a writing() block
+        self._log: TextIO | None = None  # the log a writing() block holds open
         if not self.path.exists():
             with open(self.path, "a"):  # a path that cannot be written fails here, before any solve
                 return
@@ -191,19 +193,41 @@ class ResultCache:
     def get(self, key: str) -> SweepRecord | None:
         return self.records.get(key)
 
+    @contextmanager
+    def writing(self) -> Iterator[None]:
+        """Keep the log open from the block's first append to its end.
+
+        Every append is still flushed before it returns, so an interrupted
+        run keeps each record it appended.
+        """
+        if self._held:  # an outer block closes the log
+            yield
+            return
+        self._held = True
+        try:
+            yield
+        finally:
+            self._held = False
+            log, self._log = self._log, None
+            if log is not None:
+                log.close()
+
     def append(self, rec: SweepRecord) -> None:
         old = self.records.get(rec.graph6)
         if old is not None and old.status == "ok":
             return  # an exact answer is final; re-solving it is a no-op
-        if self._cut is not None:
-            os.truncate(self.path, self._cut)
-        with open(self.path, "a") as fh:
-            if fh.tell() == 0:
-                fh.write(json.dumps({"schema": SCHEMA_VERSION}) + "\n")
-            elif self._cut is not None:
-                fh.write("\n")  # the kept log ends mid-line
-            self._cut = None
-            fh.write(rec.to_json() + "\n")
+        with self.writing():
+            if self._log is None:
+                if self._cut is not None:
+                    os.truncate(self.path, self._cut)
+                self._log = open(self.path, "a")
+                if self._log.tell() == 0:
+                    self._log.write(json.dumps({"schema": SCHEMA_VERSION}) + "\n")
+                elif self._cut is not None:
+                    self._log.write("\n")  # the kept log ends mid-line
+                self._cut = None
+            self._log.write(rec.to_json() + "\n")
+            self._log.flush()
         self.records[rec.graph6] = rec
 
 
@@ -285,17 +309,25 @@ def run_sweep(
     they are subgraphs, and star chromatic index never grows under
     deletion.  Targets run by order, then by ``polygon_key``, the keys the
     enumerations give their members.  Each solved record is appended to the
-    cache as soon as it arrives, so an interrupted sweep keeps what it
-    finished.  A record that hits the budget stores it, and the sweep goes
-    on; a later sweep retries it only under a budget at least as large in
-    nodes and in seconds, and larger in one.
+    cache as soon as it arrives, through one handle held for the whole
+    sweep, so an interrupted sweep keeps what it finished.  A record that
+    hits the budget stores it, and the sweep goes on; a later sweep retries
+    it only under a budget at least as large in nodes and in seconds, and
+    larger in one.
     """
     budget = budget or Budget()
     grow = enumerate_dissections if expand_subgraphs else enumerate_mops
     targets: list[str] = []
     todo: list[str] = []
     level = None
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    if workers > 1:
+        # imported here, so that only a parallel sweep loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool_context = ProcessPoolExecutor(max_workers=workers)
+    else:
+        pool_context = nullcontext()
+    with pool_context as pool, cache.writing():
         for n in range(4, n_max + 1):
             level = grow(n, level)
             keys = sorted(level.members)

@@ -606,6 +606,32 @@ def test_sweep_parallel_workers_match_serial(tmp_path):
     assert stripped(serial.records) == stripped(parallel.records)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_opens_its_cache_once_and_writes_the_same_bytes(tmp_path, monkeypatch, workers):
+    import builtins
+    import hashlib
+    import re
+
+    import starchrome.sweep
+
+    path = tmp_path / "cache.jsonl"
+    cache = ResultCache(path)
+    opened = []
+
+    def counted(file, *args, **kwargs):
+        opened.append(file)
+        return builtins.open(file, *args, **kwargs)
+
+    monkeypatch.setattr(starchrome.sweep, "open", counted, raising=False)
+    summary = run_sweep(8, cache, workers=workers)
+    assert opened == [path] and summary.solved == 21
+    text = path.read_text()
+    assert text == '{"schema": 3}\n' + "".join(r.to_json() + "\n" for r in summary.records)
+    # the log that one open per record wrote, with its wall times zeroed
+    zeroed = re.sub(r'"elapsed": [^,]*', '"elapsed": 0', text)
+    assert hashlib.sha1(zeroed.encode()).hexdigest() == "3ec70263ad0d9dcfa5553dc5f0224fb7e2dbad87"
+
+
 def test_sweep_budget_exhaustion_marks_records_and_continues(tmp_path):
     from starchrome.solver import Budget
 

@@ -822,13 +822,23 @@ def test_delta5_strip_takes_one_color_under_its_drawing(blocks, last):
     assert star_violations(result.witness) == [] and result.witness.palette_size() == 8
 
 
+def test_a_delta_5_mop_of_order_12_needs_delta_plus_3():
+    # one of six such MOPs at n=12, each with diameter 4 or 5: they meet
+    # the conjectured floor(3D/2)+1 = 8 with equality
+    g = graph6_decode("KCOaPIOCgU_n")
+    r = exact_chi_star(g)
+    assert g.max_degree() == 5 and r.chi == 8 and not star_violations(r.witness)
+    assert (7, "refuted") in [(x.k, x.outcome) for x in r.rounds]
+
+
 def test_palette_feasible_reports_its_round_on_budget():
     with pytest.raises(BudgetExhausted) as exc_info:
         star_palette_feasible(_hard("h_prime-d8"), 9, Budget(max_nodes=5))
     (only,) = exc_info.value.rounds
     assert (only.k, only.nodes, only.outcome) == (9, 5, "budget")
-    # the interval starts at D = 8 and ends at the best of the 64 greedy orders
-    assert (exc_info.value.lower_bound, exc_info.value.upper_bound) == (8, 11)
+    # the interval starts at the common-neighbour bound B = 9, above D = 8,
+    # and ends at the best of the 64 greedy orders
+    assert (exc_info.value.lower_bound, exc_info.value.upper_bound) == (9, 11)
 
 
 @pytest.mark.parametrize(
