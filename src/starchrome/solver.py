@@ -23,10 +23,9 @@ injective, hence t <= (k - d(u)) + (k - d(v)) and k >= ceil((d(u) + d(v)
 (common_neighbour_bound); two vertices of degree k with a common
 neighbour (t = 1) are the two-hub case.  An outerplanar graph has no
 K_{2,3}, so there t <= 2 and B <= D + 1.  A solve finds B on its first
-round, and every round k < B ends at 0 nodes, before any greedy draw,
-with the outcome "bound".  That is the k=D round of every hub-and-fan
-family instance; the search alone spends 39.5 M nodes (49 s) refuting
-h2 delta=12 at k=12.
+round, and every round k < B ends at 0 nodes with the outcome "bound".
+That is the k=D round of every hub-and-fan family instance; the search
+alone spends 39.5 M nodes (49 s) refuting h2 delta=12 at k=12.
 
 The order is fixed, so at depth i exactly the slots before i are colored.
 A _Search builds its order and slot tables in one pass per graph: for
@@ -73,15 +72,10 @@ largest in use is free and never bad.  It never starts a second search:
 its descent can pass RESTART_NODES (24 999 nodes on a 20 000-vertex
 path), and top-down it would give every slot a fresh color.
 
-A solve earns one greedy order, seed 0, 1, ..., for every
-CHECKPOINT_NODES nodes it spends, GREEDY_SEEDS in all, and a round draws
-the orders earned so far before its search, keeping the best coloring.
-Every palette the search enters is a proven lower bound, so once that
-coloring fits in k colors, round k ends before its search with it as the
-witness.  Otherwise the search ends the round: a witness, a refutation
-or a budget hit, which draws the orders left and returns the best of
-them.  _Search.round is the one place where a palette round ends, for
-both public solvers.
+The search ends a round: a witness, a refutation or a budget hit, and
+only a hit draws greedy orders: seeds 0 .. GREEDY_SEEDS-1, the first
+best coloring kept.  _Search.round is the one place where a palette
+round ends, for both public solvers.
 """
 
 from __future__ import annotations
@@ -95,9 +89,9 @@ from .coloring import EdgeColoring, star_violations
 from .errors import BudgetExhausted, OutOfRange, TooLarge
 from .graph import Graph
 
-GREEDY_SEEDS = 64  # greedy orders a solve draws at most
+GREEDY_SEEDS = 64  # greedy orders a budget hit draws
 RESTART_NODES = 16_384  # nodes a palette round spends first fit before the second search starts
-CHECKPOINT_NODES = 4096  # budget tests and turns fall on its multiples, and each earns an order
+CHECKPOINT_NODES = 4096  # the budget tests and the searches' turns fall on its multiples
 
 
 @dataclass(frozen=True)
@@ -118,7 +112,7 @@ class Round:
     seconds: float
     second: int  # nodes the degree-order search spent, 0 if the round ended before it
     # "bound" (below the common-neighbour bound, not searched), "refuted",
-    # "feasible", "budget" or "greedy" (drawn before the search or on a hit)
+    # "feasible", "budget" or "greedy" (a hit settled by a greedy order)
     outcome: str
 
 
@@ -314,8 +308,7 @@ class _Search:
         self.second = 0  # nodes the degree-order search spent in the last round
         self.rounds: list[Round] = []
         self.started = time.monotonic()
-        self.seeds = 0  # greedy orders drawn
-        self.greedy: EdgeColoring | None = None  # the best of them
+        self.hit = False  # set by a budget hit in feasible, which ends the solve
         self.bound: int | None = None  # the common-neighbour bound, set by the first round
         if order is None:
             self.order, self.edges, self.earlier = _slot_order(g, _max_degree_bfs(g), [0] * g.m)
@@ -335,44 +328,34 @@ class _Search:
     def elapsed(self) -> float:
         return time.monotonic() - self.started
 
-    def draw(self, upto: int) -> None:
-        """Draw the greedy orders below seed ``upto``, keeping the best."""
-        while self.seeds < upto:
-            coloring = greedy_star_upper(self.g, self.seeds)
-            self.seeds += 1
-            if self.greedy is None or coloring.palette_size() < self.greedy.palette_size():
-                self.greedy = coloring
-
     def round(self, k: int, lower: int) -> EdgeColoring | None:
         """Palette round k, appended to ``rounds``: a coloring with at most
-        k colors, or None if k is refuted.  A k below the common-neighbour
-        bound, computed on the first round, is refuted at 0 nodes.  Otherwise
-        the orders earned so far are drawn first, and the best greedy
-        coloring ends the round if it fits; a hit it does not settle raises
-        BudgetExhausted with [lower, best palette]."""
+        k colors, or None if k is refuted.  ``lower`` is a proven lower
+        bound.  A k below the common-neighbour bound B, computed on the
+        first round, is refuted at 0 nodes.  A budget hit that the best
+        greedy coloring does not settle raises BudgetExhausted with
+        [max(lower, B), best palette]."""
         nodes, started = self.nodes, time.monotonic()
         if self.bound is None:
-            self.bound = common_neighbour_bound(self.g, k)[0]
+            self.bound = common_neighbour_bound(self.g, min(k, lower))[0]
         if k < self.bound:
             self.rounds.append(Round(k, 0, time.monotonic() - started, 0, "bound"))
             return None
-        self.draw(min(GREEDY_SEEDS, nodes // CHECKPOINT_NODES))
-        witness = self.greedy
         self.second = 0
-        if witness is None or witness.palette_size() > k:
-            witness = self.feasible(k, RESTART_NODES)
+        witness = self.feasible(k, RESTART_NODES)
         outcome = ("refuted" if witness is None else "budget" if witness.palette_size() > k
-                   else "greedy" if witness is self.greedy else "feasible")
+                   else "greedy" if self.hit else "feasible")
         self.rounds.append(Round(k, self.nodes - nodes, time.monotonic() - started, self.second,
                                  outcome))
         if outcome == "budget":
             upper = witness.palette_size()
-            raise BudgetExhausted(lower, upper, self.nodes, self.elapsed(), tuple(self.rounds))
+            raise BudgetExhausted(max(lower, self.bound), upper, self.nodes, self.elapsed(),
+                                  tuple(self.rounds))
         return witness
 
     def feasible(self, k: int, second_after: int | None = None) -> EdgeColoring | None:
         """A coloring using at most k colors, or None if there is none; on a
-        budget hit, the best greedy coloring once the orders left are drawn.
+        budget hit, the first best of the GREEDY_SEEDS greedy colorings.
 
         The first-fit search runs alone until, given ``second_after``, it
         has spent that many nodes.  There the degree-order search starts,
@@ -400,8 +383,9 @@ class _Search:
                     self.second += self.nodes - nodes
             nodes = self.nodes
             if nodes >= budget_nodes or self.elapsed() > budget_secs:
-                self.draw(GREEDY_SEEDS)
-                return self.greedy
+                self.hit = True
+                return min((greedy_star_upper(self.g, seed) for seed in range(GREEDY_SEEDS)),
+                           key=EdgeColoring.palette_size)
             if nodes >= second_at:
                 second_at = budget_nodes
                 searches.append(self._descend(k, self.degree_order(), True))
@@ -494,7 +478,7 @@ def greedy_star_upper(g: Graph, order_seed: int = 0) -> EdgeColoring:
     starts = list(range(g.n))
     rng.shuffle(starts)
     # a slot tries at most m colors, so the descent never meets this
-    # budget, and a search outside a round draws orders only on a hit
+    # budget, whose hit would draw greedy orders in turn
     search = _Search(g, Budget(g.m * g.m + 1, float("inf")), bfs_edge_order(g, starts, nbrs))
     return search.feasible(g.m)
 
@@ -508,9 +492,7 @@ def star_palette_feasible(g: Graph, k: int, budget: Budget | None = None) -> Edg
     """
     if k < 0:
         raise OutOfRange(f"palette size must be >= 0, got {k}")
-    lower = max(g.max_degree(), 1)
-    lower = max(lower, common_neighbour_bound(g, lower)[0])  # B is exact when above lower
-    return _Search(g, budget or Budget()).round(k, lower)
+    return _Search(g, budget or Budget()).round(k, max(g.max_degree(), 1))
 
 
 def exact_chi_star(g: Graph, budget: Budget | None = None, lower: int = 0) -> SolveResult:

@@ -413,16 +413,14 @@ def test_cli_solve_prints_the_common_neighbour_bound(capsys):
 
 
 def test_cli_solve_budget_hit_settled_by_a_greedy_order(capsys):
-    rc = main(["solve", "--family", "h_case1", "--delta", "7", "--budget-nodes", "500000"])
+    # the order-9 fan: chi' = D = 8, and the 5-node budget is hit in the
+    # k=8 round, where the best of the 64 greedy orders fits
+    rc = main(["solve", "--family", "fan", "--n", "9", "--budget-nodes", "5"])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "chi_star = 9"
+    assert lines[0] == "chi_star = 8"
     rounds = [(f[1], f[2], f[-2], f[-1]) for f in map(str.split, lines) if f[0] == "round"]
-    # k=7 is below the common-neighbour bound; k=8 runs past 16 384 nodes,
-    # so its degree-order search takes turns
-    assert rounds == [("k=7", "nodes=0", "second=0", "outcome=bound"),
-                      ("k=8", "nodes=278972", "second=131516", "outcome=refuted"),
-                      ("k=9", "nodes=0", "second=0", "outcome=greedy")]
+    assert rounds == [("k=8", "nodes=5", "second=0", "outcome=greedy")]
 
 
 def test_cli_parse_error():

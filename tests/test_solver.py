@@ -187,13 +187,18 @@ def test_extremal_family_exact_values():
         ("h2", 5): 7,
         ("h2", 6): 8,
         ("h2", 7): 8,            # delta+1: beats the delta+3 reference coloring
+        ("h_case1", 7): 9,
         ("h_case1", 9): 10,      # delta+1, three under the delta+4 closed form
         ("h2", 10): 11,          # delta+1, one under the delta+2 closed form
     }
-    # (k, nodes, outcome) per round: the counts follow the builders' labels
+    # (k, nodes, second, outcome) per round: the counts follow the builders'
+    # labels; h_case1 delta=7's k=8 refutation runs past the cutoff, and so
+    # does its k=9 witness round, by 53 degree-order nodes
     rounds = {
-        ("h_case1", 9): [(9, 0, "bound"), (10, 958605, "feasible")],
-        ("h2", 10): [(10, 0, "bound"), (11, 125329, "feasible")],
+        ("h_case1", 7): [(7, 0, 0, "bound"), (8, 278972, 131516, "refuted"),
+                         (9, 16437, 53, "feasible")],
+        ("h_case1", 9): [(9, 0, 0, "bound"), (10, 958605, 471181, "feasible")],
+        ("h2", 10): [(10, 0, 0, "bound"), (11, 125329, 55697, "feasible")],
     }
     for (family, delta), chi in expected.items():
         g = build_family(family, delta=delta).graph
@@ -201,7 +206,7 @@ def test_extremal_family_exact_values():
         assert result.chi == chi, (family, delta, result.chi)
         assert star_violations(result.witness) == []
         if (family, delta) in rounds:
-            got = [(r.k, r.nodes, r.outcome) for r in result.rounds]
+            got = [(r.k, r.nodes, r.second, r.outcome) for r in result.rounds]
             assert got == rounds[family, delta], (family, delta)
 
 
@@ -268,7 +273,7 @@ def test_a_round_below_the_bound_spends_no_node_and_draws_no_order(monkeypatch):
     assert search.round(9, 9) is None
     [r] = search.rounds
     assert (r.k, r.nodes, r.second, r.outcome) == (9, 0, 0, "bound")
-    assert search.nodes == 0 and search.seeds == 0
+    assert search.nodes == 0
 
 
 def test_the_search_alone_refutes_h2_d9_at_k9():
@@ -548,9 +553,9 @@ def test_budget_hit_stops_at_the_node_budget():
 
 
 def test_budget_hit_reports_the_best_of_64_greedy_orders():
-    # greedy seed 0 alone gives 13 and 11; a 5-node budget earns no order
-    # before the hit, which draws all 64 (h_case1 delta=7 is settled within
-    # 500 000 nodes, by seed 24's 9-coloring)
+    # greedy seed 0 alone gives 13 and 11; a hit draws all 64, and seed 24
+    # colors h_case1 delta=7 with 9 (its search settles it within 500 000
+    # nodes, so only the 5-node budget is hit there)
     for name, upper, budgets in (("h_prime-d8", 11, (Budget(500_000, 1e9), Budget(5, 1e9))),
                                  ("h_case1-d7", 9, (Budget(5, 1e9),))):
         for budget in budgets:
@@ -559,57 +564,25 @@ def test_budget_hit_reports_the_best_of_64_greedy_orders():
             assert exc_info.value.upper_bound == upper, (name, budget)
 
 
-def test_greedy_order_settles_h_case1_d7_after_its_refutation():
-    # seed 24, one of the 64 orders that the k=8 refutation's nodes earn,
-    # colors h_case1 delta=7 with 9, so round 9 ends before its search
-    result = exact_chi_star(_hard("h_case1-d7"))
-    assert result.chi == 9 and result.nodes_expanded == 278_972
-    assert [(r.k, r.outcome) for r in result.rounds] == [
-        (7, "bound"), (8, "refuted"), (9, "greedy")]
-    assert [r.nodes for r in result.rounds] == [0, 278_972, 0]
-    assert star_violations(result.witness) == []
-    assert result.witness.palette_size() == 9
-
-
-def test_greedy_orders_are_drawn_only_past_4096_nodes(monkeypatch, tmp_path):
-    calls = []
-    draw = solver.greedy_star_upper
-    monkeypatch.setattr(solver, "greedy_star_upper", lambda g, seed: calls.append(seed) or draw(g, seed))
-    run_sweep(9, ResultCache(tmp_path / "c.jsonl"))
-    assert calls == []  # no sweep solve to n=9 reaches 4096 nodes
-    # one order per 4096 nodes spent before the last round: h_prime-d7's
-    # refutation takes 31 664 nodes and h_case1-d7's past 64 orders' worth;
-    # h2-d8 and h2-d9 refute only below the common-neighbour bound, at 0
-    # nodes, and h_prime-d8 hits its budget
-    drawn = {"h_prime-d7": 7, "h_case1-d7": 64, "h2-d8": 0, "h_prime-d8": 64, "h2-d9": 0}
-    for name, (_, delta) in HARD.items():
-        calls.clear()
-        budget = Budget(500_000, 1e9) if delta >= 8 else Budget()
-        try:
-            result = exact_chi_star(_hard(name), budget)
-        except BudgetExhausted:
-            assert name == "h_prime-d8" and calls == list(range(GREEDY_SEEDS))
-            continue
-        assert calls == list(range(drawn[name])), name
-        assert (result.rounds[-1].outcome == "greedy") == (name == "h_case1-d7"), name
-        assert star_violations(result.witness) == [], name
-        assert result.witness.palette_size() == result.chi, name
-
-
 def _draw_log(monkeypatch):
-    """One entry per palette round run from here on: ``start``, the
-    solve's nodes before the round, and ``draws``, the greedy seeds drawn
-    in it, each as (seed, nodes the round had spent at that draw)."""
-    log = []
+    """One entry per palette round run from here on: ``round``, the Round
+    it appended, ``hit``, whether its search's node budget was spent, and
+    ``draws``, the greedy seeds drawn in it.  A draw outside a round fails."""
+    log, current = [], []
     greedy, round_ = solver.greedy_star_upper, solver._Search.round
 
     def spy_round(self, k, lower):
-        log.append({"search": self, "start": self.nodes, "draws": []})
-        return round_(self, k, lower)
+        current.append({"draws": []})
+        try:
+            return round_(self, k, lower)
+        finally:
+            entry = current.pop()
+            entry["round"], entry["hit"] = self.rounds[-1], self.nodes >= self.budget.max_nodes
+            log.append(entry)
 
     def spy_greedy(g, seed):
-        entry = log[-1]
-        entry["draws"].append((seed, entry["search"].nodes - entry["start"]))
+        assert current, "a greedy order drawn outside a palette round"
+        current[-1]["draws"].append(seed)
         return greedy(g, seed)
 
     monkeypatch.setattr(solver._Search, "round", spy_round)
@@ -617,42 +590,51 @@ def _draw_log(monkeypatch):
     return log
 
 
-def test_orders_are_drawn_before_a_rounds_search_or_at_its_budget_hit(monkeypatch):
-    # a round first draws the orders earned so far, one per 4096 nodes the
-    # solve has spent; then only a budget hit draws, and a greedy round
-    # that no hit ends spends no nodes, nor does a round below the bound
+def _spied_solves(monkeypatch, tmp_path):
+    """The draw log of the sweep to n=9, ``fan_graph(9)`` under
+    ``Budget(5)`` and the five hard instances."""
     log = _draw_log(monkeypatch)
-    solves = [(fan_graph(9), Budget(5)), (_hard("h_case1-d7"), Budget()),
-              (_hard("h2-d9"), Budget()), (_hard("h_prime-d8"), Budget(500_000, 1e9))]
-    outcomes = set()
+    run_sweep(9, ResultCache(tmp_path / "c.jsonl"))
+    solves = [(fan_graph(9), Budget(5))]
+    for name, (_, delta) in HARD.items():
+        solves.append((_hard(name), Budget(500_000, 1e9) if delta >= 8 else Budget()))
     for g, budget in solves:
-        log.clear()
         try:
-            rounds = exact_chi_star(g, budget).rounds
-        except BudgetExhausted as exc:
-            rounds = exc.rounds
-        drawn = 0
-        for entry, r in zip(log, rounds, strict=True):
-            hit = entry["start"] + r.nodes >= budget.max_nodes
-            earned = min(GREEDY_SEEDS, entry["start"] // CHECKPOINT_NODES)
-            draws = [(seed, 0) for seed in range(drawn, earned)]
-            if hit:
-                draws += [(seed, r.nodes) for seed in range(earned, GREEDY_SEEDS)]
-            assert entry["draws"] == draws, (g, r)
-            if r.outcome in ("greedy", "bound") and not hit:
-                assert r.nodes == 0, (g, r)
-            outcomes.add((r.outcome, hit))
-            drawn += len(draws)
+            exact_chi_star(g, budget)
+        except BudgetExhausted:
+            pass
+    return log
+
+
+def test_greedy_orders_are_drawn_only_at_a_budget_hit(monkeypatch, tmp_path):
+    # a round that hits its budget draws seeds 0..63, and no other round draws
+    log = _spied_solves(monkeypatch, tmp_path)
+    assert any(entry["hit"] for entry in log)
+    for entry in log:
+        assert entry["draws"] == (list(range(GREEDY_SEEDS)) if entry["hit"] else []), entry["round"]
+
+
+def test_bound_rounds_spend_nothing_and_greedy_settles_only_a_hit(monkeypatch, tmp_path):
+    # a bound round spends no nodes and draws nothing, and a round ends
+    # greedy or budget exactly when it hits its budget
+    log = _spied_solves(monkeypatch, tmp_path)
+    outcomes = set()
+    for entry in log:
+        r, hit = entry["round"], entry["hit"]
+        if r.outcome == "bound":
+            assert r.nodes == 0 and not hit and entry["draws"] == [], r
+        assert (r.outcome in ("greedy", "budget")) == hit, r
+        outcomes.add((r.outcome, hit))
     assert outcomes == {("bound", False), ("refuted", False), ("feasible", False),
-                        ("greedy", False), ("greedy", True), ("budget", True)}
+                        ("greedy", True), ("budget", True)}
 
 
 @pytest.mark.parametrize("g,nodes", [(cycle_graph(5000), 6250), (path_graph(5000), 6248)],
                          ids=["cycle-5000", "path-5000"])
 def test_a_round_past_a_checkpoint_ends_by_its_search(monkeypatch, g, nodes):
-    # k=2 is below the common-neighbour bound, 3, so it earns no order, and a
-    # round draws none inside its search, so k=3 is searched to its witness
-    # past the 4096-node checkpoint
+    # k=2 is below the common-neighbour bound, 3, and only a budget hit
+    # draws an order, so k=3 is searched to its witness past the 4096-node
+    # checkpoint
     log = _draw_log(monkeypatch)
     result = exact_chi_star(g)
     assert [(r.k, r.nodes, r.outcome) for r in result.rounds] == [
