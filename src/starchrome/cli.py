@@ -3,7 +3,9 @@
 Subcommands: solve, verify-figures, family-check, sweep, encode, decode.
 Exit codes: 0 success, 1 input/parse/data/file errors or an output pipe closed
 early, 2 solver budget exhausted (bounds printed), 3 sweep found a
-proven-bound violation.
+proven-bound violation.  The families, the report harness and the sweep
+are imported by the commands that use them, so ``solve --g6``, ``encode``
+and ``decode`` load none of them.
 """
 
 from __future__ import annotations
@@ -11,14 +13,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from .errors import BudgetExhausted, MalformedText, StarchromeError
-from .families import FAMILY_IDS, build_family
 from .graph6 import graph6_decode, graph6_encode
 from .graph import from_edges
-from .harness import ColoringReport, family_check, verify_figures
 from .solver import Budget, common_neighbour_bound, exact_chi_star
-from .sweep import ResultCache, default_cache_path, run_sweep
+
+if TYPE_CHECKING:
+    from .harness import ColoringReport
 
 
 def _budget(args: argparse.Namespace) -> Budget:
@@ -38,6 +41,8 @@ def _input_graph(args: argparse.Namespace):
             raise StarchromeError(f"--g6 takes no {', '.join('--' + name for name in given)}")
         return graph6_decode(args.g6)
     if args.family:
+        from .families import build_family  # an unknown id fails there, naming the known ones
+
         return build_family(given.pop("family"), **given).graph
     raise StarchromeError("provide --g6 or --family")
 
@@ -45,7 +50,7 @@ def _input_graph(args: argparse.Namespace):
 def _print_rounds(rounds) -> None:
     for r in rounds:
         print(f"round k={r.k} nodes={r.nodes} seconds={r.seconds:.3f} second={r.second} "
-              f"outcome={r.outcome}")
+              f"dive={r.dive} outcome={r.outcome}")
 
 
 def _print_bound(g) -> None:
@@ -95,6 +100,8 @@ def _print_reports(reports: list[ColoringReport], out: str | None) -> None:
 
 
 def cmd_verify_figures(args: argparse.Namespace) -> int:
+    from .harness import verify_figures
+
     reports = verify_figures()
     _print_reports(reports, args.out)
     print(f"figures={len(reports)} findings={sum(not rep.passed for rep in reports)}")
@@ -112,6 +119,8 @@ def _parse_range(text: str) -> list[int]:
 
 
 def cmd_family_check(args: argparse.Namespace) -> int:
+    from .harness import family_check
+
     family = args.family.lower().replace("-", "_")
     rows = family_check(family, _parse_range(args.range), exact=args.exact, budget=_budget(args))
     _print_reports(rows, args.out)
@@ -119,6 +128,8 @@ def cmd_family_check(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .sweep import ResultCache, default_cache_path, run_sweep
+
     cache_path = args.cache or default_cache_path()
     try:
         cache = ResultCache(cache_path)
@@ -182,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact star chromatic index of one graph")
     p.add_argument("--g6")
-    p.add_argument("--family", choices=FAMILY_IDS)
+    p.add_argument("--family", help="a family id such as h2; an unknown one lists them")
     p.add_argument("--n", type=int)
     p.add_argument("--delta", type=int)
     p.add_argument("--blocks", type=int)

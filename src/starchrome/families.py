@@ -272,7 +272,7 @@ def build_family(family_id: str, **params: int) -> FamilyInstance:
 def _build(family_id: str, params: dict[str, int]):
     """The checked instance and the role edges its builder returned."""
     if family_id not in _BUILDERS:
-        raise BadParams(f"unknown family id {family_id!r}")
+        raise BadParams(f"unknown family id {family_id!r}; the ids are {', '.join(_BUILDERS)}")
     build, name, least, step = _BUILDERS[family_id]
     extra = sorted(set(params) - {name})
     if extra:

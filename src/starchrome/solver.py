@@ -53,16 +53,32 @@ order (an algorithm portfolio, Gomes and Selman 2001).  Each search is a
 generator that runs to the node count it is sent, and feasible alone
 handles the budget and the turns, so the per-node loop tests one counter.
 
-A refuted round below the cutoff costs its first-fit count A, as before;
-a longer one at most R + 2*min(A - R, C) + 4096, where R is the cutoff and
-C the degree order's own count.  The hub-and-fan families gain most: the
-search alone refutes h2 delta=9's k=9 in 68 388 nodes (1 729 449 first
-fit alone), and h_case1 delta=8's k=9 witness takes 43 085 (first fit
-and one top-down restart took 61 M).  Where the degree order is no
-better a round costs up to about twice as much: g_delta delta=8's k=9
-refutation takes 1 161 360 nodes, against 587 920 first fit alone.  No
-sweep round to n=12 reaches the cutoff (the largest takes 9 714 nodes),
-so the sweep runs node for node as first fit alone.  The degree order's
+A round that passes CHECKPOINT_NODES nodes runs one dive at its first
+checkpoint at least that far in (_Search._dive): a least-domain descent
+after Brelaz 1979, whose legal colors are the open ones free at both ends
+and not bad, so the star check steers which edge goes next.  It takes
+the edge of fewest legal colors, tries the highest color first as the
+degree order does, backtracks chronologically and gives up after 2m
+placements, each a node.  A witness ends the round; a dive that gives up
+refutes nothing, and the two searches go on where they stopped.  It
+ends the witness rounds of h2 delta=8..30 at their first checkpoint, in
+at most 4 212 nodes, where the searches took 16 456 nodes at delta=8,
+41 298 at delta=9 and more than 20 M at delta=13..15.  Rescoring the
+frontier at each step costs up to O(m) per placement on a graph with a
+hub, against O(D) per node of the searches.
+
+A refuted round below 4096 nodes costs its first-fit count A, as before,
+and one below the cutoff A plus at most 2m dive nodes; a longer one at
+most R + 2*min(A - R, C) + 4096 plus the dive's, where R is the cutoff
+and C the degree order's own count.  The hub-and-fan families gain
+most: the search alone refutes h2 delta=9's k=9 in 68 388 nodes
+(1 729 449 first fit alone), and h_case1 delta=8's k=9 witness takes
+43 085 (first fit and one top-down restart took 61 M).  Where the degree
+order is no better a round costs up to about twice as much: g_delta
+delta=8's k=9 refutation takes 1 161 402 nodes (42 of them the dive's),
+against 587 920 first fit alone.  No sweep round to n=12 reaches the
+cutoff (the largest takes 9 756 nodes), so the sweep runs as first fit
+alone, plus a dive in the rounds past 4096 nodes.  The degree order's
 tables are built only when a round reaches the cutoff.
 
 The greedy upper bound is the same search over the BFS order with
@@ -73,9 +89,10 @@ its descent can pass RESTART_NODES (24 999 nodes on a 20 000-vertex
 path), and top-down it would give every slot a fresh color.
 
 The search ends a round: a witness, a refutation or a budget hit, and
-only a hit draws greedy orders: seeds 0 .. GREEDY_SEEDS-1, the first
-best coloring kept.  _Search.round is the one place where a palette
-round ends, for both public solvers.
+only a hit draws greedy orders: seeds 0 .. GREEDY_SEEDS-1 until the
+seconds budget is spent, seed 0 always, the first best coloring kept.
+_Search.round is the one place where a palette round ends, for both
+public solvers.
 """
 
 from __future__ import annotations
@@ -91,7 +108,7 @@ from .graph import Graph
 
 GREEDY_SEEDS = 64  # greedy orders a budget hit draws
 RESTART_NODES = 16_384  # nodes a palette round spends first fit before the second search starts
-CHECKPOINT_NODES = 4096  # the budget tests and the searches' turns fall on its multiples
+CHECKPOINT_NODES = 4096  # budget tests and turns fall on its multiples; a round dives once past it
 
 
 @dataclass(frozen=True)
@@ -111,6 +128,7 @@ class Round:
     nodes: int
     seconds: float
     second: int  # nodes the degree-order search spent, 0 if the round ended before it
+    dive: int  # nodes the dive spent, 0 if the round ended before it
     # "bound" (below the common-neighbour bound, not searched), "refuted",
     # "feasible", "budget" or "greedy" (a hit settled by a greedy order)
     outcome: str
@@ -306,6 +324,7 @@ class _Search:
         self.budget = budget
         self.nodes = 0
         self.second = 0  # nodes the degree-order search spent in the last round
+        self.dive = 0  # nodes the dive spent in the last round
         self.rounds: list[Round] = []
         self.started = time.monotonic()
         self.hit = False  # set by a budget hit in feasible, which ends the solve
@@ -339,23 +358,24 @@ class _Search:
         if self.bound is None:
             self.bound = common_neighbour_bound(self.g, min(k, lower))[0]
         if k < self.bound:
-            self.rounds.append(Round(k, 0, time.monotonic() - started, 0, "bound"))
+            self.rounds.append(Round(k, 0, time.monotonic() - started, 0, 0, "bound"))
             return None
-        self.second = 0
-        witness = self.feasible(k, RESTART_NODES)
+        self.second = self.dive = 0
+        witness = self.feasible(k, RESTART_NODES, dive=True)
         outcome = ("refuted" if witness is None else "budget" if witness.palette_size() > k
                    else "greedy" if self.hit else "feasible")
         self.rounds.append(Round(k, self.nodes - nodes, time.monotonic() - started, self.second,
-                                 outcome))
+                                 self.dive, outcome))
         if outcome == "budget":
             upper = witness.palette_size()
             raise BudgetExhausted(max(lower, self.bound), upper, self.nodes, self.elapsed(),
                                   tuple(self.rounds))
         return witness
 
-    def feasible(self, k: int, second_after: int | None = None) -> EdgeColoring | None:
+    def feasible(self, k: int, second_after: int | None = None,
+                 dive: bool = False) -> EdgeColoring | None:
         """A coloring using at most k colors, or None if there is none; on a
-        budget hit, the first best of the GREEDY_SEEDS greedy colorings.
+        budget hit, the first best of the greedy colorings drawn.
 
         The first-fit search runs alone until, given ``second_after``, it
         has spent that many nodes.  There the degree-order search starts,
@@ -363,11 +383,18 @@ class _Search:
         the next checkpoint, until either ends; ``second`` counts the
         degree-order search's nodes.  The checkpoints are where the budget
         is tested: every multiple of CHECKPOINT_NODES, the start of the
-        second search and the node budget.
+        second search and the node budget.  Given ``dive``, the first
+        checkpoint at least CHECKPOINT_NODES into the call runs _dive
+        once, before the budget test, and the attribute ``dive`` counts
+        its nodes.
+
+        A hit draws greedy orders, seeds 0 .. GREEDY_SEEDS-1, until the
+        seconds budget is spent; seed 0 is always drawn.
         """
         budget_nodes = self.budget.max_nodes
         budget_secs = self.budget.max_seconds
         second_at = budget_nodes if second_after is None else self.nodes + second_after
+        dive_at = self.nodes + CHECKPOINT_NODES if dive else None
         searches = [self._descend(k, (self.order, self.edges, self.earlier), False)]
         next(searches[0])
         turn = 0
@@ -382,16 +409,164 @@ class _Search:
                 if turn:
                     self.second += self.nodes - nodes
             nodes = self.nodes
+            if dive_at is not None and nodes >= dive_at:
+                dive_at = None
+                witness = self._dive(k)
+                self.dive = self.nodes - nodes
+                if witness is not None:
+                    return witness
+                nodes = self.nodes
             if nodes >= budget_nodes or self.elapsed() > budget_secs:
                 self.hit = True
-                return min((greedy_star_upper(self.g, seed) for seed in range(GREEDY_SEEDS)),
-                           key=EdgeColoring.palette_size)
+                best = greedy_star_upper(self.g, 0)
+                for seed in range(1, GREEDY_SEEDS):
+                    if self.elapsed() > budget_secs:
+                        break
+                    best = min(best, greedy_star_upper(self.g, seed), key=EdgeColoring.palette_size)
+                return best
             if nodes >= second_at:
                 second_at = budget_nodes
                 searches.append(self._descend(k, self.degree_order(), True))
                 next(searches[1])
             if len(searches) == 2:
                 turn ^= 1
+
+    def _dive(self, k: int) -> EdgeColoring | None:
+        """A k-coloring found by a least-domain descent of at most 2m
+        placements, or None; None refutes nothing.
+
+        Each step colors the uncolored edge with the fewest legal colors:
+        open, free at both ends and not bad.  Ties go to the larger count
+        of distinct colors at its ends plus its degree sum, then to the
+        lower rank in the BFS from the maximum-degree vertices.  Only edges
+        that meet a colored one are scored; with none, the lowest-ranked
+        uncolored edge is next.  Colors are tried highest first, the fresh
+        one while k allows, and a step with no legal color undoes the last
+        placement.  Each placement is a node, within the node and seconds
+        budgets.
+
+        ``bad[f]`` caches the bad colors _bad_colors last found for the
+        uncolored edge f, exact on f's free colors.  A placement of c on
+        x-y changes them only for these f, which are recomputed, and the
+        trail restores them on undo:
+
+        - f at x or y, unless c is fresh: a bichromatic walk of four edges
+          has two edges of each color, so one through x-y needs another
+          c-edge;
+        - f at the far end w of a colored edge g = x-w, if the far end of
+          f, or y, has g's color: f in color c would close a walk f, g, x-y;
+        - f at the far end of w's c-edge, which with g and x-y would close
+          a walk in g's color;
+
+        and the same with x and y swapped.
+        """
+        g = self.g
+        m, ends, degs = g.m, g.edges, g.degrees()
+        ranked = _max_degree_bfs(g)
+        rank = [0] * m
+        for r, e in enumerate(ranked):
+            rank[e] = r
+        inc: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]  # (edge, other end) at x
+        for e, (u, v) in enumerate(ends):
+            inc[u].append((e, v))
+            inc[v].append((e, u))
+        weight = [degs[u] + degs[v] for u, v in ends]
+        bits, bad = [0] * m, [0] * m
+        vmask = [0] * g.n
+        at: list[dict[int, int]] = [{} for _ in range(g.n)]  # as in _descend
+        frontier: set[int] = set()  # the uncolored edges that meet a colored one
+        palette = (2 << k) - 2
+        used = first = 0  # the colors used, always 1..t; no rank below first is uncolored
+        stack: list[tuple[int, int, int, int]] = []  # (edge, colors left, used, trail length)
+        trail: list[tuple[int, int]] = []  # (edge, its bad mask before a recompute)
+
+        def recompute(f: int) -> None:
+            u, v = ends[f]
+            free = used & ~(vmask[u] | vmask[v])
+            if free:
+                earlier = [(v, w, j) for j, w in inc[u] if bits[j]]
+                earlier += [(u, w, j) for j, w in inc[v] if bits[j]]
+                found = _bad_colors(earlier, bits, vmask, at, free)
+                if (found ^ bad[f]) & free:
+                    trail.append((f, bad[f]))
+                    bad[f] = found
+
+        nodes = self.nodes
+        stop = min(self.budget.max_nodes, nodes + 2 * m)
+        while True:
+            opened = (used | used + 2) & palette  # used plus the fresh color
+            if frontier:
+                best = None
+                for f in frontier:
+                    u, v = ends[f]
+                    here = vmask[u] | vmask[v]
+                    key = (-(opened & ~(here | bad[f])).bit_count(), here.bit_count() + weight[f],
+                           -rank[f])
+                    if best is None or key > best:
+                        best, e = key, f
+            else:
+                while bits[ranked[first]]:
+                    first += 1
+                e = ranked[first]
+            x, y = ends[e]
+            legal = opened & ~(vmask[x] | vmask[y] | bad[e])
+            while not legal:  # undo the last placement
+                if not stack:
+                    self.nodes = nodes
+                    return None
+                e, legal, used, mark = stack.pop()
+                x, y = ends[e]
+                bit, bits[e] = bits[e], 0
+                vmask[x] ^= bit
+                vmask[y] ^= bit
+                for end in x, y:
+                    if not vmask[end]:  # its edges leave the frontier, bar those met elsewhere
+                        frontier.difference_update(f for f, z in inc[end] if not vmask[z])
+                if vmask[x] | vmask[y]:
+                    frontier.add(e)
+                first = min(first, rank[e])
+                while len(trail) > mark:
+                    f, mask = trail.pop()
+                    bad[f] = mask
+            if nodes >= stop or self.elapsed() > self.budget.max_seconds:
+                self.nodes = nodes
+                return None
+            nodes += 1
+            bit = 1 << legal.bit_length() - 1
+            stack.append((e, legal ^ bit, used, len(trail)))
+            fresh = not used & bit
+            used |= bit
+            bits[e] = bit
+            vmask[x] |= bit
+            vmask[y] |= bit
+            at[x][bit] = y
+            at[y][bit] = x
+            frontier.discard(e)
+            for end in x, y:
+                if vmask[end] == bit:  # its first color: its edges join the frontier
+                    frontier.update(f for f, _ in inc[end] if not bits[f])
+            if len(stack) == m:
+                break
+            for end, far in ((x, y), (y, x)):
+                if not fresh:
+                    for f, _ in inc[end]:
+                        if not bits[f]:
+                            recompute(f)
+                rest, at_end = vmask[end] ^ bit, at[end]
+                while rest:  # each other colored edge end-w, of color b
+                    b = rest & -rest
+                    rest ^= b
+                    w = at_end[b]
+                    far_has_b = vmask[far] & b
+                    for f, z in inc[w]:
+                        if not bits[f] and (far_has_b or vmask[z] & b):
+                            recompute(f)
+                    if vmask[w] & bit:
+                        for f, _ in inc[at[w][bit]]:
+                            if not bits[f]:
+                                recompute(f)
+        self.nodes = nodes
+        return EdgeColoring(g, tuple(b.bit_length() - 1 for b in bits))
 
     def _descend(self, k: int, slots: tuple[list, list, list], top_down: bool):
         """One depth-first search for a k-coloring over the slot order

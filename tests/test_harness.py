@@ -406,6 +406,10 @@ def test_cli_solve_prints_the_common_neighbour_bound(capsys):
     assert [line for line in lines if line.startswith("bound:")] == [
         "bound: chi_star >= 10: vertices 2 and 3 (degrees 9, 9) share 1 neighbour"]
     assert "chi_star = 10" in lines
+    # its k=10 witness comes from the dive at the 4096-node checkpoint
+    [last] = [line.split() for line in lines if line.startswith("round k=10 ")]
+    assert (last[2], last[4], last[5], last[6]) == ("nodes=4128", "second=0", "dive=32",
+                                                    "outcome=feasible")
     # a 4-vertex path: the bound, 2, is no more than D
     assert main(["solve", "--family", "path", "--n", "4"]) == 0
     out = capsys.readouterr().out
@@ -419,8 +423,8 @@ def test_cli_solve_budget_hit_settled_by_a_greedy_order(capsys):
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "chi_star = 8"
-    rounds = [(f[1], f[2], f[-2], f[-1]) for f in map(str.split, lines) if f[0] == "round"]
-    assert rounds == [("k=8", "nodes=5", "second=0", "outcome=greedy")]
+    rounds = [(f[1], f[2], f[-3], f[-2], f[-1]) for f in map(str.split, lines) if f[0] == "round"]
+    assert rounds == [("k=8", "nodes=5", "second=0", "dive=0", "outcome=greedy")]
 
 
 def test_cli_parse_error():
@@ -462,6 +466,11 @@ def test_cli_malformed_arguments_exit_1(capsys):
     assert "bad delta range '10..9'" in capsys.readouterr().err
     assert main(["solve", "--family", "h2", "--delta", "3"]) == 1
     assert capsys.readouterr().err == "error: h2 needs delta >= 4, got 3\n"
+    # an unknown family id exits 1, as input errors do, and names the known ones
+    assert main(["solve", "--family", "h3", "--delta", "9"]) == 1
+    assert capsys.readouterr().err == (
+        "error: unknown family id 'h3'; the ids are path, cycle, fan, g61, g61_prime, g62, "
+        "g_delta, h_prime, h_case1, h2, delta5_strip\n")
     assert main(["solve", "--family", "g61", "--delta", "3"]) == 1
     assert capsys.readouterr().err == "error: g61 takes no delta\n"
     assert main(["solve", "--family", "g61", "--delta", "3", "--blocks", "7"]) == 1

@@ -3,7 +3,9 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,8 @@ from starchrome.sweep import ResultCache, run_sweep
 
 from conftest import cycle_graph, fan_graph, g61, g61_prime, k4, path_graph, random_connected_graph
 from iso_oracle import canonical_form, two_connected_spanning_subgraphs
+
+SOLVE_HARD = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "solve-hard.txt"
 
 
 @pytest.mark.parametrize("n,expected", [(2, 1), (3, 2), (4, 2), (5, 3), (8, 3)])
@@ -191,14 +195,17 @@ def test_extremal_family_exact_values():
         ("h_case1", 9): 10,      # delta+1, three under the delta+4 closed form
         ("h2", 10): 11,          # delta+1, one under the delta+2 closed form
     }
-    # (k, nodes, second, outcome) per round: the counts follow the builders'
-    # labels; h_case1 delta=7's k=8 refutation runs past the cutoff, and so
-    # does its k=9 witness round, by 53 degree-order nodes
+    # (k, nodes, second, dive, outcome) per round: the counts follow the
+    # builders' labels; h_case1 delta=7's k=8 refutation runs past the
+    # cutoff, after a dive that gives up at 2m placements; the dive finds
+    # its k=9 witness and h2 delta=10's k=11 one, which the searches alone
+    # reached at 16 437 and 125 329 nodes; at h_case1 delta=9 it gives up,
+    # and the degree order finds the witness
     rounds = {
-        ("h_case1", 7): [(7, 0, 0, "bound"), (8, 278972, 131516, "refuted"),
-                         (9, 16437, 53, "feasible")],
-        ("h_case1", 9): [(9, 0, 0, "bound"), (10, 958605, 471181, "feasible")],
-        ("h2", 10): [(10, 0, 0, "bound"), (11, 125329, 55697, "feasible")],
+        ("h_case1", 7): [(7, 0, 0, 0, "bound"), (8, 278972, 131516, 58, "refuted"),
+                         (9, 7793, 0, 45, "feasible")],
+        ("h_case1", 9): [(9, 0, 0, 0, "bound"), (10, 958605, 471181, 82, "feasible")],
+        ("h2", 10): [(10, 0, 0, 0, "bound"), (11, 4132, 0, 36, "feasible")],
     }
     for (family, delta), chi in expected.items():
         g = build_family(family, delta=delta).graph
@@ -206,7 +213,7 @@ def test_extremal_family_exact_values():
         assert result.chi == chi, (family, delta, result.chi)
         assert star_violations(result.witness) == []
         if (family, delta) in rounds:
-            got = [(r.k, r.nodes, r.second, r.outcome) for r in result.rounds]
+            got = [(r.k, r.nodes, r.second, r.dive, r.outcome) for r in result.rounds]
             assert got == rounds[family, delta], (family, delta)
 
 
@@ -629,16 +636,17 @@ def test_bound_rounds_spend_nothing_and_greedy_settles_only_a_hit(monkeypatch, t
                         ("greedy", True), ("budget", True)}
 
 
-@pytest.mark.parametrize("g,nodes", [(cycle_graph(5000), 6250), (path_graph(5000), 6248)],
+@pytest.mark.parametrize("g,nodes", [(cycle_graph(5000), 9096), (path_graph(5000), 9095)],
                          ids=["cycle-5000", "path-5000"])
 def test_a_round_past_a_checkpoint_ends_by_its_search(monkeypatch, g, nodes):
     # k=2 is below the common-neighbour bound, 3, and only a budget hit
-    # draws an order, so k=3 is searched to its witness past the 4096-node
-    # checkpoint
+    # draws an order, so k=3 is searched past the 4096-node checkpoint,
+    # where the dive colors all m edges without a backtrack (first fit
+    # alone found the witness at 6250 and 6248 nodes)
     log = _draw_log(monkeypatch)
     result = exact_chi_star(g)
-    assert [(r.k, r.nodes, r.outcome) for r in result.rounds] == [
-        (2, 0, "bound"), (3, nodes, "feasible")]
+    assert [(r.k, r.nodes, r.dive, r.outcome) for r in result.rounds] == [
+        (2, 0, 0, "bound"), (3, nodes, g.m, "feasible")]
     assert [entry["draws"] for entry in log] == [[], []]
     assert star_violations(result.witness) == [] and result.witness.palette_size() == 3
 
@@ -702,30 +710,43 @@ def _alone(g, k, order=None):
     return search.nodes
 
 
-def _turns(start, restart, first_fit, degree):
-    """(nodes, second) of a round refuted at node count ``start`` + nodes:
-    first fit alone up to the cutoff, then a turn each up to every next
-    multiple of 4096.  A search whose last node lands on a turn's end
+def _dived(g, k):
+    """Nodes a dive for a k-coloring spends, run alone."""
+    search = solver._Search(g, Budget())
+    search._dive(k)
+    return search.nodes
+
+
+def _turns(start, restart, first_fit, degree, dive):
+    """(nodes, second, dive) of a round refuted at node count ``start`` +
+    nodes: first fit alone up to the cutoff, then a turn each up to every
+    next multiple of 4096, and ``dive()`` nodes at the first multiple at
+    least 4096 nodes in.  A search whose last node lands on a turn's end
     pauses there, and ends when its next turn comes."""
-    if first_fit < restart:
-        return first_fit, 0
-    spent, turn, nodes = [restart, 0], 1, start + restart
+    spent, turn, dived, nodes = [0, 0], 0, None, start
     while True:
         stretch = CHECKPOINT_NODES - nodes % CHECKPOINT_NODES
+        if nodes < start + restart:
+            stretch = min(stretch, start + restart - nodes)
         need = (first_fit, degree)[turn] - spent[turn]
         if need < stretch:
             spent[turn] += need
-            return sum(spent), spent[1]
+            return sum(spent) + (dived or 0), spent[1], dived or 0
         spent[turn] += stretch
         nodes += stretch
-        turn ^= 1
+        if dived is None and nodes >= start + CHECKPOINT_NODES:
+            dived = dive()
+            nodes += dived
+        if nodes >= start + restart:
+            turn ^= 1
 
 
 def test_a_refuted_round_costs_at_most_twice_the_better_order(monkeypatch):
     # Past R nodes the two searches take turns of at most 4096 nodes, and
     # a refutation in either order ends the round, so a refuted round costs
     # its first-fit count A below the cutoff and at most
-    # R + 2*min(A - R, B) + 4096 past it, B being the degree order's count.
+    # R + 2*min(A - R, B) + 4096 past it, B being the degree order's count,
+    # plus the nodes of the dive that a round past 4096 nodes runs once.
     rng = random.Random(19)
     graphs = [graph6_decode(key) for n in range(4, 10) for key in enumerate_mops(n).members]
     graphs += [random_connected_graph(rng, max_edges=20) for _ in range(40)]
@@ -742,25 +763,205 @@ def test_a_refuted_round_costs_at_most_twice_the_better_order(monkeypatch):
             if r.outcome == "refuted":
                 first_fit = _alone(g, r.k)
                 degree = _alone(g, r.k, degree_ids)
-                assert (r.nodes, r.second) == _turns(start, restart, first_fit, degree), (g, r)
+                turns = _turns(start, restart, first_fit, degree, lambda: _dived(g, r.k))
+                assert (r.nodes, r.second, r.dive) == turns, (g, r)
                 if first_fit >= restart:
                     long_rounds += 1
-                    assert r.nodes <= restart + 2 * min(first_fit - restart, degree) + CHECKPOINT_NODES
+                    assert r.nodes <= (restart + 2 * min(first_fit - restart, degree)
+                                       + CHECKPOINT_NODES + r.dive)
             start += r.nodes
     assert long_rounds > 100
 
 
-def test_the_degree_order_finds_the_h_prime_d8_witness(monkeypatch):
+def _naive_dive(g, k):
+    """(colors or None, placements) of the dive's rule with every legal
+    set found afresh by _bad_colors at each step: no cache, no trail."""
+    ranked = solver._max_degree_bfs(g)
+    rank = {e: r for r, e in enumerate(ranked)}
+    degs, ends = g.degrees(), g.edges
+    bits, vmask = [0] * g.m, [0] * g.n
+    at: list[dict[int, int]] = [{} for _ in range(g.n)]
+    stack, used, placed = [], 0, 0
+
+    def legal(e, opened):
+        u, v = ends[e]
+        free = opened & ~(vmask[u] | vmask[v])
+        earlier = [(q, a + b - p, f) for p, q in ((u, v), (v, u))
+                   for f, (a, b) in enumerate(ends) if bits[f] and p in (a, b)]
+        return free & ~solver._bad_colors(earlier, bits, vmask, at, free)
+
+    while True:
+        opened = (used | used + 2) & ((2 << k) - 2)
+        left = [e for e in ranked if not bits[e]]
+        near = [e for e in left if vmask[ends[e][0]] | vmask[ends[e][1]]]
+        e = max(near, key=lambda f: (-legal(f, opened).bit_count(),
+                                     (vmask[ends[f][0]] | vmask[ends[f][1]]).bit_count()
+                                     + degs[ends[f][0]] + degs[ends[f][1]], -rank[f]),
+                default=left[0])
+        colors = legal(e, opened)
+        while not colors:
+            if not stack:
+                return None, placed
+            e, colors, used = stack.pop()
+            for x in ends[e]:
+                vmask[x] ^= bits[e]
+            bits[e] = 0
+        if placed == 2 * g.m:
+            return None, placed
+        placed += 1
+        bit = 1 << colors.bit_length() - 1
+        stack.append((e, colors ^ bit, used))
+        used |= bit
+        bits[e] = bit
+        u, v = ends[e]
+        vmask[u] |= bit
+        vmask[v] |= bit
+        at[u][bit], at[v][bit] = v, u
+        if len(stack) == g.m:
+            return tuple(b.bit_length() - 1 for b in bits), placed
+
+
+def test_the_dive_takes_the_least_domain_edge_at_every_step():
+    # the dive recomputes only the bad masks a placement can change; a
+    # dive that recomputes every legal set at each step takes the same
+    # edges and colors, so it ends with the same coloring and node count
+    rng = random.Random(28)
+    graphs = [g for n in range(3, 10) for g in enumerate_mops(n).members.values()]
+    graphs += [random_connected_graph(rng, max_edges=20, max_n=9) for _ in range(150)]
+    graphs += [build_family(family, delta=delta).graph
+               for family, delta in (("h2", 7), ("h2", 9), ("h_case1", 7), ("h_prime", 7))]
+    witnesses = failures = 0
+    for g in graphs:
+        for k in range(max(g.max_degree(), 1), g.max_degree() + 4):
+            search = solver._Search(g, Budget())
+            got = search._dive(k)
+            colors, placed = _naive_dive(g, k)
+            assert (None if got is None else got.colors, search.nodes) == (colors, placed), (g, k)
+            witnesses += got is not None
+            failures += got is None
+    assert witnesses > 300 and failures > 100
+
+
+def _dive_graphs():
+    """The graphs the dive is checked on: h2 delta=7..30, h_case1 and
+    h_prime delta=7..9, g_delta delta=5..8 and the five solve-hard ones."""
+    graphs = [build_family("h2", delta=delta).graph for delta in range(7, 31)]
+    graphs += [build_family(family, delta=delta).graph
+               for family in ("h_case1", "h_prime") for delta in range(7, 10)]
+    graphs += [build_family("g_delta", delta=delta).graph for delta in range(5, 9)]
+    for line in SOLVE_HARD.read_text().splitlines():
+        if not line.startswith("#"):
+            graphs.append(graph6_decode(line.split()[1]))
+    return graphs
+
+
+def test_every_dive_witness_validates_and_no_dive_places_more_than_2m():
+    witnesses = 0
+    for g in _dive_graphs():
+        for k in range(g.max_degree(), g.max_degree() + 4):
+            search = solver._Search(g, Budget())
+            coloring = search._dive(k)
+            assert search.nodes <= 2 * g.m, (g, k)
+            if coloring is not None:
+                assert star_violations(coloring) == [] and coloring.palette_size() <= k, (g, k)
+                witnesses += 1
+    assert witnesses == 100
+
+
+def test_the_dive_settles_h2_at_delta_plus_1():
+    # delta=8..30: the k = D+1 round ends at its first checkpoint, by the
+    # dive, which spends what it spends alone; the round's nodes are first
+    # fit's 4096, no degree-order node and the dive's
+    for delta in range(8, 31):
+        g = build_family("h2", delta=delta).graph
+        result = exact_chi_star(g)
+        assert result.chi == delta + 1 and star_violations(result.witness) == []
+        bound, last = result.rounds
+        assert (bound.k, bound.nodes, bound.outcome) == (delta, 0, "bound")
+        assert last.k == delta + 1 and last.outcome == "feasible"
+        dived = _dived(g, delta + 1)
+        assert (last.nodes, last.second, last.dive) == (CHECKPOINT_NODES + dived, 0, dived), delta
+
+
+def test_a_round_that_ends_before_its_first_checkpoint_never_dives(monkeypatch):
+    # every MOP to n=12 from k = D and the five hard instances: a round
+    # dives once past 4096 of its nodes, and not before; greedy, whose
+    # descent passes 4096 nodes on a long path, never dives
+    log, current = [], []
+    dive, round_ = solver._Search._dive, solver._Search.round
+
+    def spy_round(self, k, lower):
+        current.append((self.nodes, []))
+        try:
+            return round_(self, k, lower)
+        finally:
+            started, dives = current.pop()
+            log.append((started, self.rounds[-1], dives))
+
+    def spy_dive(self, k):
+        assert current, "a dive outside a palette round"
+        started, dives = current[-1]
+        dives.append(self.nodes - started)
+        return dive(self, k)
+
+    monkeypatch.setattr(solver._Search, "round", spy_round)
+    monkeypatch.setattr(solver._Search, "_dive", spy_dive)
+    for n in range(4, 13):
+        for key in enumerate_mops(n).members:
+            exact_chi_star(graph6_decode(key))
+    for name, (_, delta) in HARD.items():
+        try:
+            exact_chi_star(_hard(name), Budget(500_000, 1e9) if delta >= 8 else Budget())
+        except BudgetExhausted:
+            pass
+    assert greedy_star_upper(path_graph(20_000)).palette_size() == 3
+    for started, r, dives in log:
+        # the round's nodes at its first checkpoint at least 4096 nodes in
+        first = -(-started // CHECKPOINT_NODES) * CHECKPOINT_NODES + CHECKPOINT_NODES - started
+        if r.nodes - r.dive < first:
+            assert dives == [] and r.dive == 0, r
+        else:
+            assert dives == [first], r
+    # 11 MOP rounds of order 12 and 7 hard rounds reach it
+    assert sum(len(dives) for _, _, dives in log) == 18
+
+
+def test_a_budget_hit_draws_greedy_orders_only_while_seconds_remain():
+    # a hit draws seed 0, then stops once max_seconds is spent; drawing all
+    # 64 orders took the 5000-vertex path 2.05 s past a 1 ms budget
+    started = time.monotonic()
+    result = exact_chi_star(path_graph(5000), Budget(max_seconds=0.001))
+    assert time.monotonic() - started < 0.5
+    assert result.chi == 3 and result.rounds[-1].outcome == "greedy"
+    assert star_violations(result.witness) == [] and result.witness.palette_size() == 3
+    # a hit that no drawn order settles: the interval ends at seed 0's 10
+    started = time.monotonic()
+    with pytest.raises(BudgetExhausted) as exc_info:
+        exact_chi_star(build_family("delta5_strip", blocks=124).graph, Budget(max_seconds=0.001))
+    assert time.monotonic() - started < 0.5
+    exc = exc_info.value
+    assert (exc.lower_bound, exc.upper_bound) == (8, 10)
+    assert [(r.k, r.outcome) for r in exc.rounds][-1] == (8, "budget")
+
+
+def test_the_degree_order_finds_the_h_prime_d8_witness():
     # first fit ran past 96 M nodes in this round without a witness; the
     # degree-order search, highest color first, taking turns with first
     # fit from 16 384 nodes on, finds a 10-coloring after 88 550 of its own
-    # nodes, 190 950 in all
+    # nodes, 190 950 in all.  In a palette round the dive finds one first,
+    # at 4 096 + 36 nodes.
     g = _hard("h_prime-d8")
-    coloring = star_palette_feasible(g, 10, Budget(200_000))
+    search = solver._Search(g, Budget(200_000))
+    coloring = search.feasible(10, RESTART_NODES)
     assert star_violations(coloring) == [] and coloring.palette_size() == 10
-    monkeypatch.setattr(solver, "RESTART_NODES", 10**12)
-    with pytest.raises(BudgetExhausted):
-        star_palette_feasible(g, 10, Budget(200_000))
+    assert (search.nodes, search.second) == (190_950, 88_550)
+    search = solver._Search(g, Budget(200_000))
+    assert search.feasible(10).palette_size() > 10  # first fit alone: a budget hit
+    search = solver._Search(g, Budget(200_000))
+    coloring = search.round(10, 10)
+    assert star_violations(coloring) == [] and coloring.palette_size() == 10
+    [r] = search.rounds
+    assert (r.nodes, r.second, r.dive, r.outcome) == (4132, 0, 36, "feasible")
 
 
 def test_the_degree_order_finds_the_h_case1_d8_witness():
@@ -791,12 +992,13 @@ def test_greedy_never_restarts(monkeypatch):
     assert search.nodes == 24_999 > solver.RESTART_NODES
 
 
-@pytest.mark.parametrize("blocks,last", [(10, 422), (16, 653), (22, 1101), (124, 20_243)])
+@pytest.mark.parametrize("blocks,last", [(10, 422), (16, 653), (22, 1101), (124, 26_325)])
 def test_delta5_strip_takes_one_color_under_its_drawing(blocks, last):
     # the README finding: chi' = 8 where the periodic drawing uses 9; at 124
     # blocks (993 edges) the search is deeper than the default recursion
-    # limit, and its k=8 round passes 16 384 nodes: the degree order takes
-    # one 867-node turn, and first fit finds the witness at 19 376 of its own
+    # limit, and its k=8 round passes 16 384 nodes: the dive gives up after
+    # 1 986 placements, the degree order takes two turns, 4 963 nodes, and
+    # first fit finds the witness at 19 376 of its own
     g = build_family("delta5_strip", blocks=blocks).graph
     result = exact_chi_star(g)
     assert [(r.k, r.nodes, r.outcome) for r in result.rounds] == [

@@ -42,11 +42,26 @@ def _loaded_after(statement: str) -> set[str]:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          timeout=60, check=True)
-    return set(json.loads(run.stdout))
+    return set(json.loads(run.stdout.splitlines()[-1]))
 
 
 def test_the_core_loads_no_family_harness_sweep_or_process_pool():
     assert _loaded_after("from starchrome import exact_chi_star, graph6_decode, classify") == set()
+
+
+def _loaded_by_cli(argv: list[str]) -> set[str]:
+    """The modules of LAZY that the command line loads to run ``argv``."""
+    return _loaded_after(f"from starchrome.cli import main\nassert main({argv!r}) == 0")
+
+
+@pytest.mark.parametrize("argv", [["solve", "--g6", "C~"], ["encode", "--n", "3", "--edges", "0-1"],
+                                  ["decode", "--g6", "Bg"]], ids=["solve-g6", "encode", "decode"])
+def test_a_cli_command_without_families_loads_no_family_harness_or_sweep(argv):
+    assert _loaded_by_cli(argv) == set()
+
+
+def test_a_cli_family_loads_the_families_only():
+    assert _loaded_by_cli(["solve", "--family", "fan", "--n", "5"]) == {"starchrome.families"}
 
 
 def test_a_sweep_name_loads_the_sweep_but_not_the_process_pool():
