@@ -28,13 +28,15 @@ That is the k=D round of every hub-and-fan family instance; the search
 alone spends 39.5 M nodes (49 s) refuting h2 delta=12 at k=12.
 
 The order is fixed, so at depth i exactly the slots before i are colored.
-A _Search builds its order and slot tables in one pass per graph: for
-each slot, the earlier slots at either endpoint.  Colors are bits: each
-vertex keeps the mask of colors at it and, per color, the other end of
-its edge of that color.  On entering slot p-q the search takes the colors
+Colors are bits: each vertex x keeps the mask of the colors at it and a
+stack col[x] of (other end, color bit), one entry per colored edge at x.
+A placement pushes onto the stacks of both its ends and an undo pops
+both, so the stacks hold exactly the colored edges only because every
+search here, the dive too, backtracks chronologically: it undoes the
+last placement first.  On entering slot p-q the search takes the colors
 free at both ends as one mask, then one bad-color mask: the free colors a
 that would close an alternating a,b,a,b walk of four edges through p-q.
-For each earlier edge q-w of color b (and the same with p and q swapped),
+For each colored edge q-w of color b (and the same with p and q swapped),
 every color at w is bad if p has a b-edge, and otherwise a free color a
 at w is bad when w's a-neighbor has a b-edge.  Each free color tried
 counts as a node, and the bad ones are pruned without descending.
@@ -78,8 +80,8 @@ order is no better a round costs up to about twice as much: g_delta
 delta=8's k=9 refutation takes 1 161 402 nodes (42 of them the dive's),
 against 587 920 first fit alone.  No sweep round to n=12 reaches the
 cutoff (the largest takes 9 756 nodes), so the sweep runs as first fit
-alone, plus a dive in the rounds past 4096 nodes.  The degree order's
-tables are built only when a round reaches the cutoff.
+alone, plus a dive in the rounds past 4096 nodes.  The degree order is
+built only when a round reaches the cutoff.
 
 The greedy upper bound is the same search over the BFS order with
 shuffled roots and neighbors, with every color open: its first descent
@@ -210,35 +212,39 @@ def common_neighbour_bound(g: Graph, above: int = 0) -> tuple[int, tuple[int, in
     return best, certificate
 
 
-def _bad_colors(earlier, bits, vmask, at, free) -> int:
-    """Bitmask of the colors in ``free`` that would make a slot close a
-    bichromatic path or cycle of four edges.
+def _bad_colors(p: int, q: int, col, vmask, free: int) -> int:
+    """Bitmask of the colors in ``free`` that would make the edge p-q close
+    a bichromatic path or cycle of four edges.
 
-    Exact on the colors of ``free``, which must be free at both ends of the
-    slot, and it marks no other color.  ``earlier`` is the slot's entry in
-    ``_Search.earlier``, and every slot in it must be colored: ``bits[j]``
-    is slot j's color as a bit.  ``vmask[x]`` has bit c set when x has a
-    c-edge, and then ``at[x][c]`` is that edge's other end.  The scan stops
-    once every free color is bad.
+    Exact on the colors of ``free``, which must be free at both p and q,
+    and it marks no other color.  ``col[x]`` holds an (other end, color
+    bit) pair for each colored edge at x, and ``vmask[x]`` the bits of
+    those colors; the searches keep both exact by backtracking
+    chronologically.  The scan stops once every free color is bad.  The
+    two halves are written out, as a loop over (p, q), (q, p) is slower.
     """
     left = free  # the free colors not yet found bad
-    for p, w, slot in earlier:
-        b = bits[slot]
-        if vmask[p] & b:
-            # p's b-edge cannot end at w, which has one to q already, so
-            # it starts a walk b,a,b,a through p-q-w and any a-edge at w
+    for w, b in col[p]:
+        if vmask[q] & b:
+            # q's b-edge cannot end at w, which has one to p already, so
+            # it starts a walk b,a,b,a through q-p-w and any a-edge at w
             left &= ~vmask[w]
-        else:
-            # p-q-w-x-y is a,b,a,b when w's a-neighbor x has a b-edge
-            ends = at[w]
-            rest = vmask[w] & left
-            while rest:
-                a = rest & -rest
-                rest ^= a
-                if vmask[ends[a]] & b:
+        elif vmask[w] & left:
+            # q-p-w-x-y is a,b,a,b when w's a-neighbor x has a b-edge
+            for x, a in col[w]:
+                if a & left and vmask[x] & b:
                     left ^= a
         if not left:
-            break
+            return free
+    for w, b in col[q]:
+        if vmask[p] & b:
+            left &= ~vmask[w]
+        elif vmask[w] & left:
+            for x, a in col[w]:
+                if a & left and vmask[x] & b:
+                    left ^= a
+        if not left:
+            return free
     return free ^ left
 
 
@@ -250,36 +256,32 @@ def _max_degree_bfs(g: Graph) -> list[int]:
     return bfs_edge_order(g, starts, g.neighbors())
 
 
-def _slot_order(g: Graph, ranked: list[int], weight: list[int] | None) -> tuple[list, list, list]:
-    """A slot order over the edges ``ranked`` and its tables, as the triple
-    (order, edges, earlier) that _Search describes.
+def _slot_order(g: Graph, weight: list[int]) -> tuple[list, list]:
+    """A slot order over g's edges, as the pair (order, edges) that _Search
+    describes.
 
-    With ``weight`` None the slots follow ``ranked``.  Otherwise each next
-    slot is, among the unplaced edges that meet a placed one, the one of
-    the highest score: its ``weight`` (indexed by rank in ``ranked``) plus
+    Each next slot is, among the unplaced edges that meet a placed one,
+    the one of the highest score: its ``weight`` (indexed by edge id) plus
     the number of placed edges it meets.  Ties, and the first edge of each
-    component, go to the lowest rank.
+    component, go to the lowest rank in _max_degree_bfs.
     """
     m = g.m
+    ranked = _max_degree_bfs(g)
     ends = [g.edges[e] for e in ranked]
     inc: list[list[int]] = [[] for _ in range(g.n)]  # ranks of the edges at x
-    if weight is not None:
-        for r, (u, v) in enumerate(ends):
-            inc[u].append(r)
-            inc[v].append(r)
+    for r, (u, v) in enumerate(ends):
+        inc[u].append(r)
+        inc[v].append(r)
     # Unplaced edges that meet a placed one, by rank r, each with the value
     # score*m - r: the largest value is the next slot, and r is -value % m.
-    # With no weight it stays empty, and slots follow the ranks.
     frontier: dict[int, int] = {}
     value_of = frontier.get
     # each rank's value while it meets no placed edge
-    base = [] if weight is None else [w * m - r for r, w in enumerate(weight)]
+    base = [weight[e] * m - r for r, e in enumerate(ranked)]
     placed = [False] * m
     first = 0  # no rank below it is unplaced
-    # (other end, slot) of each placed edge at x
-    seen: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    order, edges, earlier = [], [], []
-    for slot in range(m):
+    order, edges = [], []
+    for _ in range(m):
         if frontier:
             r = -max(frontier.values()) % m
             del frontier[r]
@@ -291,32 +293,31 @@ def _slot_order(g: Graph, ranked: list[int], weight: list[int] | None) -> tuple[
         u, v = uv = ends[r]
         order.append(ranked[r])
         edges.append(uv)
-        seen_u, seen_v = seen[u], seen[v]
-        earlier.append(tuple([(v, w, j) for w, j in seen_u] + [(u, w, j) for w, j in seen_v]))
-        seen_u.append((v, slot))
-        seen_v.append((u, slot))
         for f in inc[u]:
             if not placed[f]:
                 frontier[f] = value_of(f, base[f]) + m
         for f in inc[v]:
             if not placed[f]:
                 frontier[f] = value_of(f, base[f]) + m
-    return order, edges, earlier
+    return order, edges
 
 
 class _Search:
     """Palette-feasibility rounds over a fixed edge order, by default the
     fail-first order, joined past the cutoff by a search in the degree
     order.  ``order[i]`` is slot i's edge id and ``edges[i]`` its
-    endpoints.  ``earlier[i]`` lists a triple (p, w, j) for every slot
-    j < i that meets slot i: j joins w to i's endpoint q, and p is i's
-    other endpoint, so p-q-w is a path.
+    endpoints; a given ``order`` is taken as it is.
 
     The fail-first order takes next the unplaced edge that meets the most
-    placed edges, so the one with the longest ``earlier`` entry; ties, and
-    the first edge of each component, go to the lowest BFS rank: the rank
-    in the BFS from the maximum-degree vertices.  The degree order, the
-    second search's, adds to that count the degree sum at the edge's ends.
+    placed edges; ties, and the first edge of each component, go to the
+    lowest BFS rank: the rank in the BFS from the maximum-degree vertices.
+    The degree order, the second search's, adds to that count the degree
+    sum at the edge's ends.
+
+    The searches and the dive read the colored edges at a vertex x from
+    ``col[x]``, a stack of (other end, color bit) that a placement pushes
+    onto at both ends and an undo pops.  Each backtracks chronologically,
+    so the stacks hold exactly the colored edges.
     """
 
     def __init__(self, g: Graph, budget: Budget, order: list[int] | None = None):
@@ -330,18 +331,16 @@ class _Search:
         self.hit = False  # set by a budget hit in feasible, which ends the solve
         self.bound: int | None = None  # the common-neighbour bound, set by the first round
         if order is None:
-            self.order, self.edges, self.earlier = _slot_order(g, _max_degree_bfs(g), [0] * g.m)
+            self.order, self.edges = _slot_order(g, [0] * g.m)
         else:
-            self.order, self.edges, self.earlier = _slot_order(g, order, None)
-        self._degree_order: tuple[list, list, list] | None = None
+            self.order, self.edges = order, [g.edges[e] for e in order]
+        self._degree_order: tuple[list, list] | None = None
 
-    def degree_order(self) -> tuple[list, list, list]:
-        """The degree order's (order, edges, earlier), built on first use."""
+    def degree_order(self) -> tuple[list, list]:
+        """The degree order's (order, edges), built on first use."""
         if self._degree_order is None:
-            g, degs = self.g, self.g.degrees()
-            ranked = _max_degree_bfs(g)
-            weight = [degs[u] + degs[v] for u, v in (g.edges[e] for e in ranked)]
-            self._degree_order = _slot_order(g, ranked, weight)
+            degs = self.g.degrees()
+            self._degree_order = _slot_order(self.g, [degs[u] + degs[v] for u, v in self.g.edges])
         return self._degree_order
 
     def elapsed(self) -> float:
@@ -395,7 +394,7 @@ class _Search:
         budget_secs = self.budget.max_seconds
         second_at = budget_nodes if second_after is None else self.nodes + second_after
         dive_at = self.nodes + CHECKPOINT_NODES if dive else None
-        searches = [self._descend(k, (self.order, self.edges, self.earlier), False)]
+        searches = [self._descend(k, (self.order, self.edges), False)]
         next(searches[0])
         turn = 0
         while True:
@@ -473,7 +472,7 @@ class _Search:
         weight = [degs[u] + degs[v] for u, v in ends]
         bits, bad = [0] * m, [0] * m
         vmask = [0] * g.n
-        at: list[dict[int, int]] = [{} for _ in range(g.n)]  # as in _descend
+        col: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]  # as in _Search
         frontier: set[int] = set()  # the uncolored edges that meet a colored one
         palette = (2 << k) - 2
         used = first = 0  # the colors used, always 1..t; no rank below first is uncolored
@@ -484,9 +483,7 @@ class _Search:
             u, v = ends[f]
             free = used & ~(vmask[u] | vmask[v])
             if free:
-                earlier = [(v, w, j) for j, w in inc[u] if bits[j]]
-                earlier += [(u, w, j) for j, w in inc[v] if bits[j]]
-                found = _bad_colors(earlier, bits, vmask, at, free)
+                found = _bad_colors(u, v, col, vmask, free)
                 if (found ^ bad[f]) & free:
                     trail.append((f, bad[f]))
                     bad[f] = found
@@ -519,6 +516,8 @@ class _Search:
                 bit, bits[e] = bits[e], 0
                 vmask[x] ^= bit
                 vmask[y] ^= bit
+                col[x].pop()
+                col[y].pop()
                 for end in x, y:
                     if not vmask[end]:  # its edges leave the frontier, bar those met elsewhere
                         frontier.difference_update(f for f, z in inc[end] if not vmask[z])
@@ -539,8 +538,8 @@ class _Search:
             bits[e] = bit
             vmask[x] |= bit
             vmask[y] |= bit
-            at[x][bit] = y
-            at[y][bit] = x
+            col[x].append((y, bit))
+            col[y].append((x, bit))
             frontier.discard(e)
             for end in x, y:
                 if vmask[end] == bit:  # its first color: its edges join the frontier
@@ -552,23 +551,21 @@ class _Search:
                     for f, _ in inc[end]:
                         if not bits[f]:
                             recompute(f)
-                rest, at_end = vmask[end] ^ bit, at[end]
-                while rest:  # each other colored edge end-w, of color b
-                    b = rest & -rest
-                    rest ^= b
-                    w = at_end[b]
+                for w, b in col[end]:  # each other colored edge end-w, of color b
+                    if b == bit:
+                        continue
                     far_has_b = vmask[far] & b
                     for f, z in inc[w]:
                         if not bits[f] and (far_has_b or vmask[z] & b):
                             recompute(f)
                     if vmask[w] & bit:
-                        for f, _ in inc[at[w][bit]]:
+                        for f, _ in inc[next(z for z, c in col[w] if c == bit)]:
                             if not bits[f]:
                                 recompute(f)
         self.nodes = nodes
         return EdgeColoring(g, tuple(b.bit_length() - 1 for b in bits))
 
-    def _descend(self, k: int, slots: tuple[list, list, list], top_down: bool):
+    def _descend(self, k: int, slots: tuple[list, list], top_down: bool):
         """One depth-first search for a k-coloring over the slot order
         ``slots``, as a generator.  Each value sent to it is a node count:
         it searches until ``nodes`` reaches it, then yields.  It returns the
@@ -579,17 +576,14 @@ class _Search:
         first: the fresh one while k allows, then the used ones from the
         last opened down.
         """
-        order, edges, earlier = slots
+        order, edges = slots
         m = len(edges)
-        bits = [0] * m
         vmask = [0] * self.g.n
-        # at[x][bit]: the other end of x's edge of that color, read only
-        # while the bit is in vmask[x], so uncoloring leaves it stale
-        at: list[dict[int, int]] = [{} for _ in range(self.g.n)]
+        col: list[list[tuple[int, int]]] = [[] for _ in range(self.g.n)]  # as in _Search
         palette = (2 << k) - 2
-        # per colored slot: the colors it has left to try, its bad mask and
-        # opened, the colors used so far plus the next fresh one
-        stack: list[tuple[int, int, int]] = []
+        # per colored slot: its color bit, the colors it has left to try, its
+        # bad mask and opened, the colors used so far plus the next fresh one
+        stack: list[tuple[int, int, int, int]] = []
         i, opened, free = 0, (1 << k if top_down else 2) & palette, None
         stop = yield
         nodes = self.nodes
@@ -600,17 +594,18 @@ class _Search:
                         break
                     u, v = edges[i]
                     free = opened & ~(vmask[u] | vmask[v])
-                    bad = _bad_colors(earlier[i], bits, vmask, at, free) if free else 0
+                    bad = _bad_colors(u, v, col, vmask, free) if free else 0
                     continue
                 if not stack:  # slot 0 has no color left: k is refuted
                     self.nodes = nodes
                     return None
                 i -= 1  # slot i has no color left: uncolor the one below
                 u, v = edges[i]
-                bit = bits[i]
+                bit, free, bad, opened = stack.pop()
                 vmask[u] ^= bit
                 vmask[v] ^= bit
-                free, bad, opened = stack.pop()
+                col[u].pop()
+                col[v].pop()
                 continue
             bit = free & -free
             free ^= bit
@@ -621,19 +616,18 @@ class _Search:
                 nodes = self.nodes
             if bad & bit:
                 continue
-            bits[i] = bit
             vmask[u] |= bit
             vmask[v] |= bit
-            at[u][bit] = v
-            at[v][bit] = u
-            stack.append((free, bad, opened))
+            col[u].append((v, bit))
+            col[v].append((u, bit))
+            stack.append((bit, free, bad, opened))
             # opened gains the bit next to the chosen one on the side away
             # from the used colors: above it first fit, below it top-down;
             # the bit on the other side is opened already or off the palette
             i, opened, free = i + 1, (opened | bit << 1 | bit >> 1) & palette, None
         self.nodes = nodes
         colors = [0] * m
-        for e, bit in zip(order, bits):
+        for e, (bit, *_) in zip(order, stack):
             c = bit.bit_length() - 1
             colors[e] = k + 1 - c if top_down else c
         return EdgeColoring(self.g, tuple(colors))

@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -417,12 +418,16 @@ def test_bad_colors_are_exact_on_free_colors():
         search = solver._Search(g, Budget())
         bits = [0] * g.m
         vmask = [0] * g.n
-        at: list[dict[int, int]] = [{} for _ in range(g.n)]
         used = 0
         for i, (u, v) in enumerate(search.edges):
+            # the colored edges at each vertex, built afresh from the prefix
+            col: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+            for (a, b), bit in zip(search.edges[:i], bits):
+                col[a].append((b, bit))
+                col[b].append((a, bit))
             # the colors up to one past the largest in use, free at both ends
             free = ((2 << (used + 1)) - 2) & ~(vmask[u] | vmask[v])
-            bad = solver._bad_colors(search.earlier[i], bits, vmask, at, free)
+            bad = solver._bad_colors(u, v, col, vmask, free)
             prefix = from_edges(g.n, search.edges[: i + 1])
             colors = {e: bit.bit_length() - 1 for e, bit in zip(search.edges, bits[:i])}
             good = []
@@ -440,8 +445,6 @@ def test_bad_colors_are_exact_on_free_colors():
             bit = bits[i] = 1 << c
             vmask[u] |= bit
             vmask[v] |= bit
-            at[u][bit] = v
-            at[v][bit] = u
     assert cases > 5000  # 5390 colors checked
 
 
@@ -470,9 +473,7 @@ def test_fail_first_order_takes_the_edge_meeting_the_most_placed_ones():
             placed = [set(g.edges[d]) for d in order[:i]]
             # the placed edges each unplaced edge meets
             score = {f: sum(bool(set(g.edges[f]) & ends) for ends in placed) for f in order[i:]}
-            assert len(search.earlier[i]) == score[e] == max(score.values()), (g, i)
-            assert {j for _, _, j in search.earlier[i]} == {
-                j for j, ends in enumerate(placed) if ends & set(g.edges[e])}
+            assert score[e] == max(score.values()), (g, i)
             tied = [f for f in score if score[f] == score[e]]
             assert rank[e] == min(rank[f] for f in tied), (g, i)
 
@@ -485,7 +486,7 @@ def test_degree_order_takes_the_edge_of_the_highest_degree_score():
     graphs.append(from_edges(9, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5), (5, 6), (6, 7), (4, 6)]))
     graphs.append(build_family("h2", delta=7).graph)
     for g in graphs:
-        order, edges, earlier = solver._Search(g, Budget()).degree_order()
+        order, edges = solver._Search(g, Budget()).degree_order()
         assert sorted(order) == list(range(g.m))
         assert edges == [g.edges[e] for e in order]
         degs = g.degrees()
@@ -493,9 +494,6 @@ def test_degree_order_takes_the_edge_of_the_highest_degree_score():
         for i, e in enumerate(order):
             placed = [set(g.edges[d]) for d in order[:i]]
             meets = {f: sum(bool(set(g.edges[f]) & ends) for ends in placed) for f in order[i:]}
-            assert len(earlier[i]) == meets[e], (g, i)
-            assert {j for _, _, j in earlier[i]} == {
-                j for j, ends in enumerate(placed) if ends & set(g.edges[e])}
             frontier = [f for f in meets if meets[f]]
             if not frontier:  # a component starts at the best-ranked edge left
                 assert rank[e] == min(rank[f] for f in meets), (g, i)
@@ -504,6 +502,22 @@ def test_degree_order_takes_the_edge_of_the_highest_degree_score():
             assert e in score and score[e] == max(score.values()), (g, i)
             tied = [f for f in score if score[f] == score[e]]
             assert rank[e] == min(rank[f] for f in tied), (g, i)
+
+
+def test_a_hub_costs_the_search_memory_linear_in_its_degree():
+    # the colored edges at a vertex are one stack per vertex, so both slot
+    # orders and the search on the star K1,400 stay small; per-slot tables
+    # of the earlier edges at each slot's ends held d*d/2 entries at the
+    # hub, an 11.8 MB peak here
+    g = from_edges(401, [(0, leaf) for leaf in range(1, 401)])
+    tracemalloc.start()
+    try:
+        assert exact_chi_star(g).chi == 400
+        solver._Search(g, Budget()).degree_order()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def test_chi_is_the_same_for_any_cutoff(monkeypatch):
@@ -526,7 +540,7 @@ def test_chi_is_the_same_for_any_cutoff(monkeypatch):
 
 def test_chi_is_the_same_under_relabelings_and_the_bfs_order():
     # Both runs share _bad_colors, so this checks the order machinery (the
-    # fail-first order, its BFS tie-break and the slot tables), not the kernel.
+    # fail-first order, its BFS tie-break and the colored-edge stacks), not the kernel.
     def chi_in_order(g, order):
         search = solver._Search(g, Budget(), order)
         k = max(g.max_degree(), 1)
@@ -780,15 +794,17 @@ def _naive_dive(g, k):
     rank = {e: r for r, e in enumerate(ranked)}
     degs, ends = g.degrees(), g.edges
     bits, vmask = [0] * g.m, [0] * g.n
-    at: list[dict[int, int]] = [{} for _ in range(g.n)]
     stack, used, placed = [], 0, 0
 
     def legal(e, opened):
         u, v = ends[e]
         free = opened & ~(vmask[u] | vmask[v])
-        earlier = [(q, a + b - p, f) for p, q in ((u, v), (v, u))
-                   for f, (a, b) in enumerate(ends) if bits[f] and p in (a, b)]
-        return free & ~solver._bad_colors(earlier, bits, vmask, at, free)
+        col: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+        for f, (a, b) in enumerate(ends):
+            if bits[f]:
+                col[a].append((b, bits[f]))
+                col[b].append((a, bits[f]))
+        return free & ~solver._bad_colors(u, v, col, vmask, free)
 
     while True:
         opened = (used | used + 2) & ((2 << k) - 2)
@@ -816,7 +832,6 @@ def _naive_dive(g, k):
         u, v = ends[e]
         vmask[u] |= bit
         vmask[v] |= bit
-        at[u][bit], at[v][bit] = v, u
         if len(stack) == g.m:
             return tuple(b.bit_length() - 1 for b in bits), placed
 
