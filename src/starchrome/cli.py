@@ -51,6 +51,9 @@ def _print_rounds(rounds) -> None:
     for r in rounds:
         print(f"round k={r.k} nodes={r.nodes} seconds={r.seconds:.3f} second={r.second} "
               f"dive={r.dive} outcome={r.outcome}")
+    ran = [r for r in rounds if r.second]
+    if ran:  # the automorphisms the degree-order search checked
+        print(f"symmetry maps={ran[0].maps}")
 
 
 def _print_bound(g) -> None:

@@ -39,7 +39,12 @@ class Graph:
         return cached
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.neighbors())
+        """Vertex degrees (cached)."""
+        cached = self.__dict__.get("_degrees")
+        if cached is None:
+            cached = tuple(len(nbrs) for nbrs in self.neighbors())
+            self.__dict__["_degrees"] = cached
+        return cached
 
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)

@@ -55,6 +55,33 @@ order (an algorithm portfolio, Gomes and Selman 2001).  Each search is a
 generator that runs to the node count it is sent, and feasible alone
 handles the budget and the turns, so the per-node loop tests one counter.
 
+The degree-order search also breaks the graph's symmetry by the
+lex-leader rule (Crawford, Ginsberg, Luks and Roy, KR 1996), from the
+symmetry module, which loads when that search first starts.  There the
+solve runs one bounded automorphism search (symmetry.automorphisms): for
+each base vertex in turn, one automorphism that fixes the earlier base
+vertices for each other vertex of its orbit, at most SYMMETRY_MAPS maps
+and SYMMETRY_STEPS candidate images, each map checked against the edge
+set.  Each map becomes a slot map p over the
+degree order.  With X the partial coloring by slots, its colors named in
+the order the search opens them, a color that passes the bad-color test
+is pruned when the colored slots already make X lex-greater than
+ren(X o p) for some p, where (X o p)[j] = X[p[j]] and ren renames colors
+by first use (symmetry.LexLeader, incremental, restored on undo).  The rule is
+sound: the orbit of any k-coloring under Aut(G) x S_k holds only
+k-colorings, and its lex-least member L is named by first use (ren(L) is
+in the orbit and ren(L) <= L) and has L <= ren(L o p) for every
+automorphism p (ren(L o p) is in the orbit too).  The search visits
+every partial coloring that is proper, has no bad color, is named by
+first use and passes the check, so it reaches L, and a refutation still
+holds.  Naming by first use is the fresh-color rule, value precedence on
+S_k (Law and Lee, CP 2004).  First fit and the dive do not use the rule,
+so every round that ends before the cutoff keeps its count.  h_prime
+delta=8's k=9 round (|Aut| = 6, 3 maps) is refuted in 270 401 nodes
+(1 190 096 without the rule), h_prime delta=9's k=10 round in 8 717 527
+(41 224 158), and g_delta delta=8's k=9 round (|Aut| = 82 944, 21 maps)
+in 17 884 (1 161 360).
+
 A round that passes CHECKPOINT_NODES nodes runs one dive at its first
 checkpoint at least that far in (_Search._dive): a least-domain descent
 after Brelaz 1979, whose legal colors are the open ones free at both ends
@@ -76,11 +103,11 @@ and C the degree order's own count.  The hub-and-fan families gain
 most: the search alone refutes h2 delta=9's k=9 in 68 388 nodes
 (1 729 449 first fit alone), and h_case1 delta=8's k=9 witness takes
 43 085 (first fit and one top-down restart took 61 M).  Where the degree
-order is no better a round costs up to about twice as much: g_delta
-delta=8's k=9 refutation takes 1 161 402 nodes (42 of them the dive's),
-against 587 920 first fit alone.  No sweep round to n=12 reaches the
-cutoff (the largest takes 9 756 nodes), so the sweep runs as first fit
-alone, plus a dive in the rounds past 4096 nodes.  The degree order is
+order is no better a round costs up to about twice as much: h_prime
+delta=7's k=8 refutation takes 26 877 nodes, against 23 472 first fit
+alone (31 724 before the lex-leader rule).  No sweep round to n=12
+reaches the cutoff (the largest takes 9 756 nodes), so the sweep runs as
+first fit alone, plus a dive in the rounds past 4096 nodes.  The degree order is
 built only when a round reaches the cutoff.
 
 The greedy upper bound is the same search over the BFS order with
@@ -99,6 +126,7 @@ public solvers.
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
 from dataclasses import dataclass
@@ -134,6 +162,7 @@ class Round:
     # "bound" (below the common-neighbour bound, not searched), "refuted",
     # "feasible", "budget" or "greedy" (a hit settled by a greedy order)
     outcome: str
+    maps: int = 0  # automorphisms the degree-order search checked, 0 if it did not run
 
 
 @dataclass(frozen=True)
@@ -252,39 +281,60 @@ def _max_degree_bfs(g: Graph) -> list[int]:
     """Edge ids in the BFS order from the maximum-degree vertices, each
     adjacency list ascending: the ranks that break the slot orders' ties."""
     degs = g.degrees()
-    starts = sorted(range(g.n), key=lambda v: (-degs[v], v))
-    return bfs_edge_order(g, starts, g.neighbors())
+    # a stable sort keeps ties in vertex order, reversed or not
+    return bfs_edge_order(g, sorted(range(g.n), key=degs.__getitem__, reverse=True), g.neighbors())
 
 
-def _slot_order(g: Graph, weight: list[int]) -> tuple[list, list]:
+def _slot_order(g: Graph, weight: Sequence[int]) -> tuple[list, list]:
     """A slot order over g's edges, as the pair (order, edges) that _Search
     describes.
 
     Each next slot is, among the unplaced edges that meet a placed one,
-    the one of the highest score: its ``weight`` (indexed by edge id) plus
-    the number of placed edges it meets.  Ties, and the first edge of each
-    component, go to the lowest rank in _max_degree_bfs.
+    the one of the highest score: the ``weight`` of its two ends (indexed
+    by vertex) plus the number of placed edges it meets.  Ties, and the
+    first edge of each component, go to the lowest rank in _max_degree_bfs.
+
+    The score of u-v is s[u] + s[v], where s[x] is x's weight plus its
+    placed edges.  Each edge sits in the heap of one end, its owner, the
+    end of larger degree, keyed by s at its other end; a heap over the
+    owners holds each one's best.  A placement at x then re-keys only the
+    edges at x that x does not own, whose owners have at least x's degree:
+    about sum(min(d(u), d(v))) heap entries in all, O(m) entries at
+    bounded arboricity (Chiba and Nishizeki 1985), where rescoring every
+    edge at both ends of each placement cost sum(d(v)^2).
     """
     m = g.m
     ranked = _max_degree_bfs(g)
     ends = [g.edges[e] for e in ranked]
-    inc: list[list[int]] = [[] for _ in range(g.n)]  # ranks of the edges at x
-    for r, (u, v) in enumerate(ends):
-        inc[u].append(r)
-        inc[v].append(r)
-    # Unplaced edges that meet a placed one, by rank r, each with the value
-    # score*m - r: the largest value is the next slot, and r is -value % m.
-    frontier: dict[int, int] = {}
-    value_of = frontier.get
-    # each rank's value while it meets no placed edge
-    base = [weight[e] * m - r for r, e in enumerate(ranked)]
+    degs = g.degrees()
+    owner = [u if degs[u] >= degs[v] else v for u, v in ends]
+    other = [u + v - o for (u, v), o in zip(ends, owner)]
+    mine: list[list[int]] = [[] for _ in degs]  # ranks of the edges x owns
+    guests: list[list[int]] = [[] for _ in degs]  # ranks of the edges at x it does not own
+    for r, o in enumerate(owner):
+        mine[o].append(r)
+        guests[other[r]].append(r)
+    s = list(weight)
+    # Heap entries are ints r - key*m for rank r: the smallest is the
+    # highest key, then the lowest rank, and r is the entry % m.  Per
+    # owner, keyed by s[other end], its edges that meet a placed one; an
+    # entry out of date or placed is skipped, and the top is never one
+    # once a placement is done:
+    owned: list[list[int]] = [[] for _ in degs]
+    # Keyed by score: the latest entry pushed for an owner is for its best
+    # edge, pushed whenever that edge's score rose, so no worse than it.
+    best: list[int] = []
+    push, pop = heapq.heappush, heapq.heappop
     placed = [False] * m
+    touched = [False] * len(degs)  # x has a placed edge
     first = 0  # no rank below it is unplaced
     order, edges = [], []
-    for _ in range(m):
-        if frontier:
-            r = -max(frontier.values()) % m
-            del frontier[r]
+    for _ in ranked:
+        while best:
+            entry = pop(best)
+            r = entry % m
+            if entry == r - (s[owner[r]] + s[other[r]]) * m and not placed[r]:
+                break
         else:
             while placed[first]:
                 first += 1
@@ -293,12 +343,29 @@ def _slot_order(g: Graph, weight: list[int]) -> tuple[list, list]:
         u, v = uv = ends[r]
         order.append(ranked[r])
         edges.append(uv)
-        for f in inc[u]:
-            if not placed[f]:
-                frontier[f] = value_of(f, base[f]) + m
-        for f in inc[v]:
-            if not placed[f]:
-                frontier[f] = value_of(f, base[f]) + m
+        for x in uv:
+            s[x] += 1
+            sx = s[x] * m
+            for f in guests[x]:
+                if not placed[f]:
+                    o = owner[f]
+                    heap = owned[o]
+                    push(heap, f - sx)
+                    if heap[0] == f - sx:  # f is now o's best
+                        push(best, f - sx - s[o] * m)
+            heap = owned[x]
+            if not touched[x]:  # x's own edges now meet a placed one
+                touched[x] = True
+                for f in mine[x]:
+                    if not placed[f]:
+                        push(heap, f - s[other[f]] * m)
+            while heap:  # x's best, whose score rose with s[x]
+                top = heap[0]
+                f = top % m
+                if top == f - s[other[f]] * m and not placed[f]:
+                    push(best, top - sx)
+                    break
+                pop(heap)
     return order, edges
 
 
@@ -318,6 +385,10 @@ class _Search:
     ``col[x]``, a stack of (other end, color bit) that a placement pushes
     onto at both ends and an undo pops.  Each backtracks chronologically,
     so the stacks hold exactly the colored edges.
+
+    The degree order and the automorphisms (as slot maps over it) are
+    found on first use, at most once per solve: when a round first
+    starts the degree-order search.
     """
 
     def __init__(self, g: Graph, budget: Budget, order: list[int] | None = None):
@@ -331,17 +402,34 @@ class _Search:
         self.hit = False  # set by a budget hit in feasible, which ends the solve
         self.bound: int | None = None  # the common-neighbour bound, set by the first round
         if order is None:
-            self.order, self.edges = _slot_order(g, [0] * g.m)
+            self.order, self.edges = _slot_order(g, [0] * g.n)
         else:
             self.order, self.edges = order, [g.edges[e] for e in order]
         self._degree_order: tuple[list, list] | None = None
+        self._symmetry: list[list[int]] | None = None
 
     def degree_order(self) -> tuple[list, list]:
         """The degree order's (order, edges), built on first use."""
         if self._degree_order is None:
-            degs = self.g.degrees()
-            self._degree_order = _slot_order(self.g, [degs[u] + degs[v] for u, v in self.g.edges])
+            self._degree_order = _slot_order(self.g, self.g.degrees())
         return self._degree_order
+
+    def symmetry(self) -> list[list[int]]:
+        """The automorphisms as slot maps over the degree order, p[j] the
+        slot of the image of slot j's edge, found on first use."""
+        if self._symmetry is None:
+            edges = self.degree_order()[1]
+            slot = {uv: j for j, uv in enumerate(edges)}
+            base = list(dict.fromkeys(x for uv in edges for x in uv))
+            self._symmetry = []
+            from .symmetry import automorphisms
+
+            for image in automorphisms(self.g, base):
+                p = [slot[(image[u], image[v]) if image[u] < image[v] else (image[v], image[u])]
+                     for u, v in edges]
+                if p != list(range(len(p))):  # not the identity on the edges
+                    self._symmetry.append(p)
+        return self._symmetry
 
     def elapsed(self) -> float:
         return time.monotonic() - self.started
@@ -364,7 +452,7 @@ class _Search:
         outcome = ("refuted" if witness is None else "budget" if witness.palette_size() > k
                    else "greedy" if self.hit else "feasible")
         self.rounds.append(Round(k, self.nodes - nodes, time.monotonic() - started, self.second,
-                                 self.dive, outcome))
+                                 self.dive, outcome, len(self.symmetry()) if self.second else 0))
         if outcome == "budget":
             upper = witness.palette_size()
             raise BudgetExhausted(max(lower, self.bound), upper, self.nodes, self.elapsed(),
@@ -574,10 +662,19 @@ class _Search:
         First fit tries the free colors lowest first.  Top-down stores
         color c as bit k+1-c, so the lowest bit first is the highest color
         first: the fresh one while k allows, then the used ones from the
-        last opened down.
+        last opened down.  Top-down is the degree-order search: ``slots``
+        must be degree_order(), and a color that is not bad is still
+        pruned by symmetry.LexLeader over symmetry(), whose state each undo
+        restores.
         """
         order, edges = slots
         m = len(edges)
+        maps = self.symmetry() if top_down else None
+        lex = None
+        if maps:
+            from .symmetry import LexLeader
+
+            lex = LexLeader(maps, k)
         vmask = [0] * self.g.n
         col: list[list[tuple[int, int]]] = [[] for _ in range(self.g.n)]  # as in _Search
         palette = (2 << k) - 2
@@ -606,6 +703,8 @@ class _Search:
                 vmask[v] ^= bit
                 col[u].pop()
                 col[v].pop()
+                if lex:
+                    lex.undo()
                 continue
             bit = free & -free
             free ^= bit
@@ -614,7 +713,7 @@ class _Search:
                 self.nodes = nodes
                 stop = yield
                 nodes = self.nodes
-            if bad & bit:
+            if bad & bit or lex and not lex.place(i, bit):
                 continue
             vmask[u] |= bit
             vmask[v] |= bit

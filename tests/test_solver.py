@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from starchrome import solver
+from starchrome import solver, symmetry
 from starchrome.coloring import EdgeColoring, star_violations
 from starchrome.errors import BudgetExhausted, OutOfRange, TooLarge
 from starchrome.families import build_family
@@ -30,7 +30,8 @@ from starchrome.solver import (
 )
 from starchrome.sweep import ResultCache, run_sweep
 
-from conftest import cycle_graph, fan_graph, g61, g61_prime, k4, path_graph, random_connected_graph
+from conftest import (cycle_graph, fan_graph, g61, g61_prime, k4, k23, path_graph,
+                      random_connected_graph)
 from iso_oracle import canonical_form, two_connected_spanning_subgraphs
 
 SOLVE_HARD = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "solve-hard.txt"
@@ -195,14 +196,22 @@ def test_extremal_family_exact_values():
         ("h_case1", 7): 9,
         ("h_case1", 9): 10,      # delta+1, three under the delta+4 closed form
         ("h2", 10): 11,          # delta+1, one under the delta+2 closed form
+        ("h_prime", 8): 10,
+        ("g_delta", 8): 10,
     }
     # (k, nodes, second, dive, outcome) per round: the counts follow the
     # builders' labels; h_case1 delta=7's k=8 refutation runs past the
     # cutoff, after a dive that gives up at 2m placements; the dive finds
     # its k=9 witness and h2 delta=10's k=11 one, which the searches alone
     # reached at 16 437 and 125 329 nodes; at h_case1 delta=9 it gives up,
-    # and the degree order finds the witness
+    # and the degree order finds the witness.  The lex-leader check over 3
+    # and 21 automorphisms settles h_prime and g_delta delta=8's k=9
+    # refutations, which took 1 190 096 and 1 161 360 nodes without it.
     rounds = {
+        ("h_prime", 8): [(8, 0, 0, 0, "bound"), (9, 270401, 127041, 72, "refuted"),
+                         (10, 8163, 0, 36, "feasible")],
+        ("g_delta", 8): [(8, 0, 0, 0, "bound"), (9, 17884, 1500, 42, "refuted"),
+                         (10, 6713, 0, 21, "feasible")],
         ("h_case1", 7): [(7, 0, 0, 0, "bound"), (8, 278972, 131516, 58, "refuted"),
                          (9, 7793, 0, 45, "feasible")],
         ("h_case1", 9): [(9, 0, 0, 0, "bound"), (10, 958605, 471181, 82, "feasible")],
@@ -576,8 +585,9 @@ def test_budget_hit_stops_at_the_node_budget():
 def test_budget_hit_reports_the_best_of_64_greedy_orders():
     # greedy seed 0 alone gives 13 and 11; a hit draws all 64, and seed 24
     # colors h_case1 delta=7 with 9 (its search settles it within 500 000
-    # nodes, so only the 5-node budget is hit there)
-    for name, upper, budgets in (("h_prime-d8", 11, (Budget(500_000, 1e9), Budget(5, 1e9))),
+    # nodes, so only the 5-node budget is hit there; h_prime delta=8 is
+    # settled at 278 564 nodes, so 200 000 still hits its k=9 round)
+    for name, upper, budgets in (("h_prime-d8", 11, (Budget(200_000, 1e9), Budget(5, 1e9))),
                                  ("h_case1-d7", 9, (Budget(5, 1e9),))):
         for budget in budgets:
             with pytest.raises(BudgetExhausted) as exc_info:
@@ -611,14 +621,20 @@ def _draw_log(monkeypatch):
     return log
 
 
+def _hard_budget(name):
+    """The budget a test solves a hard instance under: 200 000 nodes from
+    delta=8 on, which h_prime delta=8's k=9 round still hits."""
+    return Budget(200_000, 1e9) if HARD[name][1] >= 8 else Budget()
+
+
 def _spied_solves(monkeypatch, tmp_path):
     """The draw log of the sweep to n=9, ``fan_graph(9)`` under
     ``Budget(5)`` and the five hard instances."""
     log = _draw_log(monkeypatch)
     run_sweep(9, ResultCache(tmp_path / "c.jsonl"))
     solves = [(fan_graph(9), Budget(5))]
-    for name, (_, delta) in HARD.items():
-        solves.append((_hard(name), Budget(500_000, 1e9) if delta >= 8 else Budget()))
+    for name in HARD:
+        solves.append((_hard(name), _hard_budget(name)))
     for g, budget in solves:
         try:
             exact_chi_star(g, budget)
@@ -717,10 +733,19 @@ def test_search_depth_is_not_bound_by_the_recursion_limit():
     assert solver._Search(g, Budget()).feasible(2) is None  # the search alone
 
 
-def _alone(g, k, order=None):
-    """Nodes the search in one slot order, alone, spends to refute k."""
-    search = solver._Search(g, Budget(), order)
-    assert search.feasible(k) is None
+def _alone(g, k, degree=False):
+    """Nodes one search, alone, spends to refute k: first fit, or given
+    ``degree`` the degree-order search as a round runs it, top-down and
+    under the lex-leader check."""
+    search = solver._Search(g, Budget())
+    if not degree:
+        assert search.feasible(k) is None
+        return search.nodes
+    run = search._descend(k, search.degree_order(), True)
+    next(run)
+    with pytest.raises(StopIteration) as end:
+        run.send(10**12)
+    assert end.value.value is None
     return search.nodes
 
 
@@ -771,12 +796,11 @@ def test_a_refuted_round_costs_at_most_twice_the_better_order(monkeypatch):
     for restart, g in cases:
         monkeypatch.setattr(solver, "RESTART_NODES", restart)
         result = exact_chi_star(g)
-        degree_ids = solver._Search(g, Budget()).degree_order()[0]
         start = 0
         for r in result.rounds:
             if r.outcome == "refuted":
                 first_fit = _alone(g, r.k)
-                degree = _alone(g, r.k, degree_ids)
+                degree = _alone(g, r.k, degree=True)
                 turns = _turns(start, restart, first_fit, degree, lambda: _dived(g, r.k))
                 assert (r.nodes, r.second, r.dive) == turns, (g, r)
                 if first_fit >= restart:
@@ -924,9 +948,9 @@ def test_a_round_that_ends_before_its_first_checkpoint_never_dives(monkeypatch):
     for n in range(4, 13):
         for key in enumerate_mops(n).members:
             exact_chi_star(graph6_decode(key))
-    for name, (_, delta) in HARD.items():
+    for name in HARD:
         try:
-            exact_chi_star(_hard(name), Budget(500_000, 1e9) if delta >= 8 else Budget())
+            exact_chi_star(_hard(name), _hard_budget(name))
         except BudgetExhausted:
             pass
     assert greedy_star_upper(path_graph(20_000)).palette_size() == 3
@@ -962,14 +986,15 @@ def test_a_budget_hit_draws_greedy_orders_only_while_seconds_remain():
 def test_the_degree_order_finds_the_h_prime_d8_witness():
     # first fit ran past 96 M nodes in this round without a witness; the
     # degree-order search, highest color first, taking turns with first
-    # fit from 16 384 nodes on, finds a 10-coloring after 88 550 of its own
-    # nodes, 190 950 in all.  In a palette round the dive finds one first,
-    # at 4 096 + 36 nodes.
+    # fit from 16 384 nodes on, finds a 10-coloring after 135 of its own
+    # nodes, 16 519 in all (88 550 and 190 950 before the lex-leader
+    # check).  In a palette round the dive finds one first, at 4 096 + 36
+    # nodes.
     g = _hard("h_prime-d8")
     search = solver._Search(g, Budget(200_000))
     coloring = search.feasible(10, RESTART_NODES)
     assert star_violations(coloring) == [] and coloring.palette_size() == 10
-    assert (search.nodes, search.second) == (190_950, 88_550)
+    assert (search.nodes, search.second) == (16_519, 135)
     search = solver._Search(g, Budget(200_000))
     assert search.feasible(10).palette_size() > 10  # first fit alone: a budget hit
     search = solver._Search(g, Budget(200_000))
@@ -984,6 +1009,159 @@ def test_the_degree_order_finds_the_h_case1_d8_witness():
     # search finds a 9-coloring after 14 413 of its own nodes
     coloring = star_palette_feasible(build_family("h_case1", delta=8).graph, 9, Budget(100_000))
     assert star_violations(coloring) == [] and coloring.palette_size() == 9
+
+
+def _symmetric_graphs():
+    """Graphs of at most 9 edges with many automorphisms: cycles, paths,
+    stars, wheels, K4, K2,3, the prism, the MOPs and dissections to n=6
+    and random graphs."""
+    graphs = [cycle_graph(n) for n in range(3, 10)] + [path_graph(n) for n in range(2, 11)]
+    graphs += [from_edges(n + 1, [(0, leaf) for leaf in range(1, n + 1)]) for n in range(2, 10)]
+    graphs += [from_edges(n + 1, [(0, i) for i in range(1, n + 1)]
+                          + [(i, i % n + 1) for i in range(1, n + 1)]) for n in (3, 4)]
+    graphs += [k4(), k23(), from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                                          (0, 3), (1, 4), (2, 5)])]
+    graphs += [g for n in range(3, 7) for g in enumerate_mops(n).members.values()]
+    graphs += [g for n in range(3, 7) for g in enumerate_dissections(n).members.values()]
+    rng = random.Random(30)
+    graphs += [random_connected_graph(rng, max_edges=9, max_n=8) for _ in range(293)]
+    return graphs
+
+
+def test_the_lex_leader_check_keeps_every_chi(monkeypatch):
+    # the lex-least coloring of each orbit under Aut(G) x S_k passes the
+    # fresh-color rule and every map's check, so with the degree-order
+    # search starting at the first node no round loses its witness and no
+    # refutation is wrong
+    monkeypatch.setattr(solver, "RESTART_NODES", 1)
+    checked = symmetric = 0
+    for g in _symmetric_graphs():
+        result = exact_chi_star(g)
+        assert result.chi == brute_force_chi_star(g), g
+        assert star_violations(result.witness) == [] and result.witness.palette_size() == result.chi
+        checked += 1
+        symmetric += any(r.maps for r in result.rounds)
+    assert checked == 343 and symmetric > 250
+
+
+def _lex_greater(colors, i, p):
+    """Whether slots 0..i of the coloring ``colors`` make it greater than
+    ren(X o p), each side's colors named afresh by first use."""
+    mine, theirs = {}, {}
+    for j in range(i + 1):
+        if p[j] > i:
+            return False
+        x = mine.setdefault(colors[j], len(mine))
+        y = theirs.setdefault(colors[p[j]], len(theirs))
+        if x != y:
+            return x > y
+    return False
+
+
+def test_the_lex_check_matches_a_comparison_from_scratch(monkeypatch):
+    # at every placement the degree-order search tries, the incremental
+    # check refuses the color exactly when some map's comparison, run from
+    # slot 0 on the colored prefix, finds the coloring greater
+    place = symmetry.LexLeader.place
+    counts = Counter()
+
+    def spy(self, i, bit):
+        before = self.colors[:i]
+        kept = place(self, i, bit)
+        colors = before + [bit]
+        assert kept == (not any(_lex_greater(colors, i, p) for p in self.maps)), (i, colors)
+        counts[kept] += 1
+        return kept
+
+    monkeypatch.setattr(symmetry.LexLeader, "place", spy)
+    for family, delta in (("h_prime", 6), ("h_prime", 7), ("g_delta", 6)):
+        g = build_family(family, delta=delta).graph
+        for k in (delta + 1, delta + 2):
+            search = solver._Search(g, Budget())
+            run = search._descend(k, search.degree_order(), True)
+            next(run)
+            with pytest.raises(StopIteration):
+                run.send(10**12)
+    assert counts[True] > 10_000 and counts[False] > 500, counts
+
+
+def _group(maps, n):
+    """Every composition of the vertex maps ``maps``, the identity too."""
+    group, frontier = {tuple(range(n))}, [tuple(range(n))]
+    while frontier:
+        a = frontier.pop()
+        for b in maps:
+            c = tuple(b[x] for x in a)
+            if c not in group:
+                group.add(c)
+                frontier.append(c)
+    return group
+
+
+def test_every_kept_automorphism_preserves_the_edge_set():
+    # each map is a bijection that sends edges to edges; on small graphs
+    # the maps generate the whole group, found here by trying every
+    # permutation; on K1,400 the caps keep the search small
+    for g in _symmetric_graphs()[:70] + [g61(), g61_prime(), fan_graph(7)]:
+        base = list(dict.fromkeys(x for uv in solver._Search(g, Budget()).degree_order()[1]
+                                  for x in uv))
+        maps = symmetry.automorphisms(g, base)
+        edges = g.edge_set()
+        for p in maps:
+            assert sorted(p) == list(range(g.n)) and p != list(range(g.n)), g
+            assert {(min(p[u], p[v]), max(p[u], p[v])) for u, v in g.edges} == edges, g
+        if g.n <= 7:
+            every = {p for p in itertools.permutations(range(g.n))
+                     if {(min(p[u], p[v]), max(p[u], p[v])) for u, v in g.edges} == edges}
+            assert _group(maps, g.n) == every, g
+    for family, delta, count in (("h_prime", 8, 3), ("g_delta", 8, 21), ("h2", 8, 1),
+                                 ("h_case1", 8, 0)):
+        g = build_family(family, delta=delta).graph
+        maps = solver._Search(g, Budget()).symmetry()
+        assert len(maps) == count, (family, delta)
+        for p in maps:  # slot maps: permutations of the degree order's slots
+            assert sorted(p) == list(range(g.m)) and p != list(range(g.m))
+    star = from_edges(401, [(0, leaf) for leaf in range(1, 401)])
+    tracemalloc.start()
+    try:
+        started = time.monotonic()
+        maps = solver._Search(star, Budget()).symmetry()
+        seconds = time.monotonic() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the group has 400! elements; the step cap ends the search at 48 maps
+    assert 0 < len(maps) <= symmetry.SYMMETRY_MAPS and seconds < 5 and peak < 2_000_000
+
+
+def _naive_slot_order(g, weight):
+    """The slot-order rule, every unplaced score counted afresh per step."""
+    ranked = _bfs_order(g)
+    placed = [False] * g.m
+    touched = [0] * g.n  # placed edges at each vertex
+    order = []
+    for _ in range(g.m):
+        left = [e for e in ranked if not placed[e]]
+        near = [e for e in left if any(touched[x] for x in g.edges[e])]
+        e = max(near, key=lambda f: sum(weight[x] + touched[x] for x in g.edges[f]),
+                default=left[0])  # max keeps the first, lowest-ranked, of a tie
+        placed[e] = True
+        for x in g.edges[e]:
+            touched[x] += 1
+        order.append(e)
+    return order
+
+
+def test_both_slot_orders_follow_the_rule_on_the_soundness_set():
+    # the queue by owner gives the orders that scoring every unplaced edge
+    # afresh at each step gives, also around hubs
+    graphs = _soundness_set() + [from_edges(41, [(0, leaf) for leaf in range(1, 41)]),
+                                 fan_graph(40), build_family("h_prime", delta=12).graph]
+    for g in graphs:
+        for weight in ([0] * g.n, g.degrees()):
+            order, edges = solver._slot_order(g, weight)
+            assert order == _naive_slot_order(g, weight), g
+            assert edges == [g.edges[e] for e in order]
 
 
 def test_greedy_never_restarts(monkeypatch):

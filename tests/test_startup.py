@@ -32,7 +32,8 @@ EXPORTS = {
                "greedy_star_upper", "star_palette_feasible"],
     "sweep": ["ResultCache", "SweepRecord", "default_cache_path", "run_sweep"],
 }
-LAZY = ["concurrent.futures", "starchrome.families", "starchrome.harness", "starchrome.sweep"]
+LAZY = ["concurrent.futures", "starchrome.families", "starchrome.harness", "starchrome.sweep",
+        "starchrome.symmetry"]
 
 
 def _loaded_after(statement: str) -> set[str]:
@@ -62,6 +63,12 @@ def test_a_cli_command_without_families_loads_no_family_harness_or_sweep(argv):
 
 def test_a_cli_family_loads_the_families_only():
     assert _loaded_by_cli(["solve", "--family", "fan", "--n", "5"]) == {"starchrome.families"}
+
+
+def test_the_symmetry_module_loads_only_with_the_degree_order_search():
+    # h_prime delta=7's k=8 round passes the cutoff; K4's rounds end before it
+    assert _loaded_by_cli(["solve", "--family", "h_prime", "--delta", "7"]) == {
+        "starchrome.families", "starchrome.symmetry"}
 
 
 def test_a_sweep_name_loads_the_sweep_but_not_the_process_pool():
