@@ -55,6 +55,18 @@ order (an algorithm portfolio, Gomes and Selman 2001).  Each search is a
 generator that runs to the node count it is sent, and feasible alone
 handles the budget and the turns, so the per-node loop tests one counter.
 
+The turns are a schedule, not a share of one core.  Each search's result
+depends only on its own turns, the other's counted as run in full
+(_Search._half), and the round ends at the earliest end in turn order.  So
+once a round has outlasted the degree order's first two turns past the
+cutoff (race.FORK_TURN), and where os.fork exists and two CPUs are usable
+(race.can_race), the rest of the degree-order search runs in a forked
+child while first fit goes on in the parent; elsewhere, and before, the
+two take turns in one process.  Both give the same rounds, counts and
+witnesses.  On two CPUs a long round's wall time is about the cutoff and
+three turns plus the winning search's own time, where taking turns on one
+core costs up to twice that; the CPU time does not fall.
+
 The degree-order search also breaks the graph's symmetry by the
 lex-leader rule (Crawford, Ginsberg, Luks and Roy, KR 1996), from the
 symmetry module, which loads when that search first starts.  There the
@@ -387,8 +399,8 @@ class _Search:
     so the stacks hold exactly the colored edges.
 
     The degree order and the automorphisms (as slot maps over it) are
-    found on first use, at most once per solve: when a round first
-    starts the degree-order search.
+    found on first use, at most once per solve in each process that runs
+    the degree-order search: this one, or a child a round forks.
     """
 
     def __init__(self, g: Graph, budget: Budget, order: list[int] | None = None):
@@ -475,6 +487,13 @@ class _Search:
         once, before the budget test, and the attribute ``dive`` counts
         its nodes.
 
+        Each search runs as a half of the round (_half), and the degree
+        order's is launched at the cutoff and forked after race.FORK_TURN
+        where it may be (the race module).  The round ends at the earliest
+        end of either half.  The seconds budget is tested after each of
+        first fit's turns and bounds the wait for a forked half; when it
+        runs out there, first fit's own end stands.
+
         A hit draws greedy orders, seeds 0 .. GREEDY_SEEDS-1, until the
         seconds budget is spent; seed 0 is always drawn.
         """
@@ -482,41 +501,95 @@ class _Search:
         budget_secs = self.budget.max_seconds
         second_at = budget_nodes if second_after is None else self.nodes + second_after
         dive_at = self.nodes + CHECKPOINT_NODES if dive else None
-        searches = [self._descend(k, (self.order, self.edges), False)]
-        next(searches[0])
-        turn = 0
-        while True:
-            nodes = self.nodes
-            checkpoint = nodes - nodes % CHECKPOINT_NODES + CHECKPOINT_NODES
-            try:
-                searches[turn].send(min(budget_nodes, checkpoint, second_at))
-            except StopIteration as end:
-                return end.value
-            finally:
-                if turn:
-                    self.second += self.nodes - nodes
-            nodes = self.nodes
-            if dive_at is not None and nodes >= dive_at:
-                dive_at = None
-                witness = self._dive(k)
-                self.dive = self.nodes - nodes
-                if witness is not None:
-                    return witness
-                nodes = self.nodes
-            if nodes >= budget_nodes or self.elapsed() > budget_secs:
-                self.hit = True
-                best = greedy_star_upper(self.g, 0)
-                for seed in range(1, GREEDY_SEEDS):
-                    if self.elapsed() > budget_secs:
+        mine = self._half(k, False, (-1, self.nodes, 0, 0), second_at, dive_at)
+        other = None
+        try:
+            while True:
+                try:
+                    state = next(mine)
+                except StopIteration as stop:
+                    end = stop.value
+                    if other:
+                        end = other.ended(end[0], budget_secs - self.elapsed()) or end
+                    break
+                turn, nodes = state[:2]
+                if other is None and second_at <= nodes and second_at < budget_nodes:
+                    from . import race
+
+                    other = race.Half(self, self._half(k, True, state, second_at, dive_at))
+                if other:
+                    end = other.ended(turn)
+                    if end:
                         break
-                    best = min(best, greedy_star_upper(self.g, seed), key=EdgeColoring.palette_size)
-                return best
-            if nodes >= second_at:
-                second_at = budget_nodes
-                searches.append(self._descend(k, self.degree_order(), True))
-                next(searches[1])
-            if len(searches) == 2:
-                turn ^= 1
+                    if turn == race.FORK_TURN:
+                        other.fork()
+                if self.elapsed() > budget_secs:
+                    end = (*state, True, None)
+                    break
+        finally:
+            if other:
+                other.close()
+        _, self.nodes, self.second, self.dive, self.hit, witness = end
+        if self.hit:
+            best = greedy_star_upper(self.g, 0)
+            for seed in range(1, GREEDY_SEEDS):
+                if self.elapsed() > budget_secs:
+                    break
+                best = min(best, greedy_star_upper(self.g, seed), key=EdgeColoring.palette_size)
+            return best
+        return witness
+
+    def _half(self, k: int, top_down: bool, state: tuple[int, int, int, int],
+              second_at: int, dive_at: int | None):
+        """One search of palette round k on feasible's turn schedule, from
+        ``state``, as a generator.  It yields the state (turn, nodes,
+        second, dive) after each turn it passes and the checks after it,
+        and returns the round's end as this search alone can tell it: the
+        state plus (hit, coloring), where hit marks the node budget.
+
+        Turns run to the next multiple of CHECKPOINT_NODES within the node
+        budget.  Before the cutoff, the first turn end at ``second_at`` or
+        past it, each turn is first fit's, ends at ``second_at`` at the
+        latest and is turn -1; from the cutoff on, turns 0, 2, 4, ... are
+        the degree order's and 1, 3, ... first fit's.  The search runs its
+        own turns; the other search's count as run in full, as they are
+        unless the other ends the round.  After each turn the dive runs,
+        once, at the first turn end at ``dive_at`` or past it, and then the
+        node budget is tested.  So this search's result depends only on
+        its own turns.  ``top_down`` picks the degree order's search, else
+        first fit's.
+        """
+        budget = self.budget.max_nodes
+        slots = self.degree_order() if top_down else (self.order, self.edges)
+        search = self._descend(k, slots, top_down)
+        next(search)
+        turn, nodes, second, dive = state
+        while True:
+            if turn >= 0 or nodes >= second_at:
+                turn += 1
+            degree = turn >= 0 and not turn % 2  # the degree order's turn
+            before = nodes
+            nodes = min(budget, nodes - nodes % CHECKPOINT_NODES + CHECKPOINT_NODES,
+                        second_at if turn < 0 else budget)
+            if degree == top_down:
+                self.nodes = before
+                try:
+                    search.send(nodes)
+                except StopIteration as end:
+                    if degree:
+                        second += self.nodes - before
+                    return turn, self.nodes, second, dive, False, end.value
+            if degree:
+                second += nodes - before
+            if dive_at is not None and before < dive_at <= nodes:
+                self.nodes = nodes
+                witness = self._dive(k)
+                dive, nodes = self.nodes - nodes, self.nodes
+                if witness is not None:
+                    return turn, nodes, second, dive, False, witness
+            if nodes >= budget:
+                return turn, nodes, second, dive, True, None
+            yield turn, nodes, second, dive
 
     def _dive(self, k: int) -> EdgeColoring | None:
         """A k-coloring found by a least-domain descent of at most 2m

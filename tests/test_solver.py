@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import contextlib
 import itertools
+import json
+import os
 import random
+import signal
 import sys
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -10,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from starchrome import solver, symmetry
+from starchrome import race, solver, symmetry
 from starchrome.coloring import EdgeColoring, star_violations
 from starchrome.errors import BudgetExhausted, OutOfRange, TooLarge
 from starchrome.families import build_family
@@ -178,27 +183,27 @@ def test_coloring_rejects_non_edges():
         EdgeColoring.from_mapping(g, {(0, 1): 1, (1, 2): 2, (0, 2): 3})
 
 
-def test_extremal_family_exact_values():
-    # values the constructions only bracket; pinned from the exact solver
-    from starchrome.families import build_family
+# values the constructions only bracket; pinned from the exact solver
+EXTREMAL = {
+    ("h_prime", 5): 7 + 1,   # inside the known [7, 9]
+    ("h_prime", 6): 8,       # meets the known lower bound
+    ("h_prime", 7): 9,       # meets the known lower bound
+    ("h_case1", 4): 6,
+    ("h_case1", 5): 7,
+    ("h_case1", 6): 8,
+    ("h2", 4): 6,
+    ("h2", 5): 7,
+    ("h2", 6): 8,
+    ("h2", 7): 8,            # delta+1: beats the delta+3 reference coloring
+    ("h_case1", 7): 9,
+    ("h_case1", 9): 10,      # delta+1, three under the delta+4 closed form
+    ("h2", 10): 11,          # delta+1, one under the delta+2 closed form
+    ("h_prime", 8): 10,
+    ("g_delta", 8): 10,
+}
 
-    expected = {
-        ("h_prime", 5): 7 + 1,   # inside the known [7, 9]
-        ("h_prime", 6): 8,       # meets the known lower bound
-        ("h_prime", 7): 9,       # meets the known lower bound
-        ("h_case1", 4): 6,
-        ("h_case1", 5): 7,
-        ("h_case1", 6): 8,
-        ("h2", 4): 6,
-        ("h2", 5): 7,
-        ("h2", 6): 8,
-        ("h2", 7): 8,            # delta+1: beats the delta+3 reference coloring
-        ("h_case1", 7): 9,
-        ("h_case1", 9): 10,      # delta+1, three under the delta+4 closed form
-        ("h2", 10): 11,          # delta+1, one under the delta+2 closed form
-        ("h_prime", 8): 10,
-        ("g_delta", 8): 10,
-    }
+
+def test_extremal_family_exact_values():
     # (k, nodes, second, dive, outcome) per round: the counts follow the
     # builders' labels; h_case1 delta=7's k=8 refutation runs past the
     # cutoff, after a dive that gives up at 2m placements; the dive finds
@@ -217,7 +222,7 @@ def test_extremal_family_exact_values():
         ("h_case1", 9): [(9, 0, 0, 0, "bound"), (10, 958605, 471181, 82, "feasible")],
         ("h2", 10): [(10, 0, 0, 0, "bound"), (11, 4132, 0, 36, "feasible")],
     }
-    for (family, delta), chi in expected.items():
+    for (family, delta), chi in EXTREMAL.items():
         g = build_family(family, delta=delta).graph
         result = exact_chi_star(g)
         assert result.chi == chi, (family, delta, result.chi)
@@ -780,20 +785,25 @@ def _turns(start, restart, first_fit, degree, dive):
             turn ^= 1
 
 
+def _cutoff_cases():
+    """(cutoff, graph): the MOPs of order 4..9 and 40 random graphs at
+    cutoffs of 16 and 64 nodes, and h_case1 and h_prime delta=7 at the
+    default cutoff, where h_case1 delta=7's k=8 round takes 65 turns."""
+    rng = random.Random(19)
+    graphs = [graph6_decode(key) for n in range(4, 10) for key in enumerate_mops(n).members]
+    graphs += [random_connected_graph(rng, max_edges=20) for _ in range(40)]
+    cases = [(restart, g) for restart in (16, 64) for g in graphs]
+    return cases + [(16_384, _hard(name)) for name in ("h_case1-d7", "h_prime-d7")]
+
+
 def test_a_refuted_round_costs_at_most_twice_the_better_order(monkeypatch):
     # Past R nodes the two searches take turns of at most 4096 nodes, and
     # a refutation in either order ends the round, so a refuted round costs
     # its first-fit count A below the cutoff and at most
     # R + 2*min(A - R, B) + 4096 past it, B being the degree order's count,
     # plus the nodes of the dive that a round past 4096 nodes runs once.
-    rng = random.Random(19)
-    graphs = [graph6_decode(key) for n in range(4, 10) for key in enumerate_mops(n).members]
-    graphs += [random_connected_graph(rng, max_edges=20) for _ in range(40)]
-    cases = [(restart, g) for restart in (16, 64) for g in graphs]
-    # and at the default cutoff, where h_case1 delta=7's k=8 round takes 65 turns
-    cases += [(16_384, _hard(name)) for name in ("h_case1-d7", "h_prime-d7")]
     long_rounds = 0
-    for restart, g in cases:
+    for restart, g in _cutoff_cases():
         monkeypatch.setattr(solver, "RESTART_NODES", restart)
         result = exact_chi_star(g)
         start = 0
@@ -809,6 +819,198 @@ def test_a_refuted_round_costs_at_most_twice_the_better_order(monkeypatch):
                                        + CHECKPOINT_NODES + r.dive)
             start += r.nodes
     assert long_rounds > 100
+
+
+def _forks(monkeypatch, turn=race.FORK_TURN):
+    """The degree-order halves forked from here on, in order: a round
+    forks after ``turn`` (-1: at its launch, the cutoff) whatever the
+    number of CPUs."""
+    forks = []
+    fork = race.Half.fork
+
+    def recorded(self):
+        fork(self)
+        if self.pid:
+            forks.append(self)
+
+    monkeypatch.setattr(race.Half, "fork", recorded)
+    monkeypatch.setattr(race, "FORK_TURN", turn)
+    monkeypatch.setattr(race, "can_race", lambda: True)
+    return forks
+
+
+def _race_and_lockstep(monkeypatch, g):
+    """[(rounds, witness colors)] of g solved with the degree-order search
+    forked where it may be, then taking turns with first fit in this
+    process all along; a round is (k, nodes, second, dive, outcome, maps)."""
+    out = []
+    for forked in (True, False):
+        monkeypatch.setattr(race, "can_race", lambda forked=forked: forked)
+        result = exact_chi_star(g)
+        out.append(([(r.k, r.nodes, r.second, r.dive, r.outcome, r.maps) for r in result.rounds],
+                    result.witness.colors))
+    return out
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("turn, expected", [(race.FORK_TURN, 3), (-1, 5)], ids=["after-turn-2",
+                                                                             "at-the-cutoff"])
+def test_the_race_keeps_the_rounds_and_witnesses_of_the_lockstep(monkeypatch, turn, expected):
+    # each search's result depends only on its own turns, so running the
+    # degree order in a child changes no count, no outcome and no witness
+    forks = _forks(monkeypatch, turn)
+    for family, delta in EXTREMAL:
+        forked, lockstep = _race_and_lockstep(monkeypatch, build_family(family, delta=delta).graph)
+        assert forked == lockstep, (family, delta)
+    # forked at h_case1 delta=7 and 9's and h_prime delta=8's long rounds;
+    # at the cutoff also at h_prime delta=7's and g_delta delta=8's, which
+    # end in the degree order's first two turns
+    assert len(forks) == expected
+    _no_child_left()
+
+
+def test_the_race_keeps_the_rounds_at_every_cutoff(monkeypatch):
+    # hundreds of small rounds fork at a cutoff of 16 or 64 nodes, some
+    # before their dive, which both halves then run at its usual point
+    forks = _forks(monkeypatch, -1)
+    for restart, g in _cutoff_cases():
+        monkeypatch.setattr(solver, "RESTART_NODES", restart)
+        forked, lockstep = _race_and_lockstep(monkeypatch, g)
+        assert forked == lockstep, (restart, g)
+    assert len(forks) > 200
+    assert sum(f.end is not None for f in forks) > 100  # the child's end came back
+    _no_child_left()
+
+
+@pytest.mark.parametrize("solve", [
+    # the degree order refutes k=8 at turn 64, its 33rd
+    lambda: star_palette_feasible(_hard("h_case1-d7"), 8) is None,
+    # first fit's witness at turn 1, 19 of its nodes past a 16-node cutoff,
+    # while the degree order's turn 0 spends 4 080 nodes without one
+    lambda: solver._Search(graph6_decode("K?_GGCoOR@r~"), Budget()).feasible(
+        9, 16).palette_size() == 9,
+    # the degree order's witness, after 135 of its nodes (no dive)
+    lambda: solver._Search(_hard("h_prime-d8"), Budget(200_000)).feasible(
+        10, RESTART_NODES).palette_size() == 10,
+    # a node-budget hit at 200 000 nodes, inside the race
+    lambda: pytest.raises(BudgetExhausted, exact_chi_star, _hard("h_prime-d8"),
+                          Budget(200_000, 1e9)).value.upper_bound == 11,
+    # a seconds-budget hit in k=8's round, past its cutoff
+    lambda: pytest.raises(BudgetExhausted, exact_chi_star, _hard("h_case1-d7"),
+                          Budget(max_seconds=0.06)).value.lower_bound == 8,
+], ids=["degree-order-refutes", "first-fit-witness", "degree-order-witness", "node-budget",
+        "seconds-budget"])
+def test_no_child_outlives_a_solve(monkeypatch, solve):
+    forks = _forks(monkeypatch, -1)
+    assert solve()
+    assert forks
+    _no_child_left()
+
+
+def test_the_child_ignores_sigint_and_ends_once_its_pipe_is_closed(monkeypatch):
+    monkeypatch.setattr(race, "can_race", lambda: True)
+    search = solver._Search(_hard("h_case1-d7"), Budget())
+    child = race.Half(search, search._half(8, True, (-1, 0, 0, 0), RESTART_NODES, None))
+    child.fork()
+    try:
+        assert child.pid and child.ended(0, timeout=10.0) is None and child.passed >= 0
+        os.kill(child.pid, signal.SIGINT)
+        assert child.ended(2, timeout=10.0) is None and child.passed >= 2  # it goes on
+        os.close(child.fd)  # its next write fails
+        deadline = time.monotonic() + 10.0
+        while os.waitpid(child.pid, os.WNOHANG) == (0, 0):
+            assert time.monotonic() < deadline, "the child outlived its pipe"
+            time.sleep(0.01)
+    finally:
+        with contextlib.suppress(ChildProcessError, OSError):
+            os.kill(child.pid, signal.SIGKILL)
+            os.waitpid(child.pid, 0)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("writes", [0, 2])
+@pytest.mark.parametrize("turn", [-1, race.FORK_TURN], ids=["at-the-cutoff", "after-turn-2"])
+def test_a_child_that_dies_leaves_its_half_to_this_process(monkeypatch, turn, writes):
+    # the child dies before its first record or after two; this process
+    # then goes on with the half from the turn where it forked
+    write, step = race._write, race.Half._step
+    here = []  # the records a forked half took in this process after its fork
+
+    def stepped(self):
+        record = step(self)
+        if self.fd is not None:
+            here.append(record)
+        return record
+
+    def dying(fd, fields):
+        if len(sent) == writes:
+            os._exit(1)
+        sent.append(fields)
+        write(fd, fields)
+
+    sent = []
+    monkeypatch.setattr(race.Half, "_step", stepped)
+    monkeypatch.setattr(race, "_write", dying)
+    forks = _forks(monkeypatch, turn)
+    forked, lockstep = _race_and_lockstep(monkeypatch, _hard("h_case1-d7"))
+    assert forked == lockstep
+    assert len(forks) == 1 and here and forks[0].pid is None
+    _no_child_left()
+
+
+def test_a_process_pool_worker_takes_turns_in_process():
+    # the pool's other workers keep the other CPUs busy
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert not pool.submit(race.can_race).result(timeout=60)
+
+
+def test_a_process_with_another_thread_takes_turns_in_process():
+    # a child forked beside another thread could find a lock held forever
+    alone = race.can_race()
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert not race.can_race()
+    finally:
+        done.set()
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert race.can_race() == alone
+
+
+def test_a_sweep_whose_rounds_fork_writes_the_lockstep_cache(monkeypatch, tmp_path):
+    # with a 16-node cutoff most rounds fork while the sweep holds its cache
+    # log open; a child that flushed the log's buffer would add records
+    monkeypatch.setattr(solver, "RESTART_NODES", 16)
+    forks = _forks(monkeypatch, -1)
+    caches = []
+    for forked in (True, False):
+        monkeypatch.setattr(race, "can_race", lambda forked=forked: forked)
+        path = tmp_path / f"forked-{forked}.jsonl"
+        run_sweep(10, ResultCache(path))
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        caches.append([{k: v for k, v in record.items() if k != "elapsed"} for record in lines])
+    forked, lockstep = caches
+    # a schema line, then the MOPs of order 4..10
+    assert forked == lockstep and len(forked) == 1 + 1 + 1 + 3 + 4 + 12 + 27 + 82
+    assert len(forks) > 100
+    _no_child_left()
+
+
+def test_no_sweep_round_to_n12_reaches_the_cutoff(monkeypatch, tmp_path):
+    # so a sweep takes no turns and forks nothing: no round launches the
+    # degree-order half
+    launched = []
+    monkeypatch.setattr(race.Half, "__init__", lambda self, *args: launched.append(args))
+    summary = run_sweep(12, ResultCache(tmp_path / "cache.jsonl"))
+    assert len(summary.records) == 1091 and not launched
 
 
 def _naive_dive(g, k):

@@ -32,8 +32,8 @@ EXPORTS = {
                "greedy_star_upper", "star_palette_feasible"],
     "sweep": ["ResultCache", "SweepRecord", "default_cache_path", "run_sweep"],
 }
-LAZY = ["concurrent.futures", "starchrome.families", "starchrome.harness", "starchrome.sweep",
-        "starchrome.symmetry"]
+LAZY = ["concurrent.futures", "multiprocessing", "starchrome.families", "starchrome.harness",
+        "starchrome.race", "starchrome.sweep", "starchrome.symmetry"]
 
 
 def _loaded_after(statement: str) -> set[str]:
@@ -66,9 +66,10 @@ def test_a_cli_family_loads_the_families_only():
 
 
 def test_the_symmetry_module_loads_only_with_the_degree_order_search():
-    # h_prime delta=7's k=8 round passes the cutoff; K4's rounds end before it
+    # h_prime delta=7's k=8 round passes the cutoff, and the race module
+    # launches its degree-order search; K4's rounds end before either
     assert _loaded_by_cli(["solve", "--family", "h_prime", "--delta", "7"]) == {
-        "starchrome.families", "starchrome.symmetry"}
+        "starchrome.families", "starchrome.race", "starchrome.symmetry"}
 
 
 def test_a_sweep_name_loads_the_sweep_but_not_the_process_pool():
