@@ -1,14 +1,15 @@
 """The degree-order half of a long palette round, followed by first fit.
 
-_Search.feasible runs first fit's half of a round (_Search._half) itself
-and launches the degree order's at the cutoff.  Each half runs its own
-search on the round's turn schedule and counts the other's turns as run
-in full, so feasible's loop needs from the other half only the turns it
-has passed and its end.  The half first runs in this process a turn at a
-time behind first fit's, and the two take turns.  Once the round has
-passed FORK_TURN without an end, and where can_race() holds, the rest of
-the half runs in a forked child on a second CPU while first fit goes on
-here (Half.fork).  Both give the same rounds, and the tests compare them.
+_Search.feasible runs first fit's half of a round itself and launches
+the degree order's at the cutoff.  Each half is one generator, a search
+(_Search._half) that runs its own turns on the round's schedule and
+counts the other's as run in full, so feasible's loop needs from the
+other half only the turns it has passed and its end.  The half first
+runs in this process a turn at a time behind first fit's, and the two
+take turns.  Once the round has passed FORK_TURN without an end, and
+where can_race() holds, the rest of the half runs in a forked child on
+a second CPU while first fit goes on here (Half.fork).  Both give the
+same rounds, and the tests compare them.
 
 A fork costs about as much as a turn: the fork itself, the parent's
 copy-on-write faults after it (each page the parent writes faults once)

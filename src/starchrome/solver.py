@@ -51,9 +51,10 @@ ones from the last opened down.  First fit goes on where it stopped.
 From then on the two take turns at each checkpoint where the budget is
 tested, every multiple of CHECKPOINT_NODES = 4096 nodes, and the round
 ends when either ends: a witness, or a refutation, which holds in any
-order (an algorithm portfolio, Gomes and Selman 2001).  Each search is a
-generator that runs to the node count it is sent, and feasible alone
-handles the budget and the turns, so the per-node loop tests one counter.
+order (an algorithm portfolio, Gomes and Selman 2001).  Each search is
+one generator (_Search._half) that runs its own turns and, at each turn's
+end, counts the other's, runs the dive and tests the node budget, so the
+per-node loop tests one counter; feasible tests the seconds.
 
 The turns are a schedule, not a share of one core.  Each search's result
 depends only on its own turns, the other's counted as run in full
@@ -393,10 +394,11 @@ class _Search:
     The degree order, the second search's, adds to that count the degree
     sum at the edge's ends.
 
-    The searches and the dive read the colored edges at a vertex x from
-    ``col[x]``, a stack of (other end, color bit) that a placement pushes
-    onto at both ends and an undo pops.  Each backtracks chronologically,
-    so the stacks hold exactly the colored edges.
+    Each search is one generator, _half, that runs its own turns of a
+    round.  The searches and the dive read the colored edges at a vertex
+    x from ``col[x]``, a stack of (other end, color bit) that a placement
+    pushes onto at both ends and an undo pops.  Each backtracks
+    chronologically, so the stacks hold exactly the colored edges.
 
     The degree order and the automorphisms (as slot maps over it) are
     found on first use, at most once per solve in each process that runs
@@ -487,12 +489,12 @@ class _Search:
         once, before the budget test, and the attribute ``dive`` counts
         its nodes.
 
-        Each search runs as a half of the round (_half), and the degree
-        order's is launched at the cutoff and forked after race.FORK_TURN
-        where it may be (the race module).  The round ends at the earliest
-        end of either half.  The seconds budget is tested after each of
-        first fit's turns and bounds the wait for a forked half; when it
-        runs out there, first fit's own end stands.
+        Each search is one generator, a half of the round (_half), and
+        the degree order's is launched at the cutoff and forked after
+        race.FORK_TURN where it may be (the race module).  The round ends
+        at the earliest end of either half.  The seconds budget is tested
+        after each of first fit's turns and bounds the wait for a forked
+        half; when it runs out there, first fit's own end stands.
 
         A hit draws greedy orders, seeds 0 .. GREEDY_SEEDS-1, until the
         seconds budget is spent; seed 0 is always drawn.
@@ -541,11 +543,12 @@ class _Search:
 
     def _half(self, k: int, top_down: bool, state: tuple[int, int, int, int],
               second_at: int, dive_at: int | None):
-        """One search of palette round k on feasible's turn schedule, from
-        ``state``, as a generator.  It yields the state (turn, nodes,
-        second, dive) after each turn it passes and the checks after it,
-        and returns the round's end as this search alone can tell it: the
-        state plus (hit, coloring), where hit marks the node budget.
+        """One depth-first search of palette round k on feasible's turn
+        schedule, from ``state``, as a generator.  It yields the state
+        (turn, nodes, second, dive) after each turn it passes and the checks
+        after it, and returns the round's end as this search alone can tell
+        it: the state plus (hit, coloring), where hit marks the node budget
+        and the coloring is None once k is refuted.
 
         Turns run to the next multiple of CHECKPOINT_NODES within the node
         budget.  Before the cutoff, the first turn end at ``second_at`` or
@@ -553,32 +556,93 @@ class _Search:
         latest and is turn -1; from the cutoff on, turns 0, 2, 4, ... are
         the degree order's and 1, 3, ... first fit's.  The search runs its
         own turns; the other search's count as run in full, as they are
-        unless the other ends the round.  After each turn the dive runs,
-        once, at the first turn end at ``dive_at`` or past it, and then the
-        node budget is tested.  So this search's result depends only on
-        its own turns.  ``top_down`` picks the degree order's search, else
-        first fit's.
+        unless the other ends the round.  The node that reaches a turn's
+        end counts in that turn, and its color is tried when the search's
+        next turn starts.  After each turn the dive runs, once, at the first
+        turn end at ``dive_at`` or past it, and then the node budget is
+        tested.  So this search's result depends only on its own turns.
+
+        First fit tries the free colors lowest first.  Given ``top_down``
+        the search is the degree order's: it runs over degree_order(),
+        stores color c as bit k+1-c, so the lowest bit first is the highest
+        color first (the fresh one while k allows, then the used ones from
+        the last opened down), and a color that is not bad is still pruned
+        by symmetry.LexLeader over symmetry(), whose state each undo
+        restores.
         """
         budget = self.budget.max_nodes
-        slots = self.degree_order() if top_down else (self.order, self.edges)
-        search = self._descend(k, slots, top_down)
-        next(search)
+        order, edges = self.degree_order() if top_down else (self.order, self.edges)
+        m = len(edges)
+        maps = self.symmetry() if top_down else None
+        lex = None
+        if maps:
+            from .symmetry import LexLeader
+
+            lex = LexLeader(maps, k)
+        vmask = [0] * self.g.n
+        col: list[list[tuple[int, int]]] = [[] for _ in range(self.g.n)]  # as in _Search
+        palette = (2 << k) - 2
+        # per colored slot: its color bit, the colors it has left to try, its
+        # bad mask and opened, the colors used so far plus the next fresh one
+        stack: list[tuple[int, int, int, int]] = []
+        # each pass places bit, the color tried last, unless pruned (bad &
+        # bit holds at the start, with none tried yet), then tries the next
+        # color, entering slot i while free is None and backtracking at 0
+        i, opened, free, bit, bad = 0, (1 << k if top_down else 2) & palette, None, 1, 1
         turn, nodes, second, dive = state
         while True:
             if turn >= 0 or nodes >= second_at:
                 turn += 1
             degree = turn >= 0 and not turn % 2  # the degree order's turn
             before = nodes
-            nodes = min(budget, nodes - nodes % CHECKPOINT_NODES + CHECKPOINT_NODES,
-                        second_at if turn < 0 else budget)
-            if degree == top_down:
-                self.nodes = before
-                try:
-                    search.send(nodes)
-                except StopIteration as end:
-                    if degree:
-                        second += self.nodes - before
-                    return turn, self.nodes, second, dive, False, end.value
+            stop = min(budget, nodes - nodes % CHECKPOINT_NODES + CHECKPOINT_NODES,
+                       second_at if turn < 0 else budget)
+            if degree != top_down:
+                nodes = stop  # the other search's turn, counted as run in full
+            else:
+                while True:  # this search's turn, one node a pass
+                    if not (bad & bit or lex and not lex.place(i, bit)):
+                        vmask[u] |= bit
+                        vmask[v] |= bit
+                        col[u].append((v, bit))
+                        col[v].append((u, bit))
+                        stack.append((bit, free, bad, opened))
+                        # opened gains the bit next to the chosen one on the
+                        # side away from the used colors: above it first fit,
+                        # below it top-down; the bit on the other side is
+                        # opened already or off the palette
+                        i, opened, free = i + 1, (opened | bit << 1 | bit >> 1) & palette, None
+                    while not free:
+                        if free is None and i < m:  # entering slot i
+                            u, v = edges[i]
+                            free = opened & ~(vmask[u] | vmask[v])
+                            bad = _bad_colors(u, v, col, vmask, free) if free else 0
+                        elif free is not None and stack:  # slot i is spent: uncolor the one below
+                            i -= 1
+                            u, v = edges[i]
+                            bit, free, bad, opened = stack.pop()
+                            vmask[u] ^= bit
+                            vmask[v] ^= bit
+                            col[u].pop()
+                            col[v].pop()
+                            if lex:
+                                lex.undo()
+                        else:  # every slot colored, or none left at slot 0: k is refuted
+                            if degree:
+                                second += nodes - before
+                            witness = None
+                            if free is None:
+                                colors = [0] * m
+                                for e, (b, *_) in zip(order, stack):
+                                    c = b.bit_length() - 1
+                                    colors[e] = k + 1 - c if top_down else c
+                                witness = EdgeColoring(self.g, tuple(colors))
+                            return turn, nodes, second, dive, False, witness
+                    bit = free & -free
+                    free ^= bit
+                    nodes += 1
+                    if nodes >= stop:
+                        break
             if degree:
                 second += nodes - before
             if dive_at is not None and before < dive_at <= nodes:
@@ -725,84 +789,6 @@ class _Search:
                                 recompute(f)
         self.nodes = nodes
         return EdgeColoring(g, tuple(b.bit_length() - 1 for b in bits))
-
-    def _descend(self, k: int, slots: tuple[list, list], top_down: bool):
-        """One depth-first search for a k-coloring over the slot order
-        ``slots``, as a generator.  Each value sent to it is a node count:
-        it searches until ``nodes`` reaches it, then yields.  It returns the
-        coloring, or None once k is refuted.
-
-        First fit tries the free colors lowest first.  Top-down stores
-        color c as bit k+1-c, so the lowest bit first is the highest color
-        first: the fresh one while k allows, then the used ones from the
-        last opened down.  Top-down is the degree-order search: ``slots``
-        must be degree_order(), and a color that is not bad is still
-        pruned by symmetry.LexLeader over symmetry(), whose state each undo
-        restores.
-        """
-        order, edges = slots
-        m = len(edges)
-        maps = self.symmetry() if top_down else None
-        lex = None
-        if maps:
-            from .symmetry import LexLeader
-
-            lex = LexLeader(maps, k)
-        vmask = [0] * self.g.n
-        col: list[list[tuple[int, int]]] = [[] for _ in range(self.g.n)]  # as in _Search
-        palette = (2 << k) - 2
-        # per colored slot: its color bit, the colors it has left to try, its
-        # bad mask and opened, the colors used so far plus the next fresh one
-        stack: list[tuple[int, int, int, int]] = []
-        i, opened, free = 0, (1 << k if top_down else 2) & palette, None
-        stop = yield
-        nodes = self.nodes
-        while True:
-            if not free:
-                if free is None:  # entering slot i
-                    if i == m:
-                        break
-                    u, v = edges[i]
-                    free = opened & ~(vmask[u] | vmask[v])
-                    bad = _bad_colors(u, v, col, vmask, free) if free else 0
-                    continue
-                if not stack:  # slot 0 has no color left: k is refuted
-                    self.nodes = nodes
-                    return None
-                i -= 1  # slot i has no color left: uncolor the one below
-                u, v = edges[i]
-                bit, free, bad, opened = stack.pop()
-                vmask[u] ^= bit
-                vmask[v] ^= bit
-                col[u].pop()
-                col[v].pop()
-                if lex:
-                    lex.undo()
-                continue
-            bit = free & -free
-            free ^= bit
-            nodes += 1
-            if nodes >= stop:
-                self.nodes = nodes
-                stop = yield
-                nodes = self.nodes
-            if bad & bit or lex and not lex.place(i, bit):
-                continue
-            vmask[u] |= bit
-            vmask[v] |= bit
-            col[u].append((v, bit))
-            col[v].append((u, bit))
-            stack.append((bit, free, bad, opened))
-            # opened gains the bit next to the chosen one on the side away
-            # from the used colors: above it first fit, below it top-down;
-            # the bit on the other side is opened already or off the palette
-            i, opened, free = i + 1, (opened | bit << 1 | bit >> 1) & palette, None
-        self.nodes = nodes
-        colors = [0] * m
-        for e, (bit, *_) in zip(order, stack):
-            c = bit.bit_length() - 1
-            colors[e] = k + 1 - c if top_down else c
-        return EdgeColoring(self.g, tuple(colors))
 
 
 def greedy_star_upper(g: Graph, order_seed: int = 0) -> EdgeColoring:

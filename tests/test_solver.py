@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import itertools
 import json
 import os
@@ -746,12 +747,20 @@ def _alone(g, k, degree=False):
     if not degree:
         assert search.feasible(k) is None
         return search.nodes
-    run = search._descend(k, search.degree_order(), True)
-    next(run)
-    with pytest.raises(StopIteration) as end:
-        run.send(10**12)
-    assert end.value.value is None
-    return search.nodes
+    # with the cutoff at 0 the degree order's search runs turns 0, 2, 4,
+    # ..., first fit's count as run in full, and ``second`` counts its own
+    *_, second, _, hit, coloring = _to_its_end(search._half(k, True, (-1, 0, 0, 0), 0, None))
+    assert not hit and coloring is None
+    return second
+
+
+def _to_its_end(half):
+    """The end that a half of a round returns, run through all its turns."""
+    try:
+        while True:
+            next(half)
+    except StopIteration as end:
+        return end.value
 
 
 def _dived(g, k):
@@ -846,10 +855,15 @@ def _race_and_lockstep(monkeypatch, g):
     out = []
     for forked in (True, False):
         monkeypatch.setattr(race, "can_race", lambda forked=forked: forked)
-        result = exact_chi_star(g)
-        out.append(([(r.k, r.nodes, r.second, r.dive, r.outcome, r.maps) for r in result.rounds],
-                    result.witness.colors))
+        out.append(_solved(g))
     return out
+
+
+def _solved(g):
+    """(rounds, witness colors) of g solved, a round as in _race_and_lockstep."""
+    result = exact_chi_star(g)
+    return ([(r.k, r.nodes, r.second, r.dive, r.outcome, r.maps) for r in result.rounds],
+            result.witness.colors)
 
 
 def _no_child_left():
@@ -960,6 +974,37 @@ def test_a_child_that_dies_leaves_its_half_to_this_process(monkeypatch, turn, wr
     assert forked == lockstep
     assert len(forks) == 1 and here and forks[0].pid is None
     _no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("call, code", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)],
+                         ids=["fork-EAGAIN", "pipe-EMFILE"])
+def test_a_round_that_cannot_fork_takes_turns_in_process(monkeypatch, call, code):
+    # no process or no descriptor to be had: the degree-order half goes on
+    # in this process, and the fork leaves no descriptor open and no child
+    g = _hard("h_case1-d7")
+    monkeypatch.setattr(race, "can_race", lambda: False)
+    lockstep = _solved(g)
+    forks = _forks(monkeypatch, -1)
+    refusals = []
+
+    def refused(*args):
+        refusals.append(call)
+        raise OSError(code, os.strerror(code))
+
+    fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, call, refused)
+    assert _solved(g) == lockstep
+    rounds, _ = lockstep
+    assert rounds[1][:3] == (8, 278_972, 131_516)
+    assert refusals and not forks
+    assert len(os.listdir("/proc/self/fd")) == fds
+    _no_child_left()
+
+
+def test_a_process_with_one_usable_cpu_takes_turns_in_process(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert not race.can_race()
 
 
 def test_a_process_pool_worker_takes_turns_in_process():
@@ -1280,10 +1325,7 @@ def test_the_lex_check_matches_a_comparison_from_scratch(monkeypatch):
         g = build_family(family, delta=delta).graph
         for k in (delta + 1, delta + 2):
             search = solver._Search(g, Budget())
-            run = search._descend(k, search.degree_order(), True)
-            next(run)
-            with pytest.raises(StopIteration):
-                run.send(10**12)
+            _to_its_end(search._half(k, True, (-1, 0, 0, 0), 0, None))
     assert counts[True] > 10_000 and counts[False] > 500, counts
 
 
