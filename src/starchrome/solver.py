@@ -73,10 +73,10 @@ lex-leader rule (Crawford, Ginsberg, Luks and Roy, KR 1996), from the
 symmetry module, which loads when that search first starts.  There the
 solve runs one bounded automorphism search (symmetry.automorphisms): for
 each base vertex in turn, one automorphism that fixes the earlier base
-vertices for each other vertex of its orbit, at most SYMMETRY_MAPS maps
-and SYMMETRY_STEPS candidate images, each map checked against the edge
-set.  Each map becomes a slot map p over the
-degree order.  With X the partial coloring by slots, its colors named in
+vertices for each other vertex of its orbit, so fewer than n maps per
+base vertex, within SYMMETRY_STEPS candidate images, each map checked
+against the edge set.  Each map becomes a slot map p over the degree
+order.  With X the partial coloring by slots, its colors named in
 the order the search opens them, a color that passes the bad-color test
 is pruned when the colored slots already make X lex-greater than
 ren(X o p) for some p, where (X o p)[j] = X[p[j]] and ren renames colors
@@ -461,7 +461,6 @@ class _Search:
         if k < self.bound:
             self.rounds.append(Round(k, 0, time.monotonic() - started, 0, 0, "bound"))
             return None
-        self.second = self.dive = 0
         witness = self.feasible(k, RESTART_NODES, dive=True)
         outcome = ("refuted" if witness is None else "budget" if witness.palette_size() > k
                    else "greedy" if self.hit else "feasible")
@@ -503,10 +502,17 @@ class _Search:
         budget_secs = self.budget.max_seconds
         second_at = budget_nodes if second_after is None else self.nodes + second_after
         dive_at = self.nodes + CHECKPOINT_NODES if dive else None
-        mine = self._half(k, False, (-1, self.nodes, 0, 0), second_at, dive_at)
+        state = (-1, self.nodes, 0, 0)
+        mine = self._half(k, False, state, second_at, dive_at)
         other = None
         try:
             while True:
+                if other is None and second_at <= state[1] and second_at < budget_nodes:
+                    from . import race
+
+                    other = race.Half(self, self._half(k, True, state, second_at, dive_at))
+                if other and state[0] == race.FORK_TURN:
+                    other.fork()
                 try:
                     state = next(mine)
                 except StopIteration as stop:
@@ -514,17 +520,10 @@ class _Search:
                     if other:
                         end = other.ended(end[0], budget_secs - self.elapsed()) or end
                     break
-                turn, nodes = state[:2]
-                if other is None and second_at <= nodes and second_at < budget_nodes:
-                    from . import race
-
-                    other = race.Half(self, self._half(k, True, state, second_at, dive_at))
                 if other:
-                    end = other.ended(turn)
+                    end = other.ended(state[0])
                     if end:
                         break
-                    if turn == race.FORK_TURN:
-                        other.fork()
                 if self.elapsed() > budget_secs:
                     end = (*state, True, None)
                     break

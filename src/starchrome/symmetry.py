@@ -13,7 +13,6 @@ from typing import Sequence
 
 from .graph import Graph
 
-SYMMETRY_MAPS = 64  # automorphisms the degree-order search checks at most
 SYMMETRY_STEPS = 20_000  # candidate images the automorphism search tries at most
 
 
@@ -25,9 +24,9 @@ def automorphisms(g: Graph, base: Sequence[int]) -> list[list[int]]:
     turn, and each other vertex x that some automorphism fixing the base
     vertices before b sends b to, it keeps the first such map found: a
     transversal of each stabilizer in the chain, so that together the maps
-    generate Aut(g) (Sims 1970), or a subgroup once a cap ends the search.
-    The search stops after SYMMETRY_MAPS maps or SYMMETRY_STEPS candidate
-    images tried.  A map extends vertex by vertex in base order by
+    generate Aut(g) (Sims 1970): fewer than n maps per base vertex.  The
+    search stops after SYMMETRY_STEPS candidate images tried, its maps then
+    generating a subgroup.  A map extends vertex by vertex in base order by
     backtracking.  A vertex v tries v itself first, then the neighbours of
     the image of its earlier neighbour of least degree; an image must have
     v's degree and neighbour degrees and be adjacent to exactly the images
@@ -64,7 +63,7 @@ def automorphisms(g: Graph, base: Sequence[int]) -> list[list[int]]:
 
     for level, b in enumerate(base):  # base[:level] map to themselves
         for x in pool(level):
-            if len(maps) == SYMMETRY_MAPS or steps >= SYMMETRY_STEPS:
+            if steps >= SYMMETRY_STEPS:
                 return maps
             steps += 1
             if x == b or not fits(level, x):

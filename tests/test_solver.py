@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import functools
 import itertools
 import json
 import os
@@ -900,6 +901,17 @@ def test_the_race_keeps_the_rounds_at_every_cutoff(monkeypatch):
     _no_child_left()
 
 
+def test_a_cutoff_of_zero_runs_the_degree_orders_first_turn():
+    # the launch is tested on the round's start state, so with the cutoff
+    # at 0 the degree order takes turn 0 and the round ends as its half
+    # alone does
+    g = _hard("h_case1-d7")
+    search = solver._Search(g, Budget())
+    assert search.feasible(8, 0) is None
+    alone = _to_its_end(solver._Search(g, Budget())._half(8, True, (-1, 0, 0, 0), 0, None))
+    assert (search.nodes, search.second) == alone[1:3] == (262_588, 131_516)
+
+
 @pytest.mark.parametrize("solve", [
     # the degree order refutes k=8 at turn 64, its 33rd
     lambda: star_palette_feasible(_hard("h_case1-d7"), 8) is None,
@@ -1321,10 +1333,13 @@ def test_the_lex_check_matches_a_comparison_from_scratch(monkeypatch):
         return kept
 
     monkeypatch.setattr(symmetry.LexLeader, "place", spy)
-    for family, delta in (("h_prime", 6), ("h_prime", 7), ("g_delta", 6)):
+    # g_delta delta=12's transversal has 87 maps
+    for family, delta, maps in (("h_prime", 6, 3), ("h_prime", 7, 3), ("g_delta", 6, 6),
+                                ("g_delta", 12, 87)):
         g = build_family(family, delta=delta).graph
         for k in (delta + 1, delta + 2):
             search = solver._Search(g, Budget())
+            assert len(search.symmetry()) == maps, (family, delta)
             _to_its_end(search._half(k, True, (-1, 0, 0, 0), 0, None))
     assert counts[True] > 10_000 and counts[False] > 500, counts
 
@@ -1345,7 +1360,7 @@ def _group(maps, n):
 def test_every_kept_automorphism_preserves_the_edge_set():
     # each map is a bijection that sends edges to edges; on small graphs
     # the maps generate the whole group, found here by trying every
-    # permutation; on K1,400 the caps keep the search small
+    # permutation; on K1,400 the step bound keeps the search small
     for g in _symmetric_graphs()[:70] + [g61(), g61_prime(), fan_graph(7)]:
         base = list(dict.fromkeys(x for uv in solver._Search(g, Budget()).degree_order()[1]
                                   for x in uv))
@@ -1374,8 +1389,54 @@ def test_every_kept_automorphism_preserves_the_edge_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the group has 400! elements; the step cap ends the search at 48 maps
-    assert 0 < len(maps) <= symmetry.SYMMETRY_MAPS and seconds < 5 and peak < 2_000_000
+    # the group has 400! elements; the step bound ends the search at 48 maps
+    assert len(maps) == 48 and seconds < 5 and peak < 2_000_000
+
+
+@functools.cache
+def _g_delta_solved(delta):
+    """g_delta's exact solve, shared by the tests that read it."""
+    return exact_chi_star(build_family("g_delta", delta=delta).graph)
+
+
+def test_g_delta_is_settled_over_the_whole_transversal():
+    # the automorphism search keeps one map per other point of each orbit
+    # in the stabilizer chain, 87, 111 and 138 maps at delta=12..14, and
+    # the lex-leader check over all of them refutes k=delta+1
+    expected = {12: (35_775, 87), 13: (52_033, 111), 14: (84_213, 138)}
+    for delta, (nodes, maps) in expected.items():
+        result = _g_delta_solved(delta)
+        got = [(r.k, r.outcome) for r in result.rounds]
+        assert got == [(delta, "bound"), (delta + 1, "refuted"), (delta + 2, "feasible")], delta
+        assert (result.rounds[1].nodes, result.rounds[1].maps) == (nodes, maps), delta
+        assert result.chi == delta + 2 == result.witness.palette_size()
+        assert star_violations(result.witness) == []
+
+
+def _role_edges(instance):
+    """The instance's edges by the role names of their ends."""
+    names = {v: role for role, v in instance.roles.items()}
+    return {frozenset((names[u], names[v])) for u, v in instance.graph.edges}
+
+
+def test_h_prime_takes_its_lower_end_from_g_delta():
+    # g_delta is h_prime less the chains along each hub's leaves, at the
+    # same maximum degree; no edge deletion raises the star chromatic
+    # index, so g_delta's value bounds h_prime's from below, and the dive
+    # finds a witness at that value at the round's first checkpoint
+    for delta in range(5, 31):
+        sub, sup = build_family("g_delta", delta=delta), build_family("h_prime", delta=delta)
+        assert _role_edges(sub) <= _role_edges(sup), delta
+        assert sub.graph.max_degree() == sup.graph.max_degree() == delta
+    expected = {10: (4_144, 48), 11: (4_150, 54), 12: (4_156, 60), 13: (4_162, 66),
+                14: (4_168, 72)}
+    for delta, (nodes, dive) in expected.items():
+        lower = _g_delta_solved(delta).chi
+        result = exact_chi_star(build_family("h_prime", delta=delta).graph, lower=lower)
+        got = [(r.k, r.nodes, r.dive, r.outcome) for r in result.rounds]
+        assert got == [(delta + 2, nodes, dive, "feasible")], delta
+        assert result.chi == lower == delta + 2 == result.witness.palette_size()
+        assert star_violations(result.witness) == []
 
 
 def _naive_slot_order(g, weight):
