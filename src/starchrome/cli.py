@@ -146,7 +146,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cache,
         budget=_budget(args),
         expand_subgraphs=args.expand_subgraphs,
-        workers=args.workers,
     )
     if args.out:
         with open(args.out, "w") as fh:
@@ -220,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expand-subgraphs", action="store_true")
     p.add_argument("--cache")
     p.add_argument("--out")
-    p.add_argument("--workers", type=int, default=1)
     _add_budget_flags(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -2,7 +2,7 @@
 
 Vertices are dense integer ids ``0..n-1``; an edge is an unordered pair stored
 canonically as ``(u, v)`` with ``u < v``.  Graph values are frozen after
-construction, so they can be shared freely between concurrent workers.
+construction, so they can be shared freely.
 """
 
 from __future__ import annotations

@@ -16,8 +16,11 @@ copy-on-write faults after it (each page the parent writes faults once)
 and the reap, 2-5 ms on a 20-30 MB process.  So a round forks only once
 it has outlasted the degree order's first two turns past the cutoff.
 
-This module loads when a round first reaches the cutoff, so no solve that
-ends its rounds earlier, and no start-up, pays for it.
+Its fork() and _write() also carry a split sweep order's records from
+the children that solve them (sweep._split).  This module loads when a
+round first reaches the cutoff or a sweep first has two keys of one
+order to solve, so no solve that ends its rounds earlier, and no
+start-up, pays for it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import select
 import signal
 import sys
 import time
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .coloring import EdgeColoring
 
@@ -41,17 +44,28 @@ FORK_TURN = 2
 def can_race() -> bool:
     """Whether the degree-order half may run in a forked child: os.fork
     exists, this process may use two CPUs or more, it runs no other
-    thread, which a child could find holding a lock, and it is no worker
-    of a process pool, whose siblings keep the other CPUs busy."""
+    thread, which a child could find holding a lock, and it is neither a
+    worker of a process pool nor a process of a split sweep order, whose
+    other processes keep the other CPUs busy."""
     threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or threading and threading.active_count() > 1:
+    if _split or not hasattr(os, "fork") or threading and threading.active_count() > 1:
         return False
     multiprocessing = sys.modules.get("multiprocessing")
     if multiprocessing and multiprocessing.parent_process() is not None:
         return False
+    return usable_cpus() > 1
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, which taskset sets."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# True while a sweep order is split over processes (sweep._split), in its
+# parent and in each of its children
+_split = False
 
 
 class Half:
@@ -59,14 +73,12 @@ class Half:
     each ``ended`` runs it on to the turn asked about.  ``search`` is the
     round's _Search and ``half`` its generator.
 
-    It runs in this process until fork() hands the rest of it to a child,
-    which writes to a pipe the turn it passed after each turn, then its
-    end, one line each.  The child ignores SIGINT, collects no garbage
-    cycles and leaves only through os._exit, so no finalizer, buffer flush
-    or atexit hook of the parent's runs in it; a failed write, once the
-    parent is gone, ends it.  close() kills and reaps it.  A child that
-    ends without its end leaves the rest of the half to this process,
-    which goes on from the turn where it forked.
+    It runs in this process until fork() hands the rest of it to a child
+    (the module's fork(), under its child rules), which writes to a pipe
+    the turn it passed after each turn, then its end, one line each.
+    close() kills and reaps it.  A child that ends without its end leaves
+    the rest of the half to this process, which goes on from the turn
+    where it forked.
     """
 
     def __init__(self, search, half):
@@ -102,36 +114,20 @@ class Half:
     def fork(self) -> None:
         """Run the rest of the half in a forked child, where can_race()
         holds and a pipe and a process are to be had."""
-        if self.fd is not None or not can_race():
-            return
-        try:
-            read, write = os.pipe()
-        except OSError:
-            return
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read)
-            os.close(write)
-            return
-        if not pid:
-            code = 1
+        if self.fd is None and can_race():
+            forked = fork(self._run)
+            if forked:
+                self.pid, self.fd = forked
+
+    def _run(self, fd: int) -> None:
+        """The forked child's part: the rest of the half, a line per record."""
+        while True:
             try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                gc.disable()
-                os.close(read)
-                while True:
-                    try:
-                        _write(write, next(self.half)[:1])
-                    except StopIteration as stop:
-                        *head, hit, coloring = stop.value
-                        _write(write, (*head, hit, *(() if coloring is None else coloring.colors)))
-                        break
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write)
-        self.pid, self.fd = pid, read
+                _write(fd, next(self.half)[:1])
+            except StopIteration as stop:
+                *head, hit, coloring = stop.value
+                _write(fd, (*head, int(hit), *(() if coloring is None else coloring.colors)))
+                return
 
     def _next(self, deadline: float) -> int | tuple | None:
         """The child's next record, or None if it is not there by the
@@ -171,8 +167,42 @@ class Half:
             self.half.close()
 
 
-def _write(fd: int, fields: Sequence[int]) -> None:
-    """Write the integers as one line, whole: a signal can cut a write short."""
-    data = " ".join(str(int(x)) for x in fields).encode() + b"\n"
+def fork(run: Callable[[int], None]) -> tuple[int, int] | None:
+    """Fork a child that runs ``run`` on the write end of a new pipe, and
+    return its pid and the pipe's read end; None where a pipe or a process
+    is not to be had.
+
+    The child ignores SIGINT, collects no garbage cycles and leaves only
+    through os._exit, with code 0 once ``run`` returns and 1 if it
+    raises, so no finalizer, buffer flush or atexit hook of the parent's
+    runs in it.  A failed write, once the parent is gone, ends it.
+    """
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if not pid:
+        code = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            gc.disable()
+            os.close(read_end)
+            run(write_end)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _write(fd: int, fields: Sequence[int | str]) -> None:
+    """Write the fields as one line, whole: a signal can cut a write short."""
+    data = " ".join(str(x) for x in fields).encode() + b"\n"
     while data:
         data = data[os.write(fd, data):]

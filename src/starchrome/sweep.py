@@ -27,9 +27,13 @@ The source paper's two theorems are proven checks as well: chi' <= D+6 on
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
-from contextlib import contextmanager, nullcontext
+import select
+import signal
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterator, TextIO
@@ -292,12 +296,88 @@ def _needs_solve(rec: SweepRecord | None, budget: Budget) -> bool:
     return nodes >= stored[0] and secs >= stored[1] and (nodes, secs) != stored
 
 
+def _split(keys: list[str], lowers: list[int], budget: Budget, cpus: int,
+           append: Callable[[SweepRecord], None]) -> None:
+    """Solve one order's ``keys`` on ``cpus`` processes and ``append``
+    their records in key order.
+
+    Key i goes to process i % cpus: this one for 0, a forked child for
+    each other.  A child writes each record's JSON line to its pipe, under
+    race.fork's child rules.  After each solve of its own, this process
+    drains the pipes without blocking and appends every record whose keys
+    before it are all in; with none of its own left, it waits for the
+    rest.  A child that ends before writing its share, or that cannot be
+    forked, leaves the keys it did not write to this process, which solves
+    them itself, smallest first; so a child's exception surfaces here.
+    race.can_race() is False in every process while the order is split,
+    so no round forks.  Every child is killed and reaped, and every pipe
+    closed, however this returns.
+    """
+    from . import race
+
+    def solve_share(share: range) -> Callable[[int], None]:
+        def run(fd: int) -> None:
+            for other in children:  # the pipes of the children forked before it
+                os.close(other)
+            for i in share:
+                race._write(fd, (solve_record(keys[i], budget, lowers[i]).to_json(),))
+        return run
+
+    mine = list(range(0, len(keys), cpus))  # a heap of the key indices left to this process
+    children: dict[int, tuple[int, deque[int]]] = {}  # read end -> (pid, indices not yet read)
+    buffers: dict[int, bytes] = {}
+    done: dict[int, SweepRecord] = {}
+    appended = 0
+    race._split = True  # before the forks, so the children inherit it
+    try:
+        for first in range(1, cpus):
+            share = range(first, len(keys), cpus)
+            forked = race.fork(solve_share(share))
+            if forked:
+                children[forked[1]] = (forked[0], deque(share))
+                buffers[forked[1]] = b""
+            else:
+                for i in share:
+                    heapq.heappush(mine, i)
+        while mine or children:
+            if mine:
+                i = heapq.heappop(mine)
+                done[i] = solve_record(keys[i], budget, lowers[i])
+            if children:  # drain the pipes; with no key of its own left, wait
+                for fd in select.select(list(children), [], [], 0.0 if mine else None)[0]:
+                    pid, left = children[fd]
+                    data = os.read(fd, 1 << 16)
+                    *lines, buffers[fd] = (buffers[fd] + data).split(b"\n")
+                    for line in lines:
+                        done[left.popleft()] = SweepRecord.from_json(line.decode())
+                    if not data:  # the child has ended: what it did not write is left here
+                        del children[fd], buffers[fd]
+                        _reap(pid, fd)
+                        for i in left:
+                            heapq.heappush(mine, i)
+            while appended in done:
+                append(done.pop(appended))
+                appended += 1
+    finally:
+        race._split = False
+        for fd, (pid, _) in children.items():
+            _reap(pid, fd)
+
+
+def _reap(pid: int, fd: int) -> None:
+    """Kill and reap the child ``pid`` and close its pipe's read end ``fd``."""
+    try:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    finally:
+        os.close(fd)
+
+
 def run_sweep(
     n_max: int,
     cache: ResultCache,
     budget: Budget | None = None,
     expand_subgraphs: bool = False,
-    workers: int = 1,
 ) -> SweepSummary:
     """Enumerate MOPs of orders 4..n_max (with ``expand_subgraphs``, every
     2-connected outerplanar graph, which is their chord-deletion closure),
@@ -308,26 +388,23 @@ def run_sweep(
     ``chi_lower`` among the cached records of its ear-deleted children:
     they are subgraphs, and star chromatic index never grows under
     deletion.  Targets run by order, then by ``polygon_key``, the keys the
-    enumerations give their members.  Each solved record is appended to the
-    cache as soon as it arrives, through one handle held for the whole
-    sweep, so an interrupted sweep keeps what it finished.  A record that
-    hits the budget stores it, and the sweep goes on; a later sweep retries
-    it only under a budget at least as large in nodes and in seconds, and
-    larger in one.
+    enumerations give their members.  An order with two keys or more to
+    solve is split over every CPU the process may use (its affinity mask,
+    which taskset sets), this process and forked children, where
+    race.can_race() holds (_split); elsewhere it is solved here, in key
+    order.  Each solved record is appended to the cache in key order as
+    soon as it and every record before it are in, through one handle held
+    for the whole sweep, so an interrupted sweep keeps a key-order prefix
+    of what it would have written.  A record that hits the budget stores
+    it, and the sweep goes on; a later sweep retries it only under a
+    budget at least as large in nodes and in seconds, and larger in one.
     """
     budget = budget or Budget()
     grow = enumerate_dissections if expand_subgraphs else enumerate_mops
     targets: list[str] = []
     todo: list[str] = []
     level = None
-    if workers > 1:
-        # imported here, so that only a parallel sweep loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool_context = ProcessPoolExecutor(max_workers=workers)
-    else:
-        pool_context = nullcontext()
-    with pool_context as pool, cache.writing():
+    with cache.writing():
         for n in range(4, n_max + 1):
             level = grow(n, level)
             keys = sorted(level.members)
@@ -337,15 +414,17 @@ def run_sweep(
                 max((cache.get(c).chi_lower for c in level.children[key] if c in cache), default=0)
                 for key in new
             ]
-            args = (solve_record, new, [budget] * len(new), lowers)
-            if pool:
-                # about four tasks per worker: most solves take well under a
-                # millisecond, so one round trip per record would dominate
-                solved = pool.map(*args, chunksize=len(new) // (4 * workers) + 1)
+            cpus = 1
+            if len(new) > 1:
+                from . import race
+
+                if race.can_race():
+                    cpus = min(race.usable_cpus(), len(new))
+            if cpus > 1:
+                _split(new, lowers, budget, cpus, cache.append)
             else:
-                solved = map(*args)
-            for rec in solved:
-                cache.append(rec)
+                for rec in map(solve_record, new, [budget] * len(new), lowers):
+                    cache.append(rec)
             targets += keys
             todo += new
     records = [cache.records[key] for key in targets]

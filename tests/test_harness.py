@@ -241,10 +241,13 @@ def test_one_canonical_search_per_sweep_record(tmp_path, monkeypatch):
 
 
 def test_sweep_appends_each_record_as_it_is_solved(tmp_path, monkeypatch):
+    # on one usable CPU the sweep solves in this process, where the spy sees
+    # every call
     from starchrome import sweep
 
     full_path = tmp_path / "full.jsonl"
-    full = run_sweep(7, ResultCache(full_path), workers=2)
+    full = run_sweep(7, ResultCache(full_path))
+    _cpus(monkeypatch, 1)
     solve, solved = sweep.solve_record, []
 
     def interrupted(key, budget, lower=0):
@@ -264,11 +267,11 @@ def test_sweep_appends_each_record_as_it_is_solved(tmp_path, monkeypatch):
     again = run_sweep(7, kept)
     assert again.from_cache == 4 and again.solved == len(full.records) - 4 == 5
     assert solved[4:] == [r.graph6 for r in full.records[4:]]
+    assert _without_elapsed(path) == _without_elapsed(full_path)
 
-    def without_elapsed(p):
-        return [{**json.loads(line), "elapsed": 0} for line in p.read_text().splitlines()]
 
-    assert without_elapsed(path) == without_elapsed(full_path)
+def _without_elapsed(path):
+    return [{**json.loads(line), "elapsed": 0} for line in path.read_text().splitlines()]
 
 
 @pytest.mark.parametrize("n_max,expand", [(10, False), (9, True)])
@@ -599,28 +602,180 @@ def test_cli_sweep_into_a_closed_pipe_exits_quietly(tmp_path):
     assert len(ResultCache(path).records) == 5
 
 
-def test_sweep_parallel_workers_match_serial(tmp_path):
-    def stripped(records):
-        out = []
-        for r in records:
-            data = json.loads(r.to_json())
-            data.pop("elapsed")  # wall time is the one nondeterministic field
-            out.append(data)
-        return out
-
-    serial = run_sweep(6, ResultCache(tmp_path / "a.jsonl"), workers=1)
-    parallel = run_sweep(6, ResultCache(tmp_path / "b.jsonl"), workers=2)
-    assert stripped(serial.records) == stripped(parallel.records)
+def _cpus(monkeypatch, count):
+    """Let this process use ``count`` CPUs, as taskset would."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_opens_its_cache_once_and_writes_the_same_bytes(tmp_path, monkeypatch, workers):
+def _stripped(records):
+    # wall time is the one nondeterministic field
+    return [{k: v for k, v in json.loads(r.to_json()).items() if k != "elapsed"} for r in records]
+
+
+def _split_forks(monkeypatch):
+    """The pids of the sweep children forked from here on."""
+    from starchrome import race
+
+    pids, fork = [], race.fork
+
+    def recorded(run):
+        forked = fork(run)
+        if forked and race._split:
+            pids.append(forked[0])
+        return forked
+
+    monkeypatch.setattr(race, "fork", recorded)
+    return pids
+
+
+def _fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+needs_proc_fd = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                                   reason="needs /proc/self/fd")
+
+
+@needs_proc_fd
+def test_a_forked_sweep_equals_one_on_one_usable_cpu(tmp_path, monkeypatch):
+    from test_solver import _no_child_left
+
+    _cpus(monkeypatch, 1)
+    forks = _split_forks(monkeypatch)
+    serial = run_sweep(9, ResultCache(tmp_path / "a.jsonl"))
+    assert len(serial.records) == 48 and forks == []
+    fds = _fds()
+    # one child, then two, for each order from 6 on: 3, 4, 12 and 27 MOPs
+    for cpus, children in ((2, 4), (3, 8)):
+        _cpus(monkeypatch, cpus)
+        path = tmp_path / f"{cpus}.jsonl"
+        forked = run_sweep(9, ResultCache(path))
+        assert _stripped(forked.records) == _stripped(serial.records)
+        assert _without_elapsed(path) == _without_elapsed(tmp_path / "a.jsonl")
+        assert len(forks) == children
+        forks.clear()
+    assert _fds() == fds
+    _no_child_left()
+
+
+def test_no_process_of_a_split_sweep_forks_a_round(tmp_path, monkeypatch):
+    # each process writes, per solve, whether a round of it could fork; the
+    # rounds then take turns in process, with the same counts
+    from starchrome import race, sweep
+
+    solve = sweep.solve_record
+
+    def spied(key, budget, lower=0):
+        with open(tmp_path / f"{os.getpid()}.log", "a") as log:
+            log.write(f"{race.can_race()}\n")
+        return solve(key, budget, lower)
+
+    _cpus(monkeypatch, 2)
+    serial = run_sweep(9, ResultCache(tmp_path / "serial.jsonl"))
+    monkeypatch.setattr(sweep, "solve_record", spied)
+    forked = run_sweep(9, ResultCache(tmp_path / "forked.jsonl"))
+    assert _stripped(forked.records) == _stripped(serial.records)
+    logs = {path.stem: path.read_text().split() for path in tmp_path.glob("*.log")}
+    assert str(os.getpid()) in logs and len(logs) == 1 + 4  # this process and four children
+    # orders 4 and 5 have one MOP each, which solve before any split
+    assert sorted(v for values in logs.values() for v in values) == ["False"] * 46 + ["True"] * 2
+    assert race.can_race()
+
+
+@needs_proc_fd
+@pytest.mark.parametrize("when", ["first", "third"])
+def test_a_sweep_child_that_dies_leaves_its_keys_to_this_process(tmp_path, monkeypatch, when):
+    from starchrome import sweep
+    from test_solver import _no_child_left
+
+    _cpus(monkeypatch, 2)
+    serial = run_sweep(9, ResultCache(tmp_path / "serial.jsonl"))
+    parent, solve, here = os.getpid(), sweep.solve_record, []
+    calls = Counter()  # each child counts its own solves from 0
+
+    def dying(key, budget, lower=0):
+        calls[os.getpid()] += 1
+        if os.getpid() == parent:
+            here.append(key)
+        elif calls[os.getpid()] == (1 if when == "first" else 3):
+            os._exit(1)
+        return solve(key, budget, lower)
+
+    monkeypatch.setattr(sweep, "solve_record", dying)
+    fds = _fds()
+    forked = run_sweep(9, ResultCache(tmp_path / "forked.jsonl"))
+    assert _stripped(forked.records) == _stripped(serial.records)
+    assert _without_elapsed(tmp_path / "forked.jsonl") == _without_elapsed(tmp_path / "serial.jsonl")
+    # this process's 26 keys (the MOPs of order 4 and 5, then every other
+    # key of each order from 6 on) and what each child left: all 22 of the
+    # children's keys, or those past the second of the children of order 8
+    # and 9, which are dealt 6 and 13
+    assert len(here) == (48 if when == "first" else 26 + 4 + 11)
+    assert _fds() == fds
+    _no_child_left()
+
+
+def test_an_exception_in_a_sweep_child_surfaces_here(tmp_path, monkeypatch):
+    from starchrome import sweep
+    from test_solver import _no_child_left
+
+    _cpus(monkeypatch, 2)
+    keys = [r.graph6 for r in run_sweep(9, ResultCache(tmp_path / "serial.jsonl")).records]
+    bad, solve = keys[-2], sweep.solve_record  # dealt to the child: 27 keys, the last one here
+
+    def failing(key, budget, lower=0):
+        if key == bad:
+            raise ValueError(f"cannot solve {key}")
+        return solve(key, budget, lower)
+
+    monkeypatch.setattr(sweep, "solve_record", failing)
+    path = tmp_path / "c.jsonl"
+    with pytest.raises(ValueError, match="cannot solve"):
+        run_sweep(9, ResultCache(path))
+    assert list(ResultCache(path).records) == keys[:-2]
+    _no_child_left()
+
+
+@needs_proc_fd
+def test_an_interrupted_split_sweep_keeps_a_key_order_prefix(tmp_path, monkeypatch):
+    from starchrome import sweep
+    from test_solver import _no_child_left
+
+    _cpus(monkeypatch, 2)
+    full = [r.graph6 for r in run_sweep(9, ResultCache(tmp_path / "full.jsonl")).records]
+    parent, solve, here = os.getpid(), sweep.solve_record, []
+
+    def interrupted(key, budget, lower=0):
+        if os.getpid() == parent:
+            if len(here) == 3:
+                raise KeyboardInterrupt
+            here.append(key)
+        return solve(key, budget, lower)
+
+    monkeypatch.setattr(sweep, "solve_record", interrupted)
+    path = tmp_path / "c.jsonl"
+    fds = _fds()
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(9, ResultCache(path))
+    assert _fds() == fds
+    _no_child_left()
+    kept = list(ResultCache(path).records)
+    assert kept == full[:len(kept)] and here[-1] in kept
+    monkeypatch.setattr(sweep, "solve_record", solve)
+    again = run_sweep(9, ResultCache(path))
+    assert again.from_cache == len(kept) and again.solved == len(full) - len(kept)
+    assert _without_elapsed(path) == _without_elapsed(tmp_path / "full.jsonl")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_opens_its_cache_once_and_writes_the_same_bytes(tmp_path, monkeypatch, cpus):
     import builtins
     import hashlib
     import re
 
     import starchrome.sweep
 
+    _cpus(monkeypatch, cpus)
     path = tmp_path / "cache.jsonl"
     cache = ResultCache(path)
     opened = []
@@ -630,7 +785,7 @@ def test_sweep_opens_its_cache_once_and_writes_the_same_bytes(tmp_path, monkeypa
         return builtins.open(file, *args, **kwargs)
 
     monkeypatch.setattr(starchrome.sweep, "open", counted, raising=False)
-    summary = run_sweep(8, cache, workers=workers)
+    summary = run_sweep(8, cache)
     assert opened == [path] and summary.solved == 21
     text = path.read_text()
     assert text == '{"schema": 3}\n' + "".join(r.to_json() + "\n" for r in summary.records)

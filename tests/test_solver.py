@@ -1044,8 +1044,11 @@ def test_a_process_with_another_thread_takes_turns_in_process():
 
 def test_a_sweep_whose_rounds_fork_writes_the_lockstep_cache(monkeypatch, tmp_path):
     # with a 16-node cutoff most rounds fork while the sweep holds its cache
-    # log open; a child that flushed the log's buffer would add records
+    # log open; a child that flushed the log's buffer would add records.  On
+    # one usable CPU the sweep solves every order in this process, so every
+    # round's fork is counted here (the patched can_race still forks them)
     monkeypatch.setattr(solver, "RESTART_NODES", 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     forks = _forks(monkeypatch, -1)
     caches = []
     for forked in (True, False):

@@ -76,6 +76,13 @@ def test_a_sweep_name_loads_the_sweep_but_not_the_process_pool():
     assert _loaded_after("from starchrome import run_sweep") == {"starchrome.sweep"}
 
 
+def test_a_sweep_loads_the_race_module_but_no_process_pool(tmp_path):
+    # a sweep splits each order over forked children; no pool, whatever the CPUs
+    assert _loaded_after(f"from starchrome import ResultCache, run_sweep\n"
+                         f"run_sweep(9, ResultCache({str(tmp_path / 'c.jsonl')!r}))") == {
+        "starchrome.race", "starchrome.sweep"}
+
+
 def test_every_public_name_resolves_to_its_modules_object():
     assert set(dir(starchrome)) >= EXPORTS.keys() | {n for ns in EXPORTS.values() for n in ns}
     for module, names in EXPORTS.items():
